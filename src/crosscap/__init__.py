@@ -6,123 +6,20 @@ for the nonorientable four-genus gamma4, and the gap between them, all in
 exact integer arithmetic.
 """
 
-from .cf import (
-    ContinuedFraction,
-    Convergent,
-    canonicalize,
-    convergents,
-    evaluate,
-    expand,
-    step,
-    steps_to_integer,
-    steps_to_zero,
-)
-from .errors import (
-    CrosscapError,
-    DegenerateModulus,
-    EvenParity,
-    InvalidParity,
-    NotCanonicalizable,
-    NotCoprime,
-    OddParity,
-    PinchUndefined,
-    StepUndefined,
-    StopUnreachable,
-    UnknotInput,
-    ZeroDenominator,
-)
-from .genus import (
-    EXACT_BY_BATSON,
-    EXACT_BY_COLLAPSE,
-    EXACT_BY_POSITIVE_PINCHES,
-    EXACT_UNKNOWN,
-    FourGenusBounds,
-    GenusReport,
-    OddSplit,
-    crosscap_by_splitting,
-    crosscap_number,
-    euclidean_division,
-    four_genus_bounds,
-    gap_report,
-    genus_report,
-    odd_split,
-    orientable_genus,
-    pinches_to_unknot,
-    pinches_to_zero,
-    terminal_unknot_parameter,
-)
-from .knot import (
-    PinchRecord,
-    PinchSign,
-    PinchWitness,
-    StopRule,
-    TorusKnot,
-    is_unknot,
-    normalize,
-    normalized_knots,
-    pinch,
-    pinch_by_step,
-    pinch_sequence,
-    pinch_sign_from_expansion,
-    pinch_witness,
-)
+from . import cf, errors, genus, knot
+from .cf import *
+from .errors import *
+from .genus import *
+from .knot import *
 from .verify import CheckOutcome, Counterexample, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContinuedFraction",
-    "Convergent",
-    "canonicalize",
-    "convergents",
-    "evaluate",
-    "expand",
-    "step",
-    "steps_to_integer",
-    "steps_to_zero",
-    "CrosscapError",
-    "DegenerateModulus",
-    "EvenParity",
-    "InvalidParity",
-    "NotCanonicalizable",
-    "NotCoprime",
-    "OddParity",
-    "PinchUndefined",
-    "StepUndefined",
-    "StopUnreachable",
-    "UnknotInput",
-    "ZeroDenominator",
-    "EXACT_BY_BATSON",
-    "EXACT_BY_COLLAPSE",
-    "EXACT_BY_POSITIVE_PINCHES",
-    "EXACT_UNKNOWN",
-    "FourGenusBounds",
-    "GenusReport",
-    "OddSplit",
-    "crosscap_by_splitting",
-    "crosscap_number",
-    "euclidean_division",
-    "four_genus_bounds",
-    "gap_report",
-    "genus_report",
-    "odd_split",
-    "orientable_genus",
-    "pinches_to_unknot",
-    "pinches_to_zero",
-    "terminal_unknot_parameter",
-    "PinchRecord",
-    "PinchSign",
-    "PinchWitness",
-    "StopRule",
-    "TorusKnot",
-    "is_unknot",
-    "normalize",
-    "normalized_knots",
-    "pinch",
-    "pinch_by_step",
-    "pinch_sequence",
-    "pinch_sign_from_expansion",
-    "pinch_witness",
+    *cf.__all__,
+    *errors.__all__,
+    *genus.__all__,
+    *knot.__all__,
     "CheckOutcome",
     "Counterexample",
     "run_all",

@@ -34,6 +34,7 @@ CSV_COLUMNS = [
     "gamma4_lower",
     "gamma4_upper",
     "gamma4_exact",
+    "gamma4_provenance",
     "gap_lb_num",
     "gap_lb_den",
     "orientable_genus",
@@ -97,6 +98,7 @@ def _report_csv_row(report: GenusReport) -> list[str]:
         str(report.gamma4.lower),
         str(report.gamma4.upper),
         "" if exact is None else str(exact),
+        report.gamma4.provenance,
         str(report.gap_lower_bound.numerator),
         str(report.gap_lower_bound.denominator),
         str(report.orientable_genus),

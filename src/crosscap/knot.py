@@ -204,25 +204,18 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     if stop is StopRule.FIRST_UNKNOT:
         if is_unknot(knot):
             raise PinchUndefined(f"{knot} is already trivial")
-        records = []
-        current = knot
-        while True:
-            record = pinch(current)
-            records.append(record)
-            current = record.result
-            if is_unknot(current):
-                return records
-    if stop is StopRule.ZERO:
+    elif stop is StopRule.ZERO:
         if knot.p % 2:
             raise StopUnreachable(f"{knot} has odd parameters; T(0,1) is unreachable")
-        records = []
-        current = knot
-        while current.p != 0:
-            record = pinch(current)
-            records.append(record)
-            current = record.result
-        return records
-    raise ValueError(f"unknown stop rule: {stop!r}")
+    else:
+        raise ValueError(f"unknown stop rule: {stop!r}")
+    records = []
+    current = knot
+    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
+        record = pinch(current)
+        records.append(record)
+        current = record.result
+    return records
 
 
 def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKnot]:

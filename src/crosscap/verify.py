@@ -1,17 +1,19 @@
 """Bounded exhaustive verification of the pinch/step identities.
 
-Every check enumerates the normalized nontrivial torus knots with both
-parameters inside a bound (p ascending, then q ascending), evaluates one
-claimed identity on each, and reports a CheckOutcome.  Checks never abort
-on a failure: they keep scanning and collect up to MAX_COUNTEREXAMPLES
-offending cases so a broken identity is visible in bulk, not one case at a
-time.
+One pass enumerates the normalized nontrivial torus knots with both
+parameters inside a bound (p ascending, then q ascending), evaluates every
+claimed identity on each, and reports one CheckOutcome per check.  Checks
+never abort on a failure: they keep scanning and collect up to
+MAX_COUNTEREXAMPLES offending cases so a broken identity is visible in bulk,
+not one case at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from .genus import (
     crosscap_by_splitting,
@@ -21,14 +23,15 @@ from .genus import (
     terminal_unknot_parameter,
 )
 from .knot import (
+    PinchRecord,
     StopRule,
     TorusKnot,
+    is_unknot,
     normalized_knots,
     pinch,
     pinch_by_step,
     pinch_sequence,
     pinch_sign_from_expansion,
-    pinch_witness,
 )
 
 __all__ = [
@@ -87,122 +90,132 @@ class _Collector:
             )
 
 
-def _knot_range(max_param: int) -> str:
-    return f"normalized nontrivial T(p,q) with p,q <= {max_param}"
+class _Knot:
+    """One knot of the box.  Each value is computed on first use and shared by
+    every check that reads it; the independent route a check compares it
+    against is still computed by that check alone."""
+
+    def __init__(self, knot: TorusKnot):
+        self.knot = knot
+
+    @cached_property
+    def first(self) -> PinchRecord:
+        return pinch(self.knot)
+
+    @cached_property
+    def trace(self) -> list[PinchRecord]:
+        rest = self.first.result
+        if is_unknot(rest):
+            return [self.first]
+        return [self.first] + pinch_sequence(rest, StopRule.FIRST_UNKNOT)
+
+    @cached_property
+    def gamma3(self) -> int:
+        return crosscap_number(self.knot)
 
 
-def check_pinch_equivalence(max_param: int) -> CheckOutcome:
+# A predicate yields one claim (holds, expected, actual) per identity it checks.
+_Claims = Iterator[tuple[bool, object, object]]
+_Predicate = Callable[[_Knot], _Claims]
+_Row = tuple[str, str, Optional[int], _Predicate]  # name, range text, parity filter, predicate
+_CHECKS: list[_Row] = []  # in the order run_all reports them
+_KNOTS = "normalized nontrivial T(p,q) with p,q <= {}"
+
+
+def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
+    """Decorator: file the predicate in _CHECKS as check `name`, and bind the
+    decorated name to that check's entry point, a function of the bound that
+    runs this check alone."""
+
+    def register(predicate: _Predicate) -> Callable[[int], CheckOutcome]:
+        row = (name, range_text, parity, predicate)
+        _CHECKS.append(row)
+
+        def run_alone(max_param: int) -> CheckOutcome:
+            return _scan(max_param, [row])[0]
+
+        run_alone.__name__ = run_alone.__qualname__ = predicate.__name__
+        run_alone.__doc__ = predicate.__doc__
+        return run_alone
+    return register
+
+
+def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
+    """Evaluate the given checks on every knot of the box, in a single pass."""
+    collectors = [_Collector(name, text.format(max_param)) for name, text, _, _ in rows]
+    for knot in normalized_knots(max_param):
+        record = _Knot(knot)
+        for (_, _, parity, predicate), col in zip(rows, collectors):
+            if parity is None or knot.p % 2 == parity:
+                col.case()
+                for holds, expected, actual in predicate(record):
+                    if not holds:
+                        col.fail(knot, expected, actual)
+    return [col.outcome for col in collectors]
+
+
+@_check("pinch-equivalence")
+def check_pinch_equivalence(rec: _Knot) -> _Claims:
     """Pinch via modular residues lands on the same knot as one cf step."""
-    col = _Collector("pinch-equivalence", _knot_range(max_param))
-    for knot in normalized_knots(max_param):
-        col.case()
-        via_residues = pinch(knot).result
-        via_step = pinch_by_step(knot)
-        if via_residues != via_step:
-            col.fail(knot, via_residues, via_step)
-    return col.outcome
+    via_step = pinch_by_step(rec.knot)
+    yield rec.first.result == via_step, rec.first.result, via_step
 
 
-def check_sign_lemma(max_param: int) -> CheckOutcome:
+@_check("sign-lemma")
+def check_sign_lemma(rec: _Knot) -> _Claims:
     """(p-2t)(q-2h) >= 0, with equality exactly when p = 2."""
-    col = _Collector("sign-lemma", _knot_range(max_param))
-    for knot in normalized_knots(max_param):
-        col.case()
-        wit = pinch_witness(knot.p, knot.q)
-        product = (knot.p - 2 * wit.t) * (knot.q - 2 * wit.h)
-        if product < 0:
-            col.fail(knot, "(p-2t)(q-2h) >= 0", product)
-        if (product == 0) != (knot.p == 2):
-            col.fail(knot, "(p-2t)(q-2h) == 0 iff p == 2", product)
-    return col.outcome
+    wit = rec.first.witness
+    product = (rec.knot.p - 2 * wit.t) * (rec.knot.q - 2 * wit.h)
+    yield product >= 0, "(p-2t)(q-2h) >= 0", product
+    yield (product == 0) == (rec.knot.p == 2), "(p-2t)(q-2h) == 0 iff p == 2", product
 
 
-def check_magnitude(max_param: int) -> CheckOutcome:
+@_check("magnitude-order")
+def check_magnitude(rec: _Knot) -> _Claims:
     """|p-2t| and |q-2h| are ordered the same way as p and q.
 
     Checked on the raw residue output, before normalization reorders the
     resulting pair: r >= s when p > q, and r < s when p < q.
     """
-    col = _Collector("magnitude-order", _knot_range(max_param))
-    for knot in normalized_knots(max_param):
-        col.case()
-        wit = pinch_witness(knot.p, knot.q)
-        r, s = abs(knot.p - 2 * wit.t), abs(knot.q - 2 * wit.h)
-        if knot.p > knot.q and r < s:
-            col.fail(knot, "r >= s for p > q", (r, s))
-        if knot.p < knot.q and r >= s:
-            col.fail(knot, "r < s for p < q", (r, s))
-    return col.outcome
+    p, q, wit = rec.knot.p, rec.knot.q, rec.first.witness
+    r, s = abs(p - 2 * wit.t), abs(q - 2 * wit.h)
+    yield not (p > q and r < s), "r >= s for p > q", (r, s)
+    yield not (p < q and r >= s), "r < s for p < q", (r, s)
 
 
-def check_sign_parity(max_param: int) -> CheckOutcome:
+@_check("sign-parity")
+def check_sign_parity(rec: _Knot) -> _Claims:
     """Residue-based pinch sign matches the expansion-length parity rule."""
-    col = _Collector("sign-parity", _knot_range(max_param))
-    for knot in normalized_knots(max_param):
-        col.case()
-        predicted = pinch_sign_from_expansion(knot)
-        observed = pinch(knot).sign
-        if observed is not predicted:
-            col.fail(knot, predicted, observed)
-    return col.outcome
+    predicted = pinch_sign_from_expansion(rec.knot)
+    yield rec.first.sign is predicted, predicted, rec.first.sign
 
 
-def check_terminal_unknot(max_param: int) -> CheckOutcome:
+@_check("terminal-unknot")
+def check_terminal_unknot(rec: _Knot) -> _Claims:
     """The division formula predicts the first unknot a pinch walk reaches."""
-    col = _Collector("terminal-unknot", _knot_range(max_param))
-    for knot in normalized_knots(max_param):
-        col.case()
-        predicted = terminal_unknot_parameter(knot)
-        observed = pinch_sequence(knot, StopRule.FIRST_UNKNOT)[-1].result.p
-        if predicted != observed:
-            col.fail(knot, predicted, observed)
-    return col.outcome
+    predicted = terminal_unknot_parameter(rec.knot)
+    observed = rec.trace[-1].result.p
+    yield predicted == observed, predicted, observed
 
 
-def check_crosscap_odd_consistency(max_param: int) -> CheckOutcome:
+@_check("crosscap-odd-consistency", "odd coprime 3 <= q < p <= {}", parity=1)
+def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
     """Closed-formula crosscap number agrees with the splitting construction."""
-    col = _Collector(
-        "crosscap-odd-consistency", f"odd coprime 3 <= q < p <= {max_param}"
-    )
-    for knot in normalized_knots(max_param):
-        if knot.p % 2 == 0:
-            continue
-        col.case()
-        formula = crosscap_number(knot)
-        geometric = crosscap_by_splitting(knot)
-        if formula != geometric:
-            col.fail(knot, geometric, formula)
-    return col.outcome
+    geometric = crosscap_by_splitting(rec.knot)
+    yield rec.gamma3 == geometric, geometric, rec.gamma3
 
 
-def check_gap_formula(max_param: int) -> CheckOutcome:
+@_check("gap-formula", "normalized nontrivial T(p,q), p even, p,q <= {}", parity=0)
+def check_gap_formula(rec: _Knot) -> _Claims:
     """gamma3 - beta1_F equals ceil(k/2) and stays >= k/2 for even p."""
-    col = _Collector(
-        "gap-formula", f"normalized nontrivial T(p,q), p even, p,q <= {max_param}"
-    )
-    for knot in normalized_knots(max_param):
-        if knot.p % 2:
-            continue
-        col.case()
-        k, _ = euclidean_division(knot)
-        gap = crosscap_number(knot) - pinches_to_unknot(knot)
-        if gap != (k + 1) // 2:
-            col.fail(knot, (k + 1) // 2, gap)
-        if Fraction(gap) < Fraction(k, 2):
-            col.fail(knot, f"gap >= {Fraction(k, 2)}", gap)
-    return col.outcome
+    quotient, _ = euclidean_division(rec.knot)
+    gap = rec.gamma3 - pinches_to_unknot(rec.knot)
+    yield gap == (quotient + 1) // 2, (quotient + 1) // 2, gap
+    yield Fraction(gap) >= Fraction(quotient, 2), f"gap >= {Fraction(quotient, 2)}", gap
 
 
 def run_all(max_param: int) -> list[CheckOutcome]:
-    """Run every check at the given bound, in a fixed order."""
+    """Run every check at the given bound, in a fixed order, in one pass."""
     if max_param < 3:
         raise ValueError(f"bound must be at least 3: {max_param}")
-    return [
-        check_pinch_equivalence(max_param),
-        check_sign_lemma(max_param),
-        check_magnitude(max_param),
-        check_sign_parity(max_param),
-        check_terminal_unknot(max_param),
-        check_crosscap_odd_consistency(max_param),
-        check_gap_formula(max_param),
-    ]
+    return _scan(max_param, _CHECKS)

@@ -60,7 +60,7 @@ def test_report_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert lines[1] == "4,3,1,1,2,1,2,1,1,1,1,2,3"
+    assert lines[1] == "4,3,1,1,2,1,2,1,1,1,all-positive-pinches,1,2,3"
 
 
 def test_report_human_mentions_everything(capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from crosscap import verify
+from crosscap.knot import TorusKnot, pinch
 from crosscap.verify import (
     MAX_COUNTEREXAMPLES,
     CheckOutcome,
@@ -91,3 +93,38 @@ def test_collector_pass_path():
     assert outcome.passed
     assert outcome.cases_checked == 1
     assert outcome.counterexamples == []
+
+
+def test_run_all_matches_checks_run_alone():
+    alone = [getattr(verify, name) for name in verify.__all__ if name.startswith("check_")]
+    assert run_all(40) == [check(40) for check in alone]
+
+
+def test_failure_stays_inside_its_check(monkeypatch):
+    clean = run_all(40)
+    bad_knot, wrong = TorusKnot(5, 3), TorusKnot(0, 1)
+    by_step = verify.pinch_by_step
+    monkeypatch.setattr(
+        verify, "pinch_by_step", lambda knot: wrong if knot == bad_knot else by_step(knot)
+    )
+    outcomes = run_all(40)
+    assert [o.cases_checked for o in outcomes] == [o.cases_checked for o in clean]
+    assert outcomes[1:] == clean[1:]
+    equivalence = outcomes[0]
+    assert equivalence.failures_total == 1
+    assert equivalence.counterexamples == [
+        Counterexample(str(bad_knot), str(pinch(bad_knot).result), str(wrong))
+    ]
+
+
+def test_run_all_enumerates_the_box_once(monkeypatch):
+    calls = []
+    enumerate_box = verify.normalized_knots
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_box(*args)
+
+    monkeypatch.setattr(verify, "normalized_knots", counting)
+    run_all(40)
+    assert calls == [(40,)]
