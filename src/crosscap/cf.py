@@ -13,6 +13,13 @@ The reduction `step` subtracts 2 from the last coefficient and restores
 canonical form.  On the knot side a step corresponds to one pinch move on a
 torus knot, which is why everything here is exact integer arithmetic: a
 single rounding error would silently change a genus count.
+
+Canonical form is validated once, where coefficients enter from outside:
+the `ContinuedFraction(...)` constructor and `canonicalize`.  The two
+producers on the hot path, `expand` (Euclid's algorithm) and `step`
+(rewriting a canonical tail), emit canonical expansions by construction and
+build them without re-validating; the tests re-validate every output of
+both against the constructor and compare `step` with `canonicalize`.
 """
 
 from __future__ import annotations
@@ -42,7 +49,9 @@ class ContinuedFraction:
 
     Construction validates canonical form: c0 >= 0, interior coefficients
     >= 1, final coefficient >= 2 when the expansion has more than one entry.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  `expand` and `step` build theirs
+    through `_trusted`, which skips the checks their construction already
+    guarantees.
     """
 
     coeffs: tuple[int, ...]
@@ -61,6 +70,13 @@ class ContinuedFraction:
                 raise NotCanonicalizable(f"interior coefficients must be >= 1: {list(coeffs)}")
             if coeffs[-1] < 2:
                 raise NotCanonicalizable(f"final coefficient must be >= 2: {list(coeffs)}")
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> ContinuedFraction:
+        """Wrap a tuple that is canonical by construction, without checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
@@ -92,9 +108,9 @@ def _as_tuple(cf: Coefficients) -> tuple[int, ...]:
 def expand(x: Union[Fraction, int]) -> ContinuedFraction:
     """Return the canonical continued-fraction expansion of x >= 0.
 
-    Repeated Euclidean division already yields a final coefficient >= 2
-    (successive remainders are strictly decreasing), so the trailing-1 fold
-    below is a guard rather than the common path.
+    Repeated Euclidean division yields a canonical expansion: every
+    quotient after the first is >= 1, and the last one is >= 2 because it
+    divides the previous remainder by a strictly smaller one.
     """
     x = Fraction(x)
     if x < 0:
@@ -105,10 +121,7 @@ def expand(x: Union[Fraction, int]) -> ContinuedFraction:
         c, r = divmod(a, b)
         coeffs.append(c)
         a, b = b, r
-    if len(coeffs) > 1 and coeffs[-1] == 1:
-        coeffs.pop()
-        coeffs[-1] += 1
-    return ContinuedFraction(tuple(coeffs))
+    return ContinuedFraction._trusted(tuple(coeffs))
 
 
 def evaluate(cf: Coefficients) -> Fraction:
@@ -141,6 +154,9 @@ def canonicalize(raw: Coefficients) -> ContinuedFraction:
     Both rewrites preserve the represented value.  A two-entry sequence
     ending in 0 has no finite value and is rejected; it can only arise from a
     value with denominator 2, which `step` refuses up front.
+
+    This is the validating route and the test oracle for `step`, which
+    rewrites the tail of an already canonical expansion directly.
     """
     seq = list(_as_tuple(raw))
     if not seq:
@@ -195,13 +211,26 @@ def step(cf: ContinuedFraction) -> ContinuedFraction:
     denominator 2, where the rewrite rules cannot produce a finite value.  A
     canonical expansion has denominator 2 exactly when it reads [c0, 2], so
     the check is structural.
+
+    The input is canonical, so only its tail needs the rewrites of
+    `canonicalize`, and at most two of them: a new last entry 1 is folded,
+    and a new last entry 0 drops the last two entries, after which a
+    trailing 1 is folded.  The entries left are untouched canonical ones,
+    so the result is canonical without validation.
     """
     c = cf.coeffs
     if c == (0,) or c == (1,):
         raise StepUndefined(f"no step from {cf}")
     if len(c) == 2 and c[1] == 2:
         raise StepUndefined(f"step undefined for half-integer values: {cf}")
-    return canonicalize(c[:-1] + (c[-1] - 2,))
+    last = c[-1] - 2
+    if last >= 2 or len(c) == 1:
+        return ContinuedFraction._trusted(c[:-1] + (last,))
+    if last == 0:
+        c = c[:-2]
+        if len(c) == 1 or c[-1] >= 2:
+            return ContinuedFraction._trusted(c)
+    return ContinuedFraction._trusted(c[:-2] + (c[-2] + 1,))
 
 
 def steps_to_zero(x: Union[Fraction, int]) -> int:

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import cf
 from .errors import CrosscapError
@@ -105,15 +105,24 @@ def _report_csv_row(report: GenusReport) -> list[str]:
     ]
 
 
-def _trace_line(record: PinchRecord) -> str:
-    sign = str(record.sign) if record.sign is not None else "n/a"
-    before = cf.expand(record.source.fraction())
-    after = cf.expand(record.result.fraction())
-    return (
-        f"{record.source} -> {record.result}"
-        f"   t={record.witness.t} h={record.witness.h} sign={sign}"
-        f"   {before} -> {after}"
-    )
+def _trace_lines(records: Iterable[PinchRecord]) -> Iterator[str]:
+    """One line per pinch record, with the expansions before and after.
+
+    In a pinch sequence each record's result is the next record's source,
+    so that knot's expansion is reused instead of computed twice.
+    """
+    previous, after = None, None
+    for record in records:
+        if record.source is not previous:
+            after = cf.expand(record.source.fraction())
+        before, after = after, cf.expand(record.result.fraction())
+        previous = record.result
+        sign = str(record.sign) if record.sign is not None else "n/a"
+        yield (
+            f"{record.source} -> {record.result}"
+            f"   t={record.witness.t} h={record.witness.h} sign={sign}"
+            f"   {before} -> {after}"
+        )
 
 
 def _report_human(report: GenusReport) -> str:
@@ -133,7 +142,7 @@ def _report_human(report: GenusReport) -> str:
     if report.split is not None:
         lines.append(f"  split:             {report.split.first} + {report.split.second}")
     lines.append("  pinch trace:")
-    lines.extend(f"    {_trace_line(record)}" for record in report.trace)
+    lines.extend(f"    {line}" for line in _trace_lines(report.trace))
     return "\n".join(lines) + "\n"
 
 
@@ -186,12 +195,17 @@ def _matches_filter(knot: TorusKnot, name: str) -> bool:
     raise ValueError(f"unknown filter: {name}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> int:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -208,8 +222,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     stop = StopRule.ZERO if args.stop == "zero" else StopRule.FIRST_UNKNOT
     records = pinch_sequence(normalize(args.p, args.q), stop)
-    for record in records:
-        sys.stdout.write(_trace_line(record) + "\n")
+    for line in _trace_lines(records):
+        sys.stdout.write(line + "\n")
     return 0
 
 
@@ -228,8 +242,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         text = _table_human(reports)
     else:
         text = _csv_text([CSV_COLUMNS] + [_report_csv_row(report) for report in reports])
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -7,6 +7,7 @@ semantics still apply.
 
 __all__ = [
     "CrosscapError",
+    "InvalidParameter",
     "ZeroDenominator",
     "NotCanonicalizable",
     "StepUndefined",
@@ -23,6 +24,10 @@ __all__ = [
 
 class CrosscapError(ValueError):
     """Base class for all domain errors raised by this package."""
+
+
+class InvalidParameter(CrosscapError):
+    """A knot parameter is not an int (bools included), out of range or misordered."""
 
 
 class ZeroDenominator(CrosscapError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import cf
-from .errors import NotCoprime, PinchUndefined, StopUnreachable
+from .errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
 
 __all__ = [
     "TorusKnot",
@@ -66,22 +66,25 @@ class TorusKnot:
     """A normalized torus knot T(p,q).
 
     Use `normalize` to build one from an unordered parameter pair; direct
-    construction insists the pair is already in normalized order.
+    construction insists the pair is already in normalized order.  Both
+    parameters must be of type int; bools and other numbers are rejected.
     """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int or type(self.q) is not int:
+            raise InvalidParameter(f"parameters must be integers: ({self.p!r},{self.q!r})")
         if self.p < 0 or self.q < 1:
-            raise ValueError(f"parameters out of range: ({self.p},{self.q})")
+            raise InvalidParameter(f"parameters out of range: ({self.p},{self.q})")
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"({self.p},{self.q}) is not a coprime pair")
         if self.p * self.q % 2 == 0:
             if self.p % 2 != 0:
-                raise ValueError(f"({self.p},{self.q}): even parameter must come first")
+                raise InvalidParameter(f"({self.p},{self.q}): even parameter must come first")
         elif self.p < self.q:
-            raise ValueError(f"({self.p},{self.q}): larger odd parameter must come first")
+            raise InvalidParameter(f"({self.p},{self.q}): larger odd parameter must come first")
 
     def fraction(self) -> Fraction:
         return Fraction(self.p, self.q)
@@ -117,10 +120,13 @@ def normalize(a: int, b: int) -> TorusKnot:
     """Build the normalized torus knot with parameter pair {a, b}.
 
     Even parameter first when the product is even, larger first when both
-    are odd.  Rejects non-coprime pairs, including (0,0).
+    are odd.  Rejects non-int parameters (bools included), negative ones
+    and non-coprime pairs, including (0,0).
     """
+    if type(a) is not int or type(b) is not int:
+        raise InvalidParameter(f"parameters must be integers: ({a!r},{b!r})")
     if a < 0 or b < 0:
-        raise ValueError(f"parameters must be nonnegative: ({a},{b})")
+        raise InvalidParameter(f"parameters must be nonnegative: ({a},{b})")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"({a},{b}) is not a coprime pair")
     if a * b % 2 == 0:
@@ -142,7 +148,7 @@ def pinch_witness(p: int, q: int) -> PinchWitness:
     modulus of 1 the only residue is 0, which pow() already returns.
     """
     if p < 1 or q < 1:
-        raise ValueError(f"parameters must be positive: ({p},{q})")
+        raise InvalidParameter(f"parameters must be positive: ({p},{q})")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"({p},{q}) is not a coprime pair")
     return PinchWitness(t=(-pow(q, -1, p)) % p, h=pow(p, -1, q))

@@ -74,6 +74,7 @@ def coprime_fractions(max_num, max_den):
 
 
 nonneg_fractions = st.fractions(min_value=0, max_value=10**9, max_denominator=10**4)
+huge_fractions = st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 10**30))
 
 
 @pytest.mark.parametrize(
@@ -355,3 +356,41 @@ def test_steps_to_integer_terminates_consistently(a, b):
         for _ in range(count):
             cf = step(cf)
         assert cf.coeffs == (terminal,)
+
+
+# The trusted hot path: `expand` and `step` build expansions without
+# validation, so every output is re-validated here and `step` is compared
+# with `canonicalize`, the validating route.
+
+
+def assert_revalidates(out):
+    again = ContinuedFraction(out.coeffs)
+    assert again == out
+    assert hash(again) == hash(out)
+
+
+def assert_step_matches_canonicalize(x):
+    before = expand(x)
+    assert_revalidates(before)
+    c = before.coeffs
+    try:
+        oracle = canonicalize(c[:-1] + (c[-1] - 2,))
+    except NotCanonicalizable:
+        # exactly the inputs `step` refuses up front: [0], [1] and [c0, 2]
+        with pytest.raises(StepUndefined):
+            step(before)
+        return
+    after = step(before)
+    assert after == oracle
+    assert_revalidates(after)
+
+
+def test_step_matches_canonicalize_on_the_box():
+    for x in coprime_fractions(300, 300):
+        assert_step_matches_canonicalize(x)
+
+
+@settings(max_examples=500)
+@given(huge_fractions)
+def test_step_matches_canonicalize_large(x):
+    assert_step_matches_canonicalize(x)

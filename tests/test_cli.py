@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from crosscap import cli
 from crosscap.cli import CSV_COLUMNS, main
+from crosscap.knot import StopRule, TorusKnot, pinch_sequence
 from crosscap.verify import CheckOutcome, Counterexample
 
 
@@ -78,12 +81,23 @@ def test_report_empty_exact_field(capsys):
     assert row[CSV_COLUMNS.index("gamma4_exact")] == ""
 
 
-@pytest.mark.parametrize("argv", [("report", "6", "4"), ("report", "5", "1"), ("report", "1", "1")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "6", "4"),
+        ("report", "5", "1"),
+        ("report", "1", "1"),
+        ("report", "-3", "5"),
+        ("report", "4", "-3"),
+        ("trace", "-3", "5"),
+    ],
+)
 def test_report_rejects_bad_knots(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_trace_first_unknot(capsys):
@@ -93,6 +107,26 @@ def test_trace_first_unknot(capsys):
     assert len(lines) == 2
     assert lines[0] == "T(4,7) -> T(2,3)   t=1 h=2 sign=positive   [0,1,1,3] -> [0,1,2]"
     assert lines[1] == "T(2,3) -> T(0,1)   t=1 h=2 sign=negative   [0,1,2] -> [0]"
+
+
+def test_trace_expands_each_knot_once(monkeypatch, capsys):
+    calls = []
+    real_expand = cli.cf.expand
+    monkeypatch.setattr(cli.cf, "expand", lambda x: calls.append(x) or real_expand(x))
+    code, out, _ = run_cli(capsys, "trace", "200", "199")
+    assert code == 0
+    records = out.splitlines()
+    assert len(records) == 99
+    assert len(calls) == len(records) + 1
+
+
+def test_trace_lines_outside_a_sequence():
+    # records that do not chain get both expansions computed afresh
+    records = pinch_sequence(TorusKnot(4, 7), StopRule.FIRST_UNKNOT)[::-1]
+    assert list(cli._trace_lines(records)) == [
+        "T(2,3) -> T(0,1)   t=1 h=2 sign=negative   [0,1,2] -> [0]",
+        "T(4,7) -> T(2,3)   t=1 h=2 sign=positive   [0,1,1,3] -> [0,1,2]",
+    ]
 
 
 def test_trace_zero_stop_even(capsys):
@@ -195,6 +229,15 @@ def test_table_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_table_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(capsys, "table", "--pmax", "10", "--qmax", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.exists()
+
+
 def test_table_human_is_aligned(capsys):
     _, out, _ = run_cli(capsys, "table", "--pmax", "8", "--qmax", "7", "--format", "human")
     upper, *rest = out.splitlines()
@@ -249,10 +292,14 @@ def test_bad_arguments_exit_via_argparse():
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run(
         [sys.executable, "-m", "crosscap", "report", "4", "3", "--format", "csv"],
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     assert result.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)

@@ -27,7 +27,7 @@ from crosscap import (
     pinch_witness,
     step,
 )
-from crosscap.errors import NotCoprime, PinchUndefined, StopUnreachable
+from crosscap.errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
 
 
 def oracle_witness(p, q):
@@ -82,6 +82,14 @@ def test_normalize_rejects_noncoprime(pair):
 def test_normalize_rejects_negatives():
     with pytest.raises(ValueError):
         normalize(-2, 3)
+
+
+@pytest.mark.parametrize("pair", [(True, 4), (4, True), (4.0, 3), (4, 3.0), ("4", 3), (None, 3)])
+def test_non_int_parameters_are_rejected(pair):
+    with pytest.raises(InvalidParameter):
+        normalize(*pair)
+    with pytest.raises(InvalidParameter):
+        TorusKnot(*pair)
 
 
 def test_direct_construction_enforces_convention():
