@@ -9,7 +9,7 @@ linearly while beta1_F stays put.  Run as
 
 import argparse
 
-from crosscap import TorusKnot, crosscap_number, gap_report, pinches_to_unknot
+from crosscap import TorusKnot, genus_report
 
 
 def main() -> None:
@@ -28,11 +28,10 @@ def main() -> None:
     print(f"{'p':>6} {'q':>4} {'k':>4} {'beta1_F':>8} {'gamma3':>7} {'gap':>5}")
     p = args.residue
     for _ in range(args.rows):
-        knot = TorusKnot(p, args.q)
-        gap, _ = gap_report(knot)
+        r = genus_report(TorusKnot(p, args.q))
         print(
-            f"{knot.p:>6} {knot.q:>4} {knot.p // knot.q:>4}"
-            f" {pinches_to_unknot(knot):>8} {crosscap_number(knot):>7} {gap:>5}"
+            f"{r.knot.p:>6} {r.knot.q:>4} {r.k:>4}"
+            f" {r.beta1_F:>8} {r.gamma3:>7} {r.gamma3 - r.beta1_F:>5}"
         )
         p += 2 * args.q
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import cf
 from .errors import CrosscapError
@@ -45,11 +46,23 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _json_chunks(payloads: Iterable[object]) -> Iterator[str]:
+    """The text of `_json_text(list(payloads))`, one list item per chunk."""
+    separator = "[\n  "
+    for payload in payloads:
+        yield separator + json.dumps(payload, indent=2).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "[]\n" if separator == "[\n  " else "\n]\n"
+
+
+def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for row in rows:
+        writer.writerow(row)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def _trace_row(record: PinchRecord) -> dict:
@@ -146,11 +159,11 @@ def _report_human(report: GenusReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_human(reports: list[GenusReport]) -> str:
-    rows = [CSV_COLUMNS] + [_report_csv_row(report) for report in reports]
+def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
+    rows = [CSV_COLUMNS, *rows]  # every row is needed for the column widths
     widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
-    lines = ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
+    for row in rows:
+        yield "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) + "\n"
 
 
 def _outcome_dict(outcome: CheckOutcome) -> dict:
@@ -180,28 +193,24 @@ def _verify_human(outcomes: list[CheckOutcome]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matches_filter(knot: TorusKnot, name: str) -> bool:
-    if name == "all":
-        return True
-    if name == "even":
-        return knot.p % 2 == 0
-    if name == "odd":
-        return knot.p % 2 == 1
-    if name == "batson":
-        return knot.p % 2 == 0 and knot.q == knot.p - 1
-    if name == "family-km1":
-        # T(km+1, m) with k, m odd: p = 1 mod q and an odd quotient.
-        return knot.p % knot.q == 1 and ((knot.p - 1) // knot.q) % 2 == 1
-    raise ValueError(f"unknown filter: {name}")
+# table --filter: name -> which knots of the box the table keeps.
+_FILTERS: dict[str, Callable[[TorusKnot], bool]] = {
+    "all": lambda knot: True,
+    "even": lambda knot: knot.p % 2 == 0,
+    "odd": lambda knot: knot.p % 2 == 1,
+    "batson": lambda knot: knot.p % 2 == 0 and knot.q == knot.p - 1,
+    # T(km+1, m) with k, m odd: p = 1 mod q and an odd quotient.
+    "family-km1": lambda knot: knot.p % knot.q == 1 and ((knot.p - 1) // knot.q) % 2 == 1,
+}
 
 
-def _emit(text: str, out: Optional[str]) -> int:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
@@ -213,7 +222,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(_json_text(_report_dict(report)))
     elif args.format == "csv":
-        sys.stdout.write(_csv_text([CSV_COLUMNS, _report_csv_row(report)]))
+        sys.stdout.writelines(_csv_lines([CSV_COLUMNS, _report_csv_row(report)]))
     else:
         sys.stdout.write(_report_human(report))
     return 0
@@ -231,24 +240,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.pmax < 2 or args.qmax < 2:
         print("error: --pmax and --qmax must be at least 2", file=sys.stderr)
         return 2
-    reports = [
-        genus_report(knot)
-        for knot in normalized_knots(args.pmax, args.qmax)
-        if _matches_filter(knot, args.filter)
-    ]
+    knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
+    reports = map(genus_report, knots)
     if args.format == "json":
-        text = _json_text([_report_dict(report) for report in reports])
+        chunks = _json_chunks(map(_report_dict, reports))
     elif args.format == "human":
-        text = _table_human(reports)
+        chunks = _table_human(map(_report_csv_row, reports))
     else:
-        text = _csv_text([CSV_COLUMNS] + [_report_csv_row(report) for report in reports])
-    return _emit(text, args.out)
+        chunks = _csv_lines(itertools.chain([CSV_COLUMNS], map(_report_csv_row, reports)))
+    return _emit(chunks, args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max < 3:
-        print("error: --max must be at least 3", file=sys.stderr)
-        return 2
     outcomes = run_all(args.max)
     if args.format == "json":
         sys.stdout.write(_json_text([_outcome_dict(outcome) for outcome in outcomes]))
@@ -279,11 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="invariant table over a parameter range")
     table.add_argument("--pmax", type=int, required=True)
     table.add_argument("--qmax", type=int, required=True)
-    table.add_argument(
-        "--filter",
-        choices=["all", "even", "odd", "batson", "family-km1"],
-        default="all",
-    )
+    table.add_argument("--filter", choices=list(_FILTERS), default="all")
     table.add_argument("--format", choices=["human", "json", "csv"], default="csv")
     table.add_argument("--out", default=None)
     table.set_defaults(handler=_cmd_table)

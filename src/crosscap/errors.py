@@ -27,7 +27,8 @@ class CrosscapError(ValueError):
 
 
 class InvalidParameter(CrosscapError):
-    """A knot parameter is not an int (bools included), out of range or misordered."""
+    """A knot parameter or a verify bound is not an int (bools included), out of
+    range or misordered."""
 
 
 class ZeroDenominator(CrosscapError):

@@ -68,6 +68,8 @@ class TorusKnot:
     Use `normalize` to build one from an unordered parameter pair; direct
     construction insists the pair is already in normalized order.  Both
     parameters must be of type int; bools and other numbers are rejected.
+    This is the one place a knot's parameters are validated: type, then
+    coprimality, then range, then order.
     """
 
     p: int
@@ -76,10 +78,10 @@ class TorusKnot:
     def __post_init__(self) -> None:
         if type(self.p) is not int or type(self.q) is not int:
             raise InvalidParameter(f"parameters must be integers: ({self.p!r},{self.q!r})")
-        if self.p < 0 or self.q < 1:
-            raise InvalidParameter(f"parameters out of range: ({self.p},{self.q})")
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"({self.p},{self.q}) is not a coprime pair")
+        if self.p < 0 or self.q < 1:
+            raise InvalidParameter(f"parameters out of range: ({self.p},{self.q})")
         if self.p * self.q % 2 == 0:
             if self.p % 2 != 0:
                 raise InvalidParameter(f"({self.p},{self.q}): even parameter must come first")
@@ -120,15 +122,12 @@ def normalize(a: int, b: int) -> TorusKnot:
     """Build the normalized torus knot with parameter pair {a, b}.
 
     Even parameter first when the product is even, larger first when both
-    are odd.  Rejects non-int parameters (bools included), negative ones
-    and non-coprime pairs, including (0,0).
+    are odd.  Non-int parameters (bools included) are rejected here, before
+    the ordering compares them; `TorusKnot` rejects the ordered pair when it
+    is not coprime, including (0,0), or has a negative parameter.
     """
     if type(a) is not int or type(b) is not int:
         raise InvalidParameter(f"parameters must be integers: ({a!r},{b!r})")
-    if a < 0 or b < 0:
-        raise InvalidParameter(f"parameters must be nonnegative: ({a},{b})")
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"({a},{b}) is not a coprime pair")
     if a * b % 2 == 0:
         p, q = (a, b) if a % 2 == 0 else (b, a)
     else:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
+from .errors import InvalidParameter
 from .genus import (
     crosscap_by_splitting,
     crosscap_number,
@@ -73,23 +74,6 @@ class CheckOutcome:
         return self.failures_total == 0
 
 
-class _Collector:
-    """Accumulates cases and counterexamples for one check."""
-
-    def __init__(self, name: str, range_description: str):
-        self.outcome = CheckOutcome(name, range_description)
-
-    def case(self) -> None:
-        self.outcome.cases_checked += 1
-
-    def fail(self, case: object, expected: object, actual: object) -> None:
-        self.outcome.failures_total += 1
-        if len(self.outcome.counterexamples) < MAX_COUNTEREXAMPLES:
-            self.outcome.counterexamples.append(
-                Counterexample(str(case), str(expected), str(actual))
-            )
-
-
 class _Knot:
     """One knot of the box.  Each value is computed on first use and shared by
     every check that reads it; the independent route a check compares it
@@ -142,16 +126,19 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 
 def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
     """Evaluate the given checks on every knot of the box, in a single pass."""
-    collectors = [_Collector(name, text.format(max_param)) for name, text, _, _ in rows]
+    outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
     for knot in normalized_knots(max_param):
         record = _Knot(knot)
-        for (_, _, parity, predicate), col in zip(rows, collectors):
+        for (_, _, parity, predicate), outcome in zip(rows, outcomes):
             if parity is None or knot.p % 2 == parity:
-                col.case()
+                outcome.cases_checked += 1
                 for holds, expected, actual in predicate(record):
                     if not holds:
-                        col.fail(knot, expected, actual)
-    return [col.outcome for col in collectors]
+                        outcome.failures_total += 1
+                        if outcome.failures_total <= MAX_COUNTEREXAMPLES:
+                            case = Counterexample(str(knot), str(expected), str(actual))
+                            outcome.counterexamples.append(case)
+    return outcomes
 
 
 @_check("pinch-equivalence")
@@ -217,5 +204,5 @@ def check_gap_formula(rec: _Knot) -> _Claims:
 def run_all(max_param: int) -> list[CheckOutcome]:
     """Run every check at the given bound, in a fixed order, in one pass."""
     if max_param < 3:
-        raise ValueError(f"bound must be at least 3: {max_param}")
+        raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
     return _scan(max_param, _CHECKS)

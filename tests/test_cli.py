@@ -156,6 +156,41 @@ def test_table_header_only_when_range_is_empty(capsys):
     assert out == ",".join(CSV_COLUMNS) + "\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, expected", [("json", "[]\n"), ("human", "  ".join(CSV_COLUMNS) + "\n")]
+)
+def test_table_empty_range_json_and_human(capsys, fmt, expected):
+    code, out, _ = run_cli(capsys, "table", "--pmax", "3", "--qmax", "2", "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writes_before_the_last_report(monkeypatch, fmt):
+    events = []
+    build = cli.genus_report
+
+    def logged(knot):
+        events.append("report")
+        return build(knot)
+
+    class Sink:
+        def write(self, text):
+            events.append("write")
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.write(chunk)
+
+    monkeypatch.setattr(cli, "genus_report", logged)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["table", "--pmax", "8", "--qmax", "7", "--format", fmt]) == 0
+    # every report but the last is on its way out before the last is built
+    last = len(events) - 1 - events[::-1].index("report")
+    assert events.count("report") > 2
+    assert events[:last].count("write") >= events.count("report") - 1
+
+
 def test_table_rejects_degenerate_bounds(capsys):
     code, _, err = run_cli(capsys, "table", "--pmax", "1", "--qmax", "9")
     assert code == 2
@@ -206,7 +241,7 @@ def test_table_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--pmax", "10", "--qmax", "9")
     parsed = list(csv.reader(io.StringIO(out)))
     assert parsed[0] == CSV_COLUMNS
-    assert cli._csv_text(parsed) == out
+    assert "".join(cli._csv_lines(parsed)) == out
 
 
 def test_table_json_round_trip(capsys):

@@ -80,8 +80,9 @@ def test_normalize_rejects_noncoprime(pair):
 
 
 def test_normalize_rejects_negatives():
-    with pytest.raises(ValueError):
-        normalize(-2, 3)
+    for pair in [(-2, 3), (3, -2), (-3, -5)]:
+        with pytest.raises(InvalidParameter):
+            normalize(*pair)
 
 
 @pytest.mark.parametrize("pair", [(True, 4), (4, True), (4.0, 3), (4, 3.0), ("4", 3), (None, 3)])
@@ -99,6 +100,8 @@ def test_direct_construction_enforces_convention():
         TorusKnot(3, 5)  # larger odd parameter must come first
     with pytest.raises(NotCoprime):
         TorusKnot(6, 3)
+    with pytest.raises(NotCoprime):
+        TorusKnot(0, 0)  # coprimality is checked before range
 
 
 @pytest.mark.parametrize(

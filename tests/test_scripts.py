@@ -1,0 +1,40 @@
+"""Smoke tests for the scripts under scripts/, run as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from crosscap import normalized_knots
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    return result.stdout.splitlines()
+
+
+def test_gap_growth_gap_is_half_k_rounded_up():
+    header, *rows = run_script("gap_growth.py", "--q", "3", "--residue", "4", "--rows", "6")
+    assert header.split() == ["p", "q", "k", "beta1_F", "gamma3", "gap"]
+    assert len(rows) == 6
+    for row in rows:
+        _, _, k, beta1_f, gamma3, gap = map(int, row.split())
+        assert gap == gamma3 - beta1_f == (k + 1) // 2
+
+
+def test_sign_census_total_counts_every_knot():
+    lines = run_script("sign_census.py", "--max", "30")
+    total = lines[-1].split()
+    assert total[0] == "total"
+    assert int(total[1]) == len(list(normalized_knots(30)))

@@ -3,12 +3,11 @@
 import pytest
 
 from crosscap import verify
-from crosscap.knot import TorusKnot, pinch
+from crosscap.errors import InvalidParameter
+from crosscap.knot import TorusKnot, normalized_knots, pinch
 from crosscap.verify import (
     MAX_COUNTEREXAMPLES,
-    CheckOutcome,
     Counterexample,
-    _Collector,
     check_crosscap_odd_consistency,
     check_gap_formula,
     check_magnitude,
@@ -66,33 +65,21 @@ def test_run_all_shape_and_order():
 
 
 def test_run_all_rejects_tiny_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         run_all(2)
 
 
-def test_collector_caps_counterexamples():
-    collector = _Collector("demo", "synthetic")
-    for i in range(150):
-        collector.case()
-        collector.fail(i, "want", "got")
-    outcome = collector.outcome
-    assert isinstance(outcome, CheckOutcome)
-    assert outcome.cases_checked == 150
-    assert outcome.failures_total == 150
-    assert len(outcome.counterexamples) == MAX_COUNTEREXAMPLES
+def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
+    # every knot then "pinches" to itself, so every case fails; returning
+    # T(0,1) would not do, since some knots below 40 really pinch there
+    monkeypatch.setattr(verify, "pinch_by_step", lambda knot: knot)
+    outcome = check_pinch_equivalence(40)
     assert not outcome.passed
-    first = outcome.counterexamples[0]
-    assert isinstance(first, Counterexample)
-    assert (first.input, first.expected, first.actual) == ("0", "want", "got")
-
-
-def test_collector_pass_path():
-    collector = _Collector("demo", "synthetic")
-    collector.case()
-    outcome = collector.outcome
-    assert outcome.passed
-    assert outcome.cases_checked == 1
-    assert outcome.counterexamples == []
+    assert outcome.failures_total == outcome.cases_checked > MAX_COUNTEREXAMPLES
+    assert len(outcome.counterexamples) == MAX_COUNTEREXAMPLES
+    first_knots = list(normalized_knots(40))[:MAX_COUNTEREXAMPLES]
+    assert [c.input for c in outcome.counterexamples] == [str(k) for k in first_knots]
+    assert outcome.counterexamples[0] == Counterexample("T(2,3)", "T(0,1)", "T(2,3)")
 
 
 def test_run_all_matches_checks_run_alone():
