@@ -20,6 +20,11 @@ producers on the hot path, `expand` (Euclid's algorithm) and `step`
 (rewriting a canonical tail), emit canonical expansions by construction and
 build them without re-validating; the tests re-validate every output of
 both against the constructor and compare `step` with `canonicalize`.
+
+Values are plain integer pairs on the hot path.  `expand` and the step
+counters read an `int` or a `Fraction` (bools included) as it is, and only
+coerce other inputs with `Fraction(x)`; `evaluate` runs an integer
+recurrence and builds a single `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import InvalidParity, NotCanonicalizable, StepUndefined, ZeroDenominator
+from .errors import (
+    InvalidParameter,
+    InvalidParity,
+    NotCanonicalizable,
+    StepUndefined,
+    ZeroDenominator,
+)
 
 __all__ = [
     "ContinuedFraction",
@@ -105,17 +116,29 @@ def _as_tuple(cf: Coefficients) -> tuple[int, ...]:
     return tuple(cf)
 
 
+def _exact(x: object) -> Union[Fraction, int]:
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def expand(x: Union[Fraction, int]) -> ContinuedFraction:
     """Return the canonical continued-fraction expansion of x >= 0.
+
+    An int or a Fraction (bools included) is read through its numerator and
+    denominator without building a new Fraction; any other input that
+    `Fraction()` accepts, such as "3/4" or 0.5, is coerced first.  Negative
+    values raise InvalidParameter.
 
     Repeated Euclidean division yields a canonical expansion: every
     quotient after the first is >= 1, and the last one is >= 2 because it
     divides the previous remainder by a strictly smaller one.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"expansion is defined for nonnegative rationals only: {x}")
+    x = _exact(x)
     a, b = x.numerator, x.denominator
+    if a < 0:
+        raise InvalidParameter(
+            f"expansion is defined for nonnegative rationals only: {Fraction(x)}"
+        )
     coeffs = []
     while b:
         c, r = divmod(a, b)
@@ -125,21 +148,24 @@ def expand(x: Union[Fraction, int]) -> ContinuedFraction:
 
 
 def evaluate(cf: Coefficients) -> Fraction:
-    """Evaluate a coefficient sequence by nested division, right to left.
+    """Evaluate an integer coefficient sequence exactly, right to left.
 
-    The input need not be canonical, but every intermediate denominator must
-    be nonzero; otherwise ZeroDenominator is raised.  (Canonical input never
-    trips this: all tails evaluate to values >= 1.)
+    The tail value is kept as an integer pair num/den and folded in with
+    num, den = c*num + den, num; one Fraction is built at the end.  The
+    input need not be canonical, and entries may be negative, but every
+    intermediate denominator must be nonzero; otherwise ZeroDenominator is
+    raised.  (Canonical input never trips this: all tails evaluate to values
+    >= 1.)  An empty sequence raises NotCanonicalizable.
     """
     coeffs = _as_tuple(cf)
     if not coeffs:
-        raise ValueError("cannot evaluate an empty coefficient sequence")
-    acc = Fraction(coeffs[-1])
+        raise NotCanonicalizable("cannot evaluate an empty coefficient sequence")
+    num, den = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        if acc == 0:
+        if num == 0:
             raise ZeroDenominator(f"zero denominator while evaluating {list(coeffs)}")
-        acc = c + 1 / acc
-    return acc
+        num, den = c * num + den, num
+    return Fraction(num, den)
 
 
 def canonicalize(raw: Coefficients) -> ContinuedFraction:
@@ -241,9 +267,9 @@ def steps_to_zero(x: Union[Fraction, int]) -> int:
     never strand on [1] or on a denominator-2 value, and the strictly
     decreasing numerator forces termination at [0].
     """
-    x = Fraction(x)
+    x = _exact(x)
     if x.numerator % 2:
-        raise InvalidParity(f"numerator must be even: {x}")
+        raise InvalidParity(f"numerator must be even: {Fraction(x)}")
     cf = expand(x)
     n = 0
     while cf.coeffs != (0,):
@@ -258,7 +284,6 @@ def steps_to_integer(x: Union[Fraction, int]) -> tuple[int, int]:
     Returns (count, value of that entry).  Integer inputs need no steps at
     all and report themselves.
     """
-    x = Fraction(x)
     cf = expand(x)
     n = 0
     while len(cf.coeffs) > 1:

@@ -3,7 +3,9 @@
 Four subcommands: `report` prints every invariant of one knot, `trace`
 prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
-1 verification found counterexamples, 2 bad input.
+1 verification found counterexamples, 2 bad input.  `report` and `trace`
+also exit 2, before any step, on a knot whose step walks could exceed
+MAX_STEPS.
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ import io
 import itertools
 import json
 import sys
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import cf
-from .errors import CrosscapError
+from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, genus_report
 from .knot import PinchRecord, StopRule, TorusKnot, normalize, normalized_knots, pinch_sequence
 from .verify import CheckOutcome, run_all
 
-__all__ = ["main", "CSV_COLUMNS"]
+__all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
+
+# The longest step walk `report` and `trace` take on; a knot that could need
+# more is refused before the first step.  A step lowers the coefficient sum
+# of an expansion by at least 2, so half that sum bounds a walk, from one
+# pass of Euclid's algorithm.
+MAX_STEPS = 10**6
 
 CSV_COLUMNS = [
     "p",
@@ -118,13 +127,16 @@ def _report_csv_row(report: GenusReport) -> list[str]:
     ]
 
 
-def _trace_lines(records: Iterable[PinchRecord]) -> Iterator[str]:
+def _trace_lines(
+    records: Iterable[PinchRecord], start: Optional[tuple[TorusKnot, cf.ContinuedFraction]] = None
+) -> Iterator[str]:
     """One line per pinch record, with the expansions before and after.
 
     In a pinch sequence each record's result is the next record's source,
-    so that knot's expansion is reused instead of computed twice.
+    so that knot's expansion is reused instead of computed twice.  `start`,
+    a knot and its expansion already at hand, is reused the same way.
     """
-    previous, after = None, None
+    previous, after = start if start is not None else (None, None)
     for record in records:
         if record.source is not previous:
             after = cf.expand(record.source.fraction())
@@ -217,8 +229,31 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     return 0
 
 
+def _bounded_expansion(knot: TorusKnot, crosscap: bool) -> cf.ContinuedFraction:
+    """The expansion of p/q, once no walk for this knot can exceed MAX_STEPS.
+
+    Half the coefficient sum of p/q bounds the pinch trace and, for even p,
+    the crosscap count N(p,q).  With `crosscap` and odd p the crosscap count
+    walks (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.
+    Raises InvalidParameter, before any step, when a bound is too large.
+    """
+    expansion = cf.expand(knot.fraction())
+    sums = [sum(expansion)]
+    if crosscap and knot.p % 2:
+        pq, square = knot.p * knot.q, knot.p * knot.p
+        sums += [sum(cf.expand(Fraction(pq + d, square))) for d in (-1, 1)]
+    bound = max(sums) // 2
+    if bound > MAX_STEPS:
+        raise InvalidParameter(
+            f"{knot} may take up to {bound} steps; report and trace stop at {MAX_STEPS}"
+        )
+    return expansion
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = genus_report(normalize(args.p, args.q))
+    knot = normalize(args.p, args.q)
+    _bounded_expansion(knot, crosscap=True)
+    report = genus_report(knot)
     if args.format == "json":
         sys.stdout.write(_json_text(_report_dict(report)))
     elif args.format == "csv":
@@ -230,8 +265,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     stop = StopRule.ZERO if args.stop == "zero" else StopRule.FIRST_UNKNOT
-    records = pinch_sequence(normalize(args.p, args.q), stop)
-    for line in _trace_lines(records):
+    knot = normalize(args.p, args.q)
+    expansion = _bounded_expansion(knot, crosscap=False)
+    records = pinch_sequence(knot, stop)
+    for line in _trace_lines(records, (knot, expansion)):
         sys.stdout.write(line + "\n")
     return 0
 

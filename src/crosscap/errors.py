@@ -28,7 +28,8 @@ class CrosscapError(ValueError):
 
 class InvalidParameter(CrosscapError):
     """A knot parameter or a verify bound is not an int (bools included), out of
-    range or misordered."""
+    range or misordered; a rational to expand is negative; or a knot would
+    take more steps than the CLI allows."""
 
 
 class ZeroDenominator(CrosscapError):

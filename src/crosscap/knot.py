@@ -68,8 +68,11 @@ class TorusKnot:
     Use `normalize` to build one from an unordered parameter pair; direct
     construction insists the pair is already in normalized order.  Both
     parameters must be of type int; bools and other numbers are rejected.
-    This is the one place a knot's parameters are validated: type, then
-    coprimality, then range, then order.
+    The constructor is the one place a knot's parameters are validated:
+    type, then coprimality, then range, then order.  `pinch` builds its
+    results through `_trusted` instead: a pinch result is a nonnegative,
+    coprime pair of ints by construction, and `pinch` puts it in order
+    itself.  The tests re-validate pinch results through the constructor.
     """
 
     p: int
@@ -87,6 +90,14 @@ class TorusKnot:
                 raise InvalidParameter(f"({self.p},{self.q}): even parameter must come first")
         elif self.p < self.q:
             raise InvalidParameter(f"({self.p},{self.q}): larger odd parameter must come first")
+
+    @classmethod
+    def _trusted(cls, p: int, q: int) -> TorusKnot:
+        """Wrap a pair that is normalized by construction, without checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        return self
 
     def fraction(self) -> Fraction:
         return Fraction(self.p, self.q)
@@ -128,11 +139,14 @@ def normalize(a: int, b: int) -> TorusKnot:
     """
     if type(a) is not int or type(b) is not int:
         raise InvalidParameter(f"parameters must be integers: ({a!r},{b!r})")
+    return TorusKnot(*_ordered(a, b))
+
+
+def _ordered(a: int, b: int) -> tuple[int, int]:
+    """The pair {a, b} in normalized order: even first, else larger first."""
     if a * b % 2 == 0:
-        p, q = (a, b) if a % 2 == 0 else (b, a)
-    else:
-        p, q = (a, b) if a >= b else (b, a)
-    return TorusKnot(p, q)
+        return (a, b) if a % 2 == 0 else (b, a)
+    return (a, b) if a >= b else (b, a)
 
 
 def is_unknot(knot: TorusKnot) -> bool:
@@ -150,27 +164,37 @@ def pinch_witness(p: int, q: int) -> PinchWitness:
         raise InvalidParameter(f"parameters must be positive: ({p},{q})")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"({p},{q}) is not a coprime pair")
-    return PinchWitness(t=(-pow(q, -1, p)) % p, h=pow(p, -1, q))
+    return PinchWitness(*_residues(p, q))
+
+
+def _residues(p: int, q: int) -> tuple[int, int]:
+    """(t, h) for a coprime pair of positive ints, unchecked."""
+    return (-pow(q, -1, p)) % p, pow(p, -1, q)
 
 
 def pinch(knot: TorusKnot) -> PinchRecord:
     """Apply one pinch move via the modular-residue formula.
 
     Defined for every knot except T(0,1) and T(1,1).  On T(l,1) the formula
-    gives t = l-1, h = 0 and the move lands on T(l-2,1).
+    gives t = l-1, h = 0 and the move lands on T(l-2,1).  The knot was
+    validated when it was built, so the residues need no checks, and the
+    result (|p-2t|, |q-2h|) is a nonnegative coprime pair that only needs
+    ordering; it is built without re-validation.
     """
-    if knot.p <= 1:
+    p, q = knot.p, knot.q
+    if p <= 1:
         raise PinchUndefined(f"no pinch move on {knot}")
-    wit = pinch_witness(knot.p, knot.q)
-    dp = knot.p - 2 * wit.t
-    dq = knot.q - 2 * wit.h
+    t, h = _residues(p, q)
+    dp = p - 2 * t
+    dq = q - 2 * h
     if dp >= 0 and dq >= 0:
         sign: Optional[PinchSign] = PinchSign.POSITIVE
     elif dp <= 0 and dq <= 0:
         sign = PinchSign.NEGATIVE
     else:
         sign = None
-    return PinchRecord(knot, normalize(abs(dp), abs(dq)), wit, sign)
+    result = TorusKnot._trusted(*_ordered(abs(dp), abs(dq)))
+    return PinchRecord(knot, result, PinchWitness(t, h), sign)
 
 
 def pinch_by_step(knot: TorusKnot) -> TorusKnot:

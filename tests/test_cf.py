@@ -5,6 +5,8 @@ recomputed by building the nested fraction top-down, and expansions by greedy
 floor-and-invert on Fractions rather than integer divmod.
 """
 
+import itertools
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +25,7 @@ from crosscap import (
     steps_to_zero,
 )
 from crosscap.errors import (
+    InvalidParameter,
     InvalidParity,
     NotCanonicalizable,
     StepUndefined,
@@ -31,6 +34,10 @@ from crosscap.errors import (
 
 
 def oracle_value(coeffs):
+    """Test oracle for `evaluate`: nested Fraction division, right to left.
+
+    Raises ZeroDivisionError where `evaluate` raises ZeroDenominator.
+    """
     value = Fraction(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         value = c + Fraction(1, 1) / value
@@ -95,7 +102,7 @@ def test_expand_examples(value, coeffs):
 
 
 def test_expand_rejects_negatives():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         expand(Fraction(-1, 2))
 
 
@@ -126,7 +133,7 @@ def test_evaluate_zero_denominator():
 
 
 def test_evaluate_empty_sequence():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCanonicalizable):
         evaluate([])
 
 
@@ -244,7 +251,7 @@ def test_steps_to_zero_examples(value, count):
     assert steps_to_zero(value) == count
 
 
-@pytest.mark.parametrize("value", [Fraction(3, 5), Fraction(1), Fraction(7, 4)])
+@pytest.mark.parametrize("value", [Fraction(3, 5), Fraction(1), Fraction(7, 4), 3, "3/4"])
 def test_steps_to_zero_rejects_odd_numerators(value):
     with pytest.raises(InvalidParity):
         steps_to_zero(value)
@@ -394,3 +401,92 @@ def test_step_matches_canonicalize_on_the_box():
 @given(huge_fractions)
 def test_step_matches_canonicalize_large(x):
     assert_step_matches_canonicalize(x)
+
+
+# `expand` reads an int or a Fraction without building a Fraction first, and
+# coerces anything else with Fraction(x).
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, 7, 10**30 + 1, False, True, Fraction(16, 25), Fraction(10**30, 7), Fraction(3)]
+)
+def test_expand_reads_ints_bools_and_fractions_as_fraction_would(x):
+    out = expand(x)
+    assert out == expand(Fraction(x))
+    assert out.coeffs == oracle_expand(Fraction(x))
+    assert_revalidates(out)
+
+
+@pytest.mark.parametrize(
+    "x, coeffs",
+    [("3/4", (0, 1, 3)), (0.5, (0, 2)), (Decimal("2.25"), (2, 4)), ("7", (7,))],
+)
+def test_expand_coerces_other_inputs(x, coeffs):
+    assert expand(x).coeffs == coeffs
+    assert_revalidates(expand(x))
+
+
+@pytest.mark.parametrize("x", [-1, -(10**30), Fraction(-(10**30), 7), "-3/4", -0.5])
+def test_expand_rejects_negative_input_of_every_type(x):
+    with pytest.raises(InvalidParameter, match="nonnegative"):
+        expand(x)
+
+
+def test_step_counters_read_ints_and_fractions_directly():
+    assert steps_to_zero(6) == steps_to_zero(Fraction(6)) == steps_to_zero("6")
+    assert steps_to_zero(Fraction(16, 25)) == steps_to_zero("16/25")
+    assert steps_to_integer(Fraction(8, 3)) == steps_to_integer("8/3") == (1, 2)
+    assert steps_to_integer(True) == (0, 1)
+
+
+# `evaluate` runs an integer recurrence; `oracle_value` divides nested
+# Fractions.  They must agree on every value and on which inputs raise.
+
+
+def assert_evaluate_matches_oracle(coeffs):
+    try:
+        expected = oracle_value(coeffs)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDenominator):
+            evaluate(coeffs)
+        return
+    got = evaluate(coeffs)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+def test_evaluate_matches_oracle_on_canonical_sequences():
+    for coeffs in canonical_sequences(13):
+        assert_evaluate_matches_oracle(coeffs)
+        assert evaluate(ContinuedFraction(coeffs)) == oracle_value(coeffs)
+
+
+def test_evaluate_matches_oracle_on_small_noncanonical_sequences():
+    entries = range(-2, 3)
+    for length in range(1, 5):
+        for coeffs in itertools.product(entries, repeat=length):
+            assert_evaluate_matches_oracle(coeffs)
+
+
+coefficient_entries = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=500)
+@given(st.lists(coefficient_entries, min_size=1, max_size=12))
+def test_evaluate_matches_oracle_large(coeffs):
+    assert_evaluate_matches_oracle(coeffs)
+
+
+# The CLI bounds a walk by half the coefficient sum; that rests on every
+# step lowering the sum by at least 2.
+
+
+def test_step_lowers_the_coefficient_sum_by_at_least_two():
+    for coeffs in canonical_sequences(14):
+        cf = ContinuedFraction(coeffs)
+        try:
+            after = step(cf)
+        except StepUndefined:
+            continue
+        assert sum(after) <= sum(cf) - 2
+

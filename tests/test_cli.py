@@ -1,18 +1,21 @@
 """CLI behaviour: output schemas, filters, exit codes, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from crosscap import cli
-from crosscap.cli import CSV_COLUMNS, main
-from crosscap.knot import StopRule, TorusKnot, pinch_sequence
+from crosscap import cf, cli
+from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
+from crosscap.genus import crosscap_number
+from crosscap.knot import StopRule, TorusKnot, normalized_knots, pinch_sequence
 from crosscap.verify import CheckOutcome, Counterexample
 
 
@@ -338,3 +341,101 @@ def test_module_entry_point():
         env=env,
     )
     assert result.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+# Byte-for-byte output of fixed commands, so that a change meant to keep the
+# output identical (a speed-up, a refactor) is checked, not eyeballed.
+GOLDEN_SHA256 = [
+    (("verify", "--max", "60"), "38fe78d3df23d7bec1ad328e64624061c41abf5420c2a46ba8f25fe7db56eac9"),
+    (
+        ("verify", "--max", "60", "--format", "json"),
+        "71a17e5b265f1d5cd559779906655de429f4feb119c0ba025283669a32d72246",
+    ),
+    (
+        ("table", "--pmax", "40", "--qmax", "39"),
+        "54dd86a8bea877e0a2f8954e3d46face4fd20665d12d5ca1be2f6aac37bc063f",
+    ),
+    (
+        ("table", "--pmax", "40", "--qmax", "39", "--format", "json"),
+        "e1891bc64063f73a4737d4ea8df729270a03eb81ae7a863e66bb0e3c02997b15",
+    ),
+    (
+        ("table", "--pmax", "40", "--qmax", "39", "--format", "human"),
+        "113a914543b31eb7ce1a3a016106671f01d5c5122e554fe3c89ec70562bc267a",
+    ),
+    (("report", "2000", "1999"), "5674b4eb6e647ee772b60e6a7acb9a19a67ca9f54012bd20d1338e283d0be0eb"),
+    (
+        ("report", "12345", "7", "--format", "json"),
+        "614e96abd6df66fee2cd103adf605e4f0610ff5bd6b40a1e7489b3204e10f864",
+    ),
+    (("trace", "3001", "2998"), "d6c9e6af03f6f8b0459a0dd6171180452b1435c1aa37ecb12685ad75184579b7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SHA256, ids=[" ".join(a) for a, _ in GOLDEN_SHA256])
+def test_golden_output(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# report and trace refuse, before the first step, a knot whose walks could
+# exceed MAX_STEPS; half an expansion's coefficient sum bounds each walk.
+
+
+def forbid_steps(monkeypatch):
+    def step(_):
+        raise AssertionError("stepped before the work bound was checked")
+
+    monkeypatch.setattr(cf, "step", step)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "100000000000000000000", "3"),
+        ("report", "100000000000000000001", "3", "--format", "json"),
+        ("trace", "2000000000", "1999999999"),
+        ("trace", "100000000000000000000", "1", "--stop", "zero"),
+    ],
+)
+def test_unbounded_work_is_refused_before_any_step(monkeypatch, capsys, argv):
+    forbid_steps(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: T(") and f"stop at {MAX_STEPS}" in err
+
+
+def test_report_bounds_the_odd_crosscap_walk_too(monkeypatch, capsys):
+    # T(23,21): p/q = [1,10,2] bounds the pinch trace by 6, but the crosscap
+    # number walks (pq-1)/p^2 or (pq+1)/p^2, whose bound is larger.
+    knot = TorusKnot(23, 21)
+    trace_bound = sum(cf.expand(knot.fraction())) // 2
+    assert trace_bound == 6
+    monkeypatch.setattr(cli, "MAX_STEPS", trace_bound)
+    code, out, _ = run_cli(capsys, "trace", "23", "21")
+    assert code == 0 and out
+    forbid_steps(monkeypatch)
+    code, out, err = run_cli(capsys, "report", "23", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("error: T(23,21) may take up to")
+
+
+def test_work_bound_holds_on_the_box():
+    for knot in normalized_knots(60):
+        pq, square = knot.p * knot.q, knot.p * knot.p
+        values = [knot.fraction()]
+        if knot.p % 2:
+            values += [Fraction(pq - 1, square), Fraction(pq + 1, square)]
+        bound = max(sum(cf.expand(v)) for v in values) // 2
+        assert len(pinch_sequence(knot, StopRule.FIRST_UNKNOT)) <= bound
+        assert crosscap_number(knot) <= bound
+        if knot.p % 2 == 0:
+            assert len(pinch_sequence(knot, StopRule.ZERO)) <= bound
+
+
+def test_limit_accepts_every_benchmark_size():
+    # the largest knots the benchmark and the tests run through the CLI
+    for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
+        assert cli._bounded_expansion(TorusKnot(p, q), crosscap=True) == cf.expand(Fraction(p, q))

@@ -328,3 +328,34 @@ def test_enumeration_respects_qmax():
     assert all(k.q <= 5 for k in listed)
     assert TorusKnot(16, 5) in listed
     assert TorusKnot(4, 7) not in listed
+
+
+# `pinch` builds its result without re-validation; it must be the knot that
+# the validating route `normalize` builds from the witness `pinch_witness`
+# computes, pass the constructor's checks, and hash the same.
+
+
+def assert_pinch_result_is_valid(knot):
+    wit = pinch_witness(knot.p, knot.q)
+    result = pinch(knot).result
+    assert result == normalize(abs(knot.p - 2 * wit.t), abs(knot.q - 2 * wit.h))
+    again = TorusKnot(result.p, result.q)
+    assert again == result
+    assert hash(again) == hash(result)
+    assert type(result.p) is int and type(result.q) is int
+
+
+def test_pinch_results_revalidate_on_the_box():
+    for p in range(2, 301):
+        assert_pinch_result_is_valid(TorusKnot(p, 1))
+    for knot in normalized_knots(300):
+        assert_pinch_result_is_valid(knot)
+
+
+@settings(max_examples=500)
+@given(st.integers(2, 10**30), st.integers(1, 10**30))
+def test_pinch_results_revalidate_large(a, b):
+    assume(gcd(a, b) == 1)
+    knot = normalize(a, b)
+    assume(knot.p > 1)
+    assert_pinch_result_is_valid(knot)
