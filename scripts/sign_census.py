@@ -10,7 +10,7 @@ four-ball bound collapses to an exact value by the positivity rule.
 import argparse
 from collections import Counter
 
-from crosscap import PinchSign, StopRule, normalized_knots, pinch_sequence
+from crosscap import PinchTrace, StopRule, normalized_knots
 
 
 def main() -> None:
@@ -23,10 +23,10 @@ def main() -> None:
     totals: Counter[int] = Counter()
     all_positive: Counter[int] = Counter()
     for knot in normalized_knots(args.max):
-        trace = pinch_sequence(knot, StopRule.FIRST_UNKNOT)
-        totals[len(trace)] += 1
-        if all(record.sign is PinchSign.POSITIVE for record in trace):
-            all_positive[len(trace)] += 1
+        trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
+        totals[trace.moves] += 1
+        if trace.all_positive:
+            all_positive[trace.moves] += 1
 
     print(f"{'trace len':>9} {'knots':>7} {'all positive':>13} {'share':>7}")
     for length in sorted(totals):

@@ -5,13 +5,14 @@ prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot whose step walks could exceed
-MAX_STEPS.
+MAX_STEPS.  `trace` writes each line as its record is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -22,15 +23,17 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import cf
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, genus_report
-from .knot import PinchRecord, StopRule, TorusKnot, normalize, normalized_knots, pinch_sequence
+from .knot import PinchRecord, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
 
 # The longest step walk `report` and `trace` take on; a knot that could need
-# more is refused before the first step.  A step lowers the coefficient sum
-# of an expansion by at least 2, so half that sum bounds a walk, from one
-# pass of Euclid's algorithm.
+# more is refused before the first step.  `trace` counts its moves exactly
+# from the runs of its `PinchTrace`.  `report` also walks gamma3 step by
+# step: a step lowers the coefficient sum of an expansion by at least 2, so
+# half that sum bounds each of its walks, from one pass of Euclid's
+# algorithm.
 MAX_STEPS = 10**6
 
 CSV_COLUMNS = [
@@ -132,15 +135,17 @@ def _trace_lines(
 ) -> Iterator[str]:
     """One line per pinch record, with the expansions before and after.
 
-    In a pinch sequence each record's result is the next record's source,
-    so that knot's expansion is reused instead of computed twice.  `start`,
-    a knot and its expansion already at hand, is reused the same way.
+    A pinch move is one `cf.step`, so a record's result expansion is the
+    step of its source's.  In a pinch sequence each record's source is the
+    previous record's result, whose expansion is then at hand; `start`, a
+    knot and its expansion, serves the first record the same way.  Only a
+    record that does not chain has its source expanded afresh.
     """
     previous, after = start if start is not None else (None, None)
     for record in records:
         if record.source is not previous:
             after = cf.expand(record.source.fraction())
-        before, after = after, cf.expand(record.result.fraction())
+        before, after = after, cf.step(after)
         previous = record.result
         sign = str(record.sign) if record.sign is not None else "n/a"
         yield (
@@ -167,7 +172,8 @@ def _report_human(report: GenusReport) -> str:
     if report.split is not None:
         lines.append(f"  split:             {report.split.first} + {report.split.second}")
     lines.append("  pinch trace:")
-    lines.extend(f"    {line}" for line in _trace_lines(report.trace))
+    start = (knot, report.trace.expansion)
+    lines.extend(f"    {line}" for line in _trace_lines(report.trace, start))
     return "\n".join(lines) + "\n"
 
 
@@ -229,17 +235,17 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     return 0
 
 
-def _bounded_expansion(knot: TorusKnot, crosscap: bool) -> cf.ContinuedFraction:
-    """The expansion of p/q, once no walk for this knot can exceed MAX_STEPS.
+def _bounded_expansion(knot: TorusKnot) -> cf.ContinuedFraction:
+    """The expansion of p/q, once no walk of `report` can exceed MAX_STEPS.
 
     Half the coefficient sum of p/q bounds the pinch trace and, for even p,
-    the crosscap count N(p,q).  With `crosscap` and odd p the crosscap count
-    walks (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.
-    Raises InvalidParameter, before any step, when a bound is too large.
+    the crosscap count N(p,q).  For odd p the crosscap count walks
+    (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.  Raises
+    InvalidParameter, before any step, when a bound is too large.
     """
     expansion = cf.expand(knot.fraction())
     sums = [sum(expansion)]
-    if crosscap and knot.p % 2:
+    if knot.p % 2:
         pq, square = knot.p * knot.q, knot.p * knot.p
         sums += [sum(cf.expand(Fraction(pq + d, square))) for d in (-1, 1)]
     bound = max(sums) // 2
@@ -252,7 +258,7 @@ def _bounded_expansion(knot: TorusKnot, crosscap: bool) -> cf.ContinuedFraction:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     knot = normalize(args.p, args.q)
-    _bounded_expansion(knot, crosscap=True)
+    _bounded_expansion(knot)
     report = genus_report(knot)
     if args.format == "json":
         sys.stdout.write(_json_text(_report_dict(report)))
@@ -266,10 +272,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     stop = StopRule.ZERO if args.stop == "zero" else StopRule.FIRST_UNKNOT
     knot = normalize(args.p, args.q)
-    expansion = _bounded_expansion(knot, crosscap=False)
-    records = pinch_sequence(knot, stop)
-    for line in _trace_lines(records, (knot, expansion)):
-        sys.stdout.write(line + "\n")
+    trace = PinchTrace(knot, stop)
+    if trace.moves > MAX_STEPS:
+        raise InvalidParameter(
+            f"{knot} takes {trace.moves} pinch moves; report and trace stop at {MAX_STEPS}"
+        )
+    lines = _trace_lines(trace, (knot, trace.expansion))
+    sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -297,7 +306,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(outcome.passed for outcome in outcomes) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process.
+
+    Parsing reads the parser without changing it, so one serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="crosscap",
         description="Exact crosscap numbers and nonorientable four-genus bounds of torus knots.",

@@ -33,7 +33,7 @@ from typing import Optional
 
 from . import cf
 from .errors import DegenerateModulus, EvenParity, OddParity, UnknotInput
-from .knot import PinchRecord, PinchSign, StopRule, TorusKnot, is_unknot, normalize, pinch_sequence
+from .knot import PinchTrace, StopRule, TorusKnot, is_unknot, normalize
 
 __all__ = [
     "OddSplit",
@@ -97,7 +97,13 @@ class FourGenusBounds:
 
 @dataclass(frozen=True)
 class GenusReport:
-    """Everything this package knows about one nontrivial torus knot."""
+    """Everything this package knows about one nontrivial torus knot.
+
+    `trace` is the lazy `PinchTrace` to the first unknot: `beta1_F` and the
+    gamma4 certificate are read from its runs, and its records are built
+    only when a caller iterates or indexes it.  `pinch_sequence`, and one
+    `pinch` per move in the tests, give the same records.
+    """
 
     knot: TorusKnot
     k: int
@@ -108,7 +114,7 @@ class GenusReport:
     gamma4: FourGenusBounds
     gap_lower_bound: Fraction
     orientable_genus: int
-    trace: tuple[PinchRecord, ...]
+    trace: PinchTrace
     split: Optional[OddSplit]
 
 
@@ -200,10 +206,10 @@ def crosscap_number(knot: TorusKnot) -> int:
     return cf.steps_to_zero(Fraction(numerator, p * p))
 
 
-def _bounds_from_trace(knot: TorusKnot, trace: tuple[PinchRecord, ...]) -> FourGenusBounds:
-    upper = len(trace)
+def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:
+    upper = trace.moves
     lower = 1
-    if knot.p % 2 == 0 and all(r.sign is PinchSign.POSITIVE for r in trace):
+    if knot.p % 2 == 0 and trace.all_positive:
         return FourGenusBounds(lower, upper, upper, EXACT_BY_POSITIVE_PINCHES)
     if knot.p % 2 == 0 and knot.q == knot.p - 1:
         return FourGenusBounds(lower, upper, knot.p // 2 - 1, EXACT_BY_BATSON)
@@ -216,8 +222,7 @@ def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
     """Bounds (and, when known, the exact value) of the nonorientable
     four-genus of a nontrivial torus knot."""
     _require_nontrivial(knot)
-    trace = tuple(pinch_sequence(knot, StopRule.FIRST_UNKNOT))
-    return _bounds_from_trace(knot, trace)
+    return _bounds_from_trace(knot, PinchTrace(knot, StopRule.FIRST_UNKNOT))
 
 
 def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
@@ -244,13 +249,13 @@ def genus_report(knot: TorusKnot) -> GenusReport:
     """Assemble the full invariant report for a nontrivial torus knot."""
     _require_nontrivial(knot)
     k, a = euclidean_division(knot)
-    trace = tuple(pinch_sequence(knot, StopRule.FIRST_UNKNOT))
+    trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
     return GenusReport(
         knot=knot,
         k=k,
         a=a,
         ell=terminal_unknot_parameter(knot),
-        beta1_F=len(trace),
+        beta1_F=trace.moves,
         gamma3=crosscap_number(knot),
         gamma4=_bounds_from_trace(knot, trace),
         gap_lower_bound=Fraction(k, 2),

@@ -16,15 +16,23 @@ both are <= 0; for nontrivial knots exactly one of these holds, and the
 outcome is decided by the parity of the expansion length of p/q alone.
 Equivalently, one pinch move is one `step` on the continued fraction of
 p/q, and that equivalence is what the verification module stress-tests.
+
+A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
+which the expansion keeps its length, so its length, its signs and the knot
+it ends at cost O(len(expansion)) integer operations, and records are built
+only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum, auto
 from fractions import Fraction
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import cf
 from .errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
@@ -34,6 +42,7 @@ __all__ = [
     "PinchWitness",
     "PinchRecord",
     "PinchSign",
+    "PinchTrace",
     "StopRule",
     "normalize",
     "is_unknot",
@@ -221,6 +230,159 @@ def pinch_sign_from_expansion(knot: TorusKnot) -> PinchSign:
     return PinchSign.POSITIVE if m % 2 else PinchSign.NEGATIVE
 
 
+class _Run(NamedTuple):
+    """Consecutive moves over which the expansion [c0, ..., c_{k-1}, c] keeps
+    its length k+1, and so its sign.
+
+    The prefix [c0, ..., c_{k-1}] is the first k coefficients of the
+    starting expansion, so one list of that expansion's convergents serves
+    every run.  With P/Q and P0/Q0 the prefix's last two convergents, move j
+    starts at the value of [c0, ..., c_{k-1}, c-2j], which is
+    ((c-2j)*P + P0) / ((c-2j)*Q + Q0): each move subtracts 2P and 2Q.  The
+    run has c // 2 moves.  The last leaves a last coefficient 0 or 1, which
+    the next run's shorter expansion drops or folds as `cf.step` does.  The
+    empty prefix (k = 0, P/Q = 1/0, P0/Q0 = 0/1) is the unknot tail
+    T(c,1) -> ... -> T(0,1).
+    """
+
+    start: int  # index of the run's first move in the trace
+    moves: int
+    last: int  # c
+    k: int  # prefix length
+
+
+def _record(source: TorusKnot, k: int, p: int, q: int) -> PinchRecord:
+    """The move from `source` in a run with prefix length k, whose prefix
+    ends in the convergent p/q.
+
+    The result is source - (2p, 2q).  For source (s, s'), result (r, r') and
+    sign sigma = +1 or -1, the residues are t = (s - sigma*r)/2 and
+    h = (s' - sigma*r')/2: (p, q) for a positive move (k odd) and
+    (s - p, s' - q) for a negative one.  On the unknot tail (k = 0),
+    T(l,1) -> T(l-2,1) has t = l-1 and h = 0, and only its last move, from
+    T(2,1), has a sign: positive.
+    """
+    sp, sq = source.p, source.q
+    result = TorusKnot._trusted(sp - 2 * p, sq - 2 * q)
+    if k % 2:
+        return PinchRecord(source, result, PinchWitness(p, q), PinchSign.POSITIVE)
+    if k:
+        return PinchRecord(source, result, PinchWitness(sp - p, sq - q), PinchSign.NEGATIVE)
+    sign = PinchSign.POSITIVE if sp == 2 else None
+    return PinchRecord(source, result, PinchWitness(sp - 1, 0), sign)
+
+
+@dataclass(frozen=True, slots=True)
+class PinchTrace(Sequence[PinchRecord]):
+    """The pinch moves from `knot` until `stop` is met, held as runs.
+
+    This is the fast route to a pinch walk.  Building it expands p/q once
+    and walks the coefficients right to left, so `moves` (which `len()`
+    returns), `all_positive` and `final`, the knot the walk ends at, cost
+    O(len(expansion)) integer operations however long the walk is.
+    Iteration and indexing (negative indices and slices included) build
+    each `PinchRecord` on demand from its run and the expansion's
+    convergents, with no `pow` and no `expand`; records are not kept.  Two
+    traces are equal when their knot and stop rule are.
+
+    Within a run the expansion length, and so the sign, is fixed (the
+    sign-parity lemma: positive exactly when the length is even), and the
+    knot is linear in the last coefficient; see `_Run`.  The residue walk
+    of one `pinch` per move is the test oracle for this class.
+
+    Preconditions and their errors are those of `pinch_sequence`.
+    """
+
+    knot: TorusKnot
+    stop: StopRule
+    expansion: cf.ContinuedFraction = field(init=False, repr=False, compare=False)
+    moves: int = field(init=False, repr=False, compare=False)
+    all_positive: bool = field(init=False, repr=False, compare=False)
+    _runs: tuple[_Run, ...] = field(init=False, repr=False, compare=False)
+    _last: int = field(init=False, repr=False, compare=False)  # l of the final T(l,1)
+
+    def __post_init__(self) -> None:
+        knot, stop = self.knot, self.stop
+        if stop is StopRule.FIRST_UNKNOT:
+            if is_unknot(knot):
+                raise PinchUndefined(f"{knot} is already trivial")
+        elif stop is StopRule.ZERO:
+            if knot.p % 2:
+                raise StopUnreachable(f"{knot} has odd parameters; T(0,1) is unreachable")
+        else:
+            raise ValueError(f"unknown stop rule: {stop!r}")
+        expansion = cf.expand(knot.fraction())
+        coeffs = expansion.coeffs
+        k = len(coeffs) - 1
+        last = coeffs[k]
+        runs = []
+        moves = 0
+        positive = True
+        while k or (last and stop is StopRule.ZERO):
+            # a negative run, or an unknot tail with unsigned moves before T(2,1)
+            if k % 2 == 0 and (k or last != 2):
+                positive = False
+            run = _Run(moves, last // 2, last, k)
+            runs.append(run)
+            moves += run.moves
+            last -= 2 * run.moves
+            # the step that ends the run restores canonical form, as cf.step
+            while k and last < 2:
+                if last == 1:  # [..., b, 1] == [..., b+1]
+                    k -= 1
+                    last = coeffs[k] + 1
+                else:  # [..., a, b, 0] == [..., a]
+                    k -= 2
+                    last = coeffs[k]
+        put = object.__setattr__
+        put(self, "expansion", expansion)
+        put(self, "moves", moves)
+        put(self, "all_positive", positive)
+        put(self, "_runs", tuple(runs))
+        put(self, "_last", last)
+
+    @property
+    def final(self) -> TorusKnot:
+        """The knot the walk ends at: the first unknot T(l,1), or T(0,1)."""
+        return TorusKnot._trusted(self._last, 1)
+
+    def _convergents(self, k: int) -> tuple[list[int], list[int]]:
+        """Numerators and denominators of the convergents of the expansion's
+        first k coefficients, after the seeds 0/1 and 1/0: the prefix of
+        length k ends in ps[k+1]/qs[k+1] and ps[k]/qs[k]."""
+        ps, qs = [0, 1], [1, 0]
+        for c in self.expansion.coeffs[:k]:
+            ps.append(c * ps[-1] + ps[-2])
+            qs.append(c * qs[-1] + qs[-2])
+        return ps, qs
+
+    def __len__(self) -> int:
+        return self.moves
+
+    def __iter__(self) -> Iterator[PinchRecord]:
+        ps, qs = self._convergents(len(self.expansion) - 1)
+        source = self.knot
+        for run in self._runs:
+            k = run.k
+            p, q = ps[k + 1], qs[k + 1]
+            for _ in range(run.moves):
+                record = _record(source, k, p, q)
+                yield record
+                source = record.result
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[PinchRecord, list[PinchRecord]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self.moves))]
+        i = index + self.moves if index < 0 else index
+        if not 0 <= i < self.moves:
+            raise IndexError("pinch trace index out of range")
+        run = self._runs[bisect_right(self._runs, i, key=attrgetter("start")) - 1]
+        ps, qs = self._convergents(run.k)
+        x = run.last - 2 * (i - run.start)
+        source = TorusKnot._trusted(x * ps[-1] + ps[-2], x * qs[-1] + qs[-2])
+        return _record(source, run.k, ps[-1], qs[-1])
+
+
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     """Pinch repeatedly until the stop rule is met and return the records.
 
@@ -229,22 +391,13 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     since pinching preserves parameter parities) and continues through the
     unknots T(l,1) until T(0,1).  Each move strictly decreases max(p,q), so
     both walks terminate.
+
+    This is `list(PinchTrace(knot, stop))`, the records of the fast route;
+    a caller that needs only the length, the signs or the last knot reads
+    them from the `PinchTrace` instead.  One `pinch` per move, residues and
+    all, is the test oracle.
     """
-    if stop is StopRule.FIRST_UNKNOT:
-        if is_unknot(knot):
-            raise PinchUndefined(f"{knot} is already trivial")
-    elif stop is StopRule.ZERO:
-        if knot.p % 2:
-            raise StopUnreachable(f"{knot} has odd parameters; T(0,1) is unreachable")
-    else:
-        raise ValueError(f"unknown stop rule: {stop!r}")
-    records = []
-    current = knot
-    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
-        record = pinch(current)
-        records.append(record)
-        current = record.result
-    return records
+    return list(PinchTrace(knot, stop))
 
 
 def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKnot]:

@@ -25,13 +25,12 @@ from .genus import (
 )
 from .knot import (
     PinchRecord,
+    PinchTrace,
     StopRule,
     TorusKnot,
-    is_unknot,
     normalized_knots,
     pinch,
     pinch_by_step,
-    pinch_sequence,
     pinch_sign_from_expansion,
 )
 
@@ -85,13 +84,6 @@ class _Knot:
     @cached_property
     def first(self) -> PinchRecord:
         return pinch(self.knot)
-
-    @cached_property
-    def trace(self) -> list[PinchRecord]:
-        rest = self.first.result
-        if is_unknot(rest):
-            return [self.first]
-        return [self.first] + pinch_sequence(rest, StopRule.FIRST_UNKNOT)
 
     @cached_property
     def gamma3(self) -> int:
@@ -181,7 +173,7 @@ def check_sign_parity(rec: _Knot) -> _Claims:
 def check_terminal_unknot(rec: _Knot) -> _Claims:
     """The division formula predicts the first unknot a pinch walk reaches."""
     predicted = terminal_unknot_parameter(rec.knot)
-    observed = rec.trace[-1].result.p
+    observed = PinchTrace(rec.knot, StopRule.FIRST_UNKNOT).final.p
     yield predicted == observed, predicted, observed
 
 

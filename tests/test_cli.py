@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from crosscap import cf, cli
+from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
 from crosscap.genus import crosscap_number
-from crosscap.knot import StopRule, TorusKnot, normalized_knots, pinch_sequence
+from crosscap.knot import PinchTrace, StopRule, TorusKnot, normalized_knots, pinch_sequence
 from crosscap.verify import CheckOutcome, Counterexample
 
 
@@ -93,6 +94,8 @@ def test_report_empty_exact_field(capsys):
         ("report", "-3", "5"),
         ("report", "4", "-3"),
         ("trace", "-3", "5"),
+        ("trace", "1", "1"),
+        ("trace", "5", "3", "--stop", "zero"),
     ],
 )
 def test_report_rejects_bad_knots(capsys, argv):
@@ -120,7 +123,8 @@ def test_trace_expands_each_knot_once(monkeypatch, capsys):
     assert code == 0
     records = out.splitlines()
     assert len(records) == 99
-    assert len(calls) == len(records) + 1
+    # the knot is expanded once; every later expansion is one step of the last
+    assert len(calls) == 1
 
 
 def test_trace_lines_outside_a_sequence():
@@ -130,6 +134,61 @@ def test_trace_lines_outside_a_sequence():
         "T(2,3) -> T(0,1)   t=1 h=2 sign=negative   [0,1,2] -> [0]",
         "T(4,7) -> T(2,3)   t=1 h=2 sign=positive   [0,1,1,3] -> [0,1,2]",
     ]
+
+
+def test_trace_lines_step_as_euclid_expands():
+    # each expansion a chained walk prints is one step of the one before it;
+    # reversed, no record chains, so every expansion comes from Euclid instead
+    for knot in normalized_knots(40):
+        stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
+        for stop in stops:
+            trace = PinchTrace(knot, stop)
+            stepped = list(cli._trace_lines(trace, (knot, trace.expansion)))
+            assert stepped == list(cli._trace_lines(list(trace)[::-1]))[::-1]
+
+
+class LoggingSink:
+    """A stdout that records each write in a shared event list."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append("write")
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("argv", [("trace", "40", "13"), ("trace", "40", "13", "--stop", "zero")])
+def test_trace_writes_before_the_last_record(monkeypatch, argv):
+    events = []
+    build = knot_module.PinchRecord
+
+    def logged(*args):
+        events.append("record")
+        return build(*args)
+
+    monkeypatch.setattr(knot_module, "PinchRecord", logged)
+    monkeypatch.setattr(sys, "stdout", LoggingSink(events))
+    assert main(list(argv)) == 0
+    # every line but the last is on its way out before the last record is built
+    last = len(events) - 1 - events[::-1].index("record")
+    assert events.count("record") > 2
+    assert events[:last].count("write") == events.count("record") - 1
+
+
+def test_trace_is_bounded_by_its_exact_length(monkeypatch, capsys):
+    # T(16,15) = [1,15] pinches 7 times; half its coefficient sum is 8
+    monkeypatch.setattr(cli, "MAX_STEPS", 7)
+    code, out, _ = run_cli(capsys, "trace", "16", "15")
+    assert code == 0 and len(out.splitlines()) == 7
+    monkeypatch.setattr(cli, "MAX_STEPS", 6)
+    forbid_steps(monkeypatch)
+    code, out, err = run_cli(capsys, "trace", "16", "15")
+    assert code == 2 and out == ""
+    assert err == "error: T(16,15) takes 7 pinch moves; report and trace stop at 6\n"
 
 
 def test_trace_zero_stop_even(capsys):
@@ -177,16 +236,8 @@ def test_table_writes_before_the_last_report(monkeypatch, fmt):
         events.append("report")
         return build(knot)
 
-    class Sink:
-        def write(self, text):
-            events.append("write")
-
-        def writelines(self, chunks):
-            for chunk in chunks:
-                self.write(chunk)
-
     monkeypatch.setattr(cli, "genus_report", logged)
-    monkeypatch.setattr(sys, "stdout", Sink())
+    monkeypatch.setattr(sys, "stdout", LoggingSink(events))
     assert main(["table", "--pmax", "8", "--qmax", "7", "--format", fmt]) == 0
     # every report but the last is on its way out before the last is built
     last = len(events) - 1 - events[::-1].index("report")
@@ -329,18 +380,41 @@ def test_bad_arguments_exit_via_argparse():
         main(["report", "4", "3", "--format", "yaml"])
 
 
-def test_module_entry_point():
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m crosscap argv` in a new process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run(
-        [sys.executable, "-m", "crosscap", "report", "4", "3", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
+        [sys.executable, "-m", "crosscap", *argv], capture_output=True, text=True, env=env
     )
-    assert result.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_module_entry_point():
+    code, out, _ = run_fresh("report", "4", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_one_parser_serves_every_call(capsys):
+    commands = [
+        ("report", "16", "5"),
+        ("table", "--pmax", "12", "--qmax", "11", "--format", "json"),
+        ("verify", "--max", "12"),
+        ("trace", "40", "13", "--stop", "zero"),
+    ]
+    bad = ("report", "4", "3", "--format", "yaml")
+    expected = {argv: run_fresh(*argv) for argv in [*commands, bad]}
+    assert expected[bad][0] == 2 and expected[bad][1] == ""
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv in commands:
+            assert run_cli(capsys, *argv) == expected[argv]
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert (exc.value.code, *capsys.readouterr()) == expected[bad]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # Byte-for-byte output of fixed commands, so that a change meant to keep the
@@ -438,4 +512,4 @@ def test_work_bound_holds_on_the_box():
 def test_limit_accepts_every_benchmark_size():
     # the largest knots the benchmark and the tests run through the CLI
     for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
-        assert cli._bounded_expansion(TorusKnot(p, q), crosscap=True) == cf.expand(Fraction(p, q))
+        assert cli._bounded_expansion(TorusKnot(p, q)) == cf.expand(Fraction(p, q))

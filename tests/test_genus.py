@@ -12,6 +12,7 @@ from crosscap import (
     EXACT_BY_POSITIVE_PINCHES,
     EXACT_UNKNOWN,
     PinchSign,
+    PinchTrace,
     StopRule,
     TorusKnot,
     crosscap_by_splitting,
@@ -262,6 +263,28 @@ def test_genus_report_assembly():
         TorusKnot(2, 1),
         TorusKnot(2, 3),
     )
+
+
+def test_report_trace_is_the_lazy_trace():
+    report = genus_report(TorusKnot(16, 5))
+    assert report.trace == PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
+    assert list(report.trace) == pinch_sequence(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
+    assert report == genus_report(TorusKnot(16, 5))
+
+
+def test_four_genus_bounds_read_the_runs():
+    # a Batson knot with 10^30 - 1 pinches: its certificate comes from one run,
+    # where a walk of one record per pinch would never finish
+    k = 10**30
+    bounds = four_genus_bounds(TorusKnot(2 * k, 2 * k - 1))
+    assert (bounds.upper, bounds.exact) == (k - 1, k - 1)
+    assert bounds.provenance == EXACT_BY_POSITIVE_PINCHES
+    for knot in normalized_knots(60):
+        trace = pinch_sequence(knot, StopRule.FIRST_UNKNOT)
+        bounds = four_genus_bounds(knot)
+        assert bounds.upper == len(trace)
+        positive = all(r.sign is PinchSign.POSITIVE for r in trace)
+        assert (bounds.provenance == EXACT_BY_POSITIVE_PINCHES) == (knot.p % 2 == 0 and positive)
 
 
 def test_genus_report_rejects_unknots():

@@ -1,9 +1,11 @@
 """Torus-knot layer: normalization, pinch moves, signs, sequences.
 
 The modular residues (t, h) are cross-checked against a brute-force linear
-search, and the residue-based pinch against the continued-fraction route.
+search, the residue-based pinch against the continued-fraction route, and
+the run-length `PinchTrace` against one residue pinch per move.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from crosscap import (
     PinchSign,
+    PinchTrace,
     StopRule,
     TorusKnot,
     evaluate,
@@ -26,7 +29,10 @@ from crosscap import (
     pinch_sign_from_expansion,
     pinch_witness,
     step,
+    steps_to_integer,
+    steps_to_zero,
 )
+from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
 
 
@@ -359,3 +365,136 @@ def test_pinch_results_revalidate_large(a, b):
     knot = normalize(a, b)
     assume(knot.p > 1)
     assert_pinch_result_is_valid(knot)
+
+
+# `PinchTrace` walks the expansion as runs; its oracle is the residue walk,
+# one `pinch` per move, which is how `pinch_sequence` ran before the runs.
+
+
+def oracle_sequence(knot, stop):
+    """Test oracle for `PinchTrace` and `pinch_sequence`: apply `pinch`
+    (modular residues, two `pow` calls) until the stop rule is met.
+
+    Checks no preconditions; call it only where the trace is defined.
+    """
+    records = []
+    current = knot
+    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
+        record = pinch(current)
+        records.append(record)
+        current = record.result
+    return records
+
+
+def assert_trace_matches_oracle(knot, stop):
+    trace = PinchTrace(knot, stop)
+    expected = oracle_sequence(knot, stop)
+    records = list(trace)
+    # PinchRecord equality compares source, result, witness and sign
+    assert records == expected
+    assert len(trace) == trace.moves == len(expected)
+    assert trace.all_positive == all(r.sign is PinchSign.POSITIVE for r in expected)
+    assert trace.final == (expected[-1].result if expected else knot)
+    if stop is StopRule.FIRST_UNKNOT:
+        assert (trace.moves, trace.final.p) == steps_to_integer(knot.fraction())
+    else:
+        assert trace.moves == steps_to_zero(knot.fraction())
+    # iteration chains: each source is the previous result, the first is the knot
+    assert all(a.result is b.source for a, b in zip(records, records[1:]))
+    if expected:
+        assert records[0].source is knot
+        assert trace[-1] == expected[-1]
+        assert trace[len(expected) // 2] == expected[len(expected) // 2]
+
+
+def test_trace_matches_oracle_on_the_box():
+    for knot in normalized_knots(300):
+        assert_trace_matches_oracle(knot, StopRule.FIRST_UNKNOT)
+        if knot.p % 2 == 0:
+            assert_trace_matches_oracle(knot, StopRule.ZERO)
+    for l in range(0, 301, 2):
+        assert_trace_matches_oracle(TorusKnot(l, 1), StopRule.ZERO)
+
+
+def test_trace_indexes_every_record():
+    for knot in normalized_knots(60):
+        stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
+        for stop in stops:
+            trace = PinchTrace(knot, stop)
+            expected = oracle_sequence(knot, stop)
+            assert [trace[i] for i in range(len(trace))] == expected
+            assert trace[::-1] == expected[::-1]
+            assert trace[1:-1:2] == expected[1:-1:2]
+
+
+@st.composite
+def knots_from_expansions(draw, bound=10**30):
+    """Knots whose p/q has a random expansion with small coefficients, cut
+    where the next convergent would pass the bound: the parameters reach
+    10^30 while the walks stay short."""
+    coeffs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=80))
+    c0 = draw(st.integers(0, 12))
+    p, q, p0, q0 = c0, 1, 1, 0
+    for c in coeffs:
+        if c * p + p0 > bound or c * q + q0 > bound:
+            break
+        p, q, p0, q0 = c * p + p0, c * q + q0, p, q
+    knot = normalize(p, q)
+    assume(not is_unknot(knot))
+    return knot
+
+
+@settings(max_examples=300)
+@given(knots_from_expansions())
+def test_trace_matches_oracle_large(knot):
+    assert_trace_matches_oracle(knot, StopRule.FIRST_UNKNOT)
+    if knot.p % 2 == 0:
+        assert_trace_matches_oracle(knot, StopRule.ZERO)
+
+
+def test_trace_records_need_no_expansion(monkeypatch):
+    trace = PinchTrace(TorusKnot(2000, 1999), StopRule.FIRST_UNKNOT)
+
+    def expand(_):
+        raise AssertionError("a record was built by expanding")
+
+    monkeypatch.setattr(cf, "expand", expand)
+    assert len(list(trace)) == len(trace) == 999
+    assert trace[-1].result == trace.final == TorusKnot(2, 1)
+
+
+def test_trace_of_a_huge_walk_is_cheap():
+    # T(2k,2k-1) = [1, 2k-1] pinches k-1 times, all positive, to T(2,1)
+    k = 10**30
+    trace = PinchTrace(TorusKnot(2 * k, 2 * k - 1), StopRule.FIRST_UNKNOT)
+    assert trace.moves == k - 1 and trace.all_positive
+    assert trace.final == TorusKnot(2, 1)
+    assert trace[-1].source == TorusKnot(4, 3)
+    middle = trace[k // 2]
+    assert middle.source == TorusKnot(2 * k - 2 * (k // 2), 2 * k - 1 - 2 * (k // 2))
+    assert middle == pinch(middle.source)
+
+
+def test_trace_is_an_immutable_value():
+    trace = PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
+    assert trace == PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
+    assert hash(trace) == hash(PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT))
+    assert trace != PinchTrace(TorusKnot(16, 5), StopRule.ZERO)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.moves = 0
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    with pytest.raises(IndexError):
+        trace[-len(trace) - 1]
+    assert list(PinchTrace(TorusKnot(0, 1), StopRule.ZERO)) == []
+
+
+def test_trace_preconditions_match_pinch_sequence():
+    with pytest.raises(PinchUndefined):
+        PinchTrace(TorusKnot(5, 1), StopRule.FIRST_UNKNOT)
+    with pytest.raises(StopUnreachable):
+        PinchTrace(TorusKnot(5, 3), StopRule.ZERO)
+    with pytest.raises(ValueError):
+        PinchTrace(TorusKnot(5, 3), "first-unknot")
+    with pytest.raises(ValueError):
+        pinch_sequence(TorusKnot(5, 3), "first-unknot")
