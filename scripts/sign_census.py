@@ -1,8 +1,8 @@
-"""Census of pinch-sign patterns over all normalized knots in a box.
+"""Census of gamma4 provenance over all normalized knots in a box.
 
-Counts, for each trace length, how many knots reach their first unknot
-through positive pinches only; those are exactly the knots where the
-four-ball bound collapses to an exact value by the positivity rule.
+Counts how many knots have their nonorientable four-genus fixed by each
+certificate, tried in the order all positive pinches, Batson, interval
+collapse, and how many are left with no exact value.
 
     python scripts/sign_census.py --max 120
 """
@@ -10,7 +10,16 @@ four-ball bound collapses to an exact value by the positivity rule.
 import argparse
 from collections import Counter
 
-from crosscap import PinchTrace, StopRule, normalized_knots
+from crosscap import (
+    EXACT_BY_BATSON,
+    EXACT_BY_COLLAPSE,
+    EXACT_BY_POSITIVE_PINCHES,
+    EXACT_UNKNOWN,
+    four_genus_bounds,
+    normalized_knots,
+)
+
+PROVENANCES = (EXACT_BY_POSITIVE_PINCHES, EXACT_BY_BATSON, EXACT_BY_COLLAPSE, EXACT_UNKNOWN)
 
 
 def main() -> None:
@@ -20,20 +29,12 @@ def main() -> None:
     if args.max < 3:
         parser.error("--max must be at least 3")
 
-    totals: Counter[int] = Counter()
-    all_positive: Counter[int] = Counter()
-    for knot in normalized_knots(args.max):
-        trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
-        totals[trace.moves] += 1
-        if trace.all_positive:
-            all_positive[trace.moves] += 1
-
-    print(f"{'trace len':>9} {'knots':>7} {'all positive':>13} {'share':>7}")
-    for length in sorted(totals):
-        n, pos = totals[length], all_positive[length]
-        print(f"{length:>9} {n:>7} {pos:>13} {pos / n:>7.1%}")
-    n, pos = sum(totals.values()), sum(all_positive.values())
-    print(f"{'total':>9} {n:>7} {pos:>13} {pos / n:>7.1%}")
+    counts = Counter(four_genus_bounds(knot).provenance for knot in normalized_knots(args.max))
+    total = sum(counts.values())
+    print(f"{'provenance':<20} {'knots':>7} {'share':>7}")
+    for provenance in PROVENANCES:
+        print(f"{provenance:<20} {counts[provenance]:>7} {counts[provenance] / total:>7.1%}")
+    print(f"{'total':<20} {total:>7} {1:>7.1%}")
 
 
 if __name__ == "__main__":

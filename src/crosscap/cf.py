@@ -48,6 +48,7 @@ __all__ = [
     "evaluate",
     "canonicalize",
     "convergents",
+    "convergent_terms",
     "step",
     "steps_to_zero",
     "steps_to_integer",
@@ -200,34 +201,35 @@ def canonicalize(raw: Coefficients) -> ContinuedFraction:
     return ContinuedFraction(tuple(seq))
 
 
-def convergents(cf: ContinuedFraction) -> list[Convergent]:
-    """Return all convergents p_i/q_i of a canonical expansion.
+def convergent_terms(coeffs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of the convergents of a coefficient
+    sequence, after the seeds 0/1 and 1/0.
 
-    The numerators and denominators follow the standard recursion
+    They follow the standard recursion
 
         p_i = c_i * p_{i-1} + p_{i-2},   q_i = c_i * q_{i-1} + q_{i-2}
 
-    seeded with p_0 = c_0, q_0 = 1 and p_1 = c_1*c_0 + 1, q_1 = c_1.
-    Consecutive convergents satisfy p_i q_{i-1} - p_{i-1} q_i = (-1)^(i-1),
-    so each p_i/q_i is automatically in lowest terms and the final convergent
-    equals the value of the expansion.
+    from p_{-2}/q_{-2} = 0/1 and p_{-1}/q_{-1} = 1/0, so ps[i+2]/qs[i+2] is
+    the i-th convergent and a prefix of length k ends in ps[k+1]/qs[k+1]
+    and ps[k]/qs[k].  Only integers are built.
     """
-    c = cf.coeffs
-    p_prev, q_prev = c[0], 1
-    out = [Convergent(0, Fraction(p_prev, q_prev))]
-    if len(c) == 1:
-        return out
-    p_cur, q_cur = c[1] * c[0] + 1, c[1]
-    out.append(Convergent(1, Fraction(p_cur, q_cur)))
-    for i in range(2, len(c)):
-        p_prev, q_prev, p_cur, q_cur = (
-            p_cur,
-            q_cur,
-            c[i] * p_cur + p_prev,
-            c[i] * q_cur + q_prev,
-        )
-        out.append(Convergent(i, Fraction(p_cur, q_cur)))
-    return out
+    ps, qs = [0, 1], [1, 0]
+    for c in coeffs:
+        ps.append(c * ps[-1] + ps[-2])
+        qs.append(c * qs[-1] + qs[-2])
+    return ps, qs
+
+
+def convergents(cf: ContinuedFraction) -> list[Convergent]:
+    """Return all convergents p_i/q_i of a canonical expansion.
+
+    The terms come from `convergent_terms`.  Consecutive convergents satisfy
+    p_i q_{i-1} - p_{i-1} q_i = (-1)^(i-1), so each p_i/q_i is automatically
+    in lowest terms and the final convergent equals the value of the
+    expansion.
+    """
+    ps, qs = convergent_terms(cf.coeffs)
+    return [Convergent(i, Fraction(p, q)) for i, (p, q) in enumerate(zip(ps[2:], qs[2:]))]
 
 
 def step(cf: ContinuedFraction) -> ContinuedFraction:
@@ -283,6 +285,9 @@ def steps_to_integer(x: Union[Fraction, int]) -> tuple[int, int]:
 
     Returns (count, value of that entry).  Integer inputs need no steps at
     all and report themselves.
+
+    The library reads both from `knot.PinchTrace` (`moves` and `final`);
+    this stepwise walk is kept as the test oracle for them.
     """
     cf = expand(x)
     n = 0

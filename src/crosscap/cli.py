@@ -16,6 +16,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
@@ -36,22 +37,29 @@ __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
 # algorithm.
 MAX_STEPS = 10**6
 
-CSV_COLUMNS = [
-    "p",
-    "q",
-    "k",
-    "a",
-    "ell",
-    "beta1_F",
-    "gamma3",
-    "gamma4_lower",
-    "gamma4_upper",
-    "gamma4_exact",
-    "gamma4_provenance",
-    "gap_lb_num",
-    "gap_lb_den",
-    "orientable_genus",
+# One row per report field: its CSV column, its path in the JSON report and
+# its dotted `GenusReport` attribute.  CSV, JSON and the human table all
+# read this table, in its order, so a new field is one new row.
+_FIELDS = [
+    ("p", ("knot", "p"), "knot.p"),
+    ("q", ("knot", "q"), "knot.q"),
+    ("k", ("k",), "k"),
+    ("a", ("a",), "a"),
+    ("ell", ("ell",), "ell"),
+    ("beta1_F", ("beta1_F",), "beta1_F"),
+    ("gamma3", ("gamma3",), "gamma3"),
+    ("gamma4_lower", ("gamma4", "lower"), "gamma4.lower"),
+    ("gamma4_upper", ("gamma4", "upper"), "gamma4.upper"),
+    ("gamma4_exact", ("gamma4", "exact"), "gamma4.exact"),
+    ("gamma4_provenance", ("gamma4", "provenance"), "gamma4.provenance"),
+    ("gap_lb_num", ("gap_lower_bound", "num"), "gap_lower_bound.numerator"),
+    ("gap_lb_den", ("gap_lower_bound", "den"), "gap_lower_bound.denominator"),
+    ("orientable_genus", ("orientable_genus",), "orientable_genus"),
 ]
+
+CSV_COLUMNS = [column for column, _, _ in _FIELDS]
+
+_field_values = operator.attrgetter(*(attribute for _, _, attribute in _FIELDS))
 
 
 def _json_text(payload: object) -> str:
@@ -88,65 +96,30 @@ def _trace_row(record: PinchRecord) -> dict:
 
 
 def _report_dict(report: GenusReport) -> dict:
-    return {
-        "knot": {"p": report.knot.p, "q": report.knot.q},
-        "k": report.k,
-        "a": report.a,
-        "ell": report.ell,
-        "beta1_F": report.beta1_F,
-        "gamma3": report.gamma3,
-        "gamma4": {
-            "lower": report.gamma4.lower,
-            "upper": report.gamma4.upper,
-            "exact": report.gamma4.exact,
-            "provenance": report.gamma4.provenance,
-        },
-        "gap_lower_bound": {
-            "num": report.gap_lower_bound.numerator,
-            "den": report.gap_lower_bound.denominator,
-        },
-        "orientable_genus": report.orientable_genus,
-        "trace": [_trace_row(record) for record in report.trace],
-    }
+    payload: dict = {}
+    for (_, path, _), value in zip(_FIELDS, _field_values(report)):
+        *parents, leaf = path
+        node = payload
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    payload["trace"] = [_trace_row(record) for record in report.trace]
+    return payload
 
 
 def _report_csv_row(report: GenusReport) -> list[str]:
-    exact = report.gamma4.exact
-    return [
-        str(report.knot.p),
-        str(report.knot.q),
-        str(report.k),
-        str(report.a),
-        str(report.ell),
-        str(report.beta1_F),
-        str(report.gamma3),
-        str(report.gamma4.lower),
-        str(report.gamma4.upper),
-        "" if exact is None else str(exact),
-        report.gamma4.provenance,
-        str(report.gap_lower_bound.numerator),
-        str(report.gap_lower_bound.denominator),
-        str(report.orientable_genus),
-    ]
+    return ["" if value is None else str(value) for value in _field_values(report)]
 
 
-def _trace_lines(
-    records: Iterable[PinchRecord], start: Optional[tuple[TorusKnot, cf.ContinuedFraction]] = None
-) -> Iterator[str]:
+def _trace_lines(trace: PinchTrace) -> Iterator[str]:
     """One line per pinch record, with the expansions before and after.
 
-    A pinch move is one `cf.step`, so a record's result expansion is the
-    step of its source's.  In a pinch sequence each record's source is the
-    previous record's result, whose expansion is then at hand; `start`, a
-    knot and its expansion, serves the first record the same way.  Only a
-    record that does not chain has its source expanded afresh.
+    A pinch move is one `cf.step`, so each record's result expansion is the
+    step of its source's, starting from the expansion the trace holds.
     """
-    previous, after = start if start is not None else (None, None)
-    for record in records:
-        if record.source is not previous:
-            after = cf.expand(record.source.fraction())
+    after = trace.expansion
+    for record in trace:
         before, after = after, cf.step(after)
-        previous = record.result
         sign = str(record.sign) if record.sign is not None else "n/a"
         yield (
             f"{record.source} -> {record.result}"
@@ -172,8 +145,7 @@ def _report_human(report: GenusReport) -> str:
     if report.split is not None:
         lines.append(f"  split:             {report.split.first} + {report.split.second}")
     lines.append("  pinch trace:")
-    start = (knot, report.trace.expansion)
-    lines.extend(f"    {line}" for line in _trace_lines(report.trace, start))
+    lines.extend(f"    {line}" for line in _trace_lines(report.trace))
     return "\n".join(lines) + "\n"
 
 
@@ -235,16 +207,15 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     return 0
 
 
-def _bounded_expansion(knot: TorusKnot) -> cf.ContinuedFraction:
-    """The expansion of p/q, once no walk of `report` can exceed MAX_STEPS.
+def _check_work_bound(knot: TorusKnot) -> None:
+    """Raise InvalidParameter, before any step, if a walk of `report` on
+    `knot` could exceed MAX_STEPS.
 
     Half the coefficient sum of p/q bounds the pinch trace and, for even p,
     the crosscap count N(p,q).  For odd p the crosscap count walks
-    (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.  Raises
-    InvalidParameter, before any step, when a bound is too large.
+    (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.
     """
-    expansion = cf.expand(knot.fraction())
-    sums = [sum(expansion)]
+    sums = [sum(cf.expand(knot.fraction()))]
     if knot.p % 2:
         pq, square = knot.p * knot.q, knot.p * knot.p
         sums += [sum(cf.expand(Fraction(pq + d, square))) for d in (-1, 1)]
@@ -253,12 +224,11 @@ def _bounded_expansion(knot: TorusKnot) -> cf.ContinuedFraction:
         raise InvalidParameter(
             f"{knot} may take up to {bound} steps; report and trace stop at {MAX_STEPS}"
         )
-    return expansion
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     knot = normalize(args.p, args.q)
-    _bounded_expansion(knot)
+    _check_work_bound(knot)
     report = genus_report(knot)
     if args.format == "json":
         sys.stdout.write(_json_text(_report_dict(report)))
@@ -277,8 +247,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise InvalidParameter(
             f"{knot} takes {trace.moves} pinch moves; report and trace stop at {MAX_STEPS}"
         )
-    lines = _trace_lines(trace, (knot, trace.expansion))
-    sys.stdout.writelines(line + "\n" for line in lines)
+    sys.stdout.writelines(line + "\n" for line in _trace_lines(trace))
     return 0
 
 

@@ -143,12 +143,12 @@ def terminal_unknot_parameter(knot: TorusKnot) -> int:
 def pinches_to_unknot(knot: TorusKnot) -> int:
     """Number of pinch moves from a nontrivial knot to the first unknot.
 
-    Equals the step count of cf.steps_to_integer(p/q), which is how it is
-    computed; the pinch-per-step equivalence is enforced by module verify.
+    This is the `moves` of its `PinchTrace`, the beta1_F that `genus_report`
+    reports.  The stepwise count of cf.steps_to_integer(p/q) is its test
+    oracle, and module verify checks one pinch per step.
     """
     _require_nontrivial(knot)
-    count, _ = cf.steps_to_integer(knot.fraction())
-    return count
+    return PinchTrace(knot, StopRule.FIRST_UNKNOT).moves
 
 
 def pinches_to_zero(knot: TorusKnot) -> int:
@@ -173,9 +173,9 @@ def odd_split(knot: TorusKnot) -> OddSplit:
     _require_nontrivial(knot)
     if knot.p % 2 == 0:
         raise EvenParity(f"splitting is defined for odd parameters only: {knot}")
-    penultimate = cf.convergents(cf.expand(knot.fraction()))[-2].value
-    first = normalize(penultimate.numerator, penultimate.denominator)
-    second = normalize(knot.p - penultimate.numerator, knot.q - penultimate.denominator)
+    ps, qs = cf.convergent_terms(cf.expand(knot.fraction()).coeffs[:-1])
+    first = normalize(ps[-1], qs[-1])
+    second = normalize(knot.p - ps[-1], knot.q - qs[-1])
     return OddSplit(first, second)
 
 

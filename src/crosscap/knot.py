@@ -346,21 +346,11 @@ class PinchTrace(Sequence[PinchRecord]):
         """The knot the walk ends at: the first unknot T(l,1), or T(0,1)."""
         return TorusKnot._trusted(self._last, 1)
 
-    def _convergents(self, k: int) -> tuple[list[int], list[int]]:
-        """Numerators and denominators of the convergents of the expansion's
-        first k coefficients, after the seeds 0/1 and 1/0: the prefix of
-        length k ends in ps[k+1]/qs[k+1] and ps[k]/qs[k]."""
-        ps, qs = [0, 1], [1, 0]
-        for c in self.expansion.coeffs[:k]:
-            ps.append(c * ps[-1] + ps[-2])
-            qs.append(c * qs[-1] + qs[-2])
-        return ps, qs
-
     def __len__(self) -> int:
         return self.moves
 
     def __iter__(self) -> Iterator[PinchRecord]:
-        ps, qs = self._convergents(len(self.expansion) - 1)
+        ps, qs = cf.convergent_terms(self.expansion.coeffs[:-1])
         source = self.knot
         for run in self._runs:
             k = run.k
@@ -377,7 +367,7 @@ class PinchTrace(Sequence[PinchRecord]):
         if not 0 <= i < self.moves:
             raise IndexError("pinch trace index out of range")
         run = self._runs[bisect_right(self._runs, i, key=attrgetter("start")) - 1]
-        ps, qs = self._convergents(run.k)
+        ps, qs = cf.convergent_terms(self.expansion.coeffs[: run.k])
         x = run.last - 2 * (i - run.start)
         source = TorusKnot._trusted(x * ps[-1] + ps[-2], x * qs[-1] + qs[-2])
         return _record(source, run.k, ps[-1], qs[-1])

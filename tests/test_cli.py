@@ -1,10 +1,12 @@
 """CLI behaviour: output schemas, filters, exit codes, round-trips."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -127,24 +129,18 @@ def test_trace_expands_each_knot_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_trace_lines_outside_a_sequence():
-    # records that do not chain get both expansions computed afresh
-    records = pinch_sequence(TorusKnot(4, 7), StopRule.FIRST_UNKNOT)[::-1]
-    assert list(cli._trace_lines(records)) == [
-        "T(2,3) -> T(0,1)   t=1 h=2 sign=negative   [0,1,2] -> [0]",
-        "T(4,7) -> T(2,3)   t=1 h=2 sign=positive   [0,1,1,3] -> [0,1,2]",
-    ]
-
-
 def test_trace_lines_step_as_euclid_expands():
-    # each expansion a chained walk prints is one step of the one before it;
-    # reversed, no record chains, so every expansion comes from Euclid instead
+    # the two expansions a line prints, each stepped from the one before, are
+    # the ones Euclid's algorithm gives for its record's source and result
     for knot in normalized_knots(40):
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
         for stop in stops:
             trace = PinchTrace(knot, stop)
-            stepped = list(cli._trace_lines(trace, (knot, trace.expansion)))
-            assert stepped == list(cli._trace_lines(list(trace)[::-1]))[::-1]
+            lines = list(cli._trace_lines(trace))
+            assert len(lines) == trace.moves
+            for line, record in zip(lines, trace):
+                before, after = (cf.expand(x.fraction()) for x in (record.source, record.result))
+                assert line.endswith(f"   {before} -> {after}")
 
 
 class LoggingSink:
@@ -210,6 +206,27 @@ def test_trace_unknot_rejected(capsys):
     code, _, err = run_cli(capsys, "trace", "3", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_table_formats_read_one_field_table(capsys):
+    argv = ("table", "--pmax", "40", "--qmax", "39")
+    _, csv_out, _ = run_cli(capsys, *argv)
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    _, human_out, _ = run_cli(capsys, *argv, "--format", "human")
+    header, *rows = list(csv.reader(io.StringIO(csv_out)))
+    payloads = json.loads(json_out)
+    upper, *human_lines = human_out.splitlines()
+    # cells are right-aligned, so each ends where its column name ends
+    ends = [match.end() for match in re.finditer(r"\S+", upper)]
+    assert header == CSV_COLUMNS == [column for column, _, _ in cli._FIELDS]
+    assert len(rows) == len(payloads) == len(human_lines) > 300
+    for row, payload, line in zip(rows, payloads, human_lines):
+        human = [line[start:end].strip() for start, end in zip([0, *ends], ends)]
+        assert human == row
+        for cell, (_, path, _) in zip(row, cli._FIELDS):
+            value = functools.reduce(dict.__getitem__, path, payload)
+            assert cell == ("" if value is None else str(value))
+        assert len(payload["trace"]) == payload["beta1_F"] > 0
 
 
 def test_table_header_only_when_range_is_empty(capsys):
@@ -512,4 +529,4 @@ def test_work_bound_holds_on_the_box():
 def test_limit_accepts_every_benchmark_size():
     # the largest knots the benchmark and the tests run through the CLI
     for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
-        assert cli._bounded_expansion(TorusKnot(p, q)) == cf.expand(Fraction(p, q))
+        cli._check_work_bound(TorusKnot(p, q))
