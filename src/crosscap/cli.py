@@ -5,7 +5,8 @@ prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot whose step walks could exceed
-MAX_STEPS.  `trace` writes each line as its record is built.
+MAX_STEPS.  `trace` writes each line as its record is built.  A reader that
+closes the pipe early ends the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import io
 import itertools
 import json
 import operator
+import os
 import sys
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import cf
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, genus_report
+from .genus import GenusReport, crosscap_knot, genus_report
 from .knot import PinchRecord, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
@@ -32,9 +33,9 @@ __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
 # The longest step walk `report` and `trace` take on; a knot that could need
 # more is refused before the first step.  `trace` counts its moves exactly
 # from the runs of its `PinchTrace`.  `report` also walks gamma3 step by
-# step: a step lowers the coefficient sum of an expansion by at least 2, so
-# half that sum bounds each of its walks, from one pass of Euclid's
-# algorithm.
+# step, on `crosscap_knot`: a step lowers the coefficient sum of an
+# expansion by at least 2, so half that sum bounds each of its walks, from
+# one pass of Euclid's algorithm.
 MAX_STEPS = 10**6
 
 # One row per report field: its CSV column, its path in the JSON report and
@@ -194,52 +195,33 @@ _FILTERS: dict[str, Callable[[TorusKnot], bool]] = {
 }
 
 
-def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
-    if out is None:
-        sys.stdout.writelines(chunks)
-        return 0
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _check_work_bound(knot: TorusKnot) -> None:
     """Raise InvalidParameter, before any step, if a walk of `report` on
     `knot` could exceed MAX_STEPS.
 
-    Half the coefficient sum of p/q bounds the pinch trace and, for even p,
-    the crosscap count N(p,q).  For odd p the crosscap count walks
-    (pq-1)/p^2 or (pq+1)/p^2, so both of those are bounded too.
+    Half the coefficient sum of p/q bounds the pinch trace, and that of
+    `crosscap_knot(knot)` the crosscap count; for even p they are one knot.
     """
-    sums = [sum(cf.expand(knot.fraction()))]
-    if knot.p % 2:
-        pq, square = knot.p * knot.q, knot.p * knot.p
-        sums += [sum(cf.expand(Fraction(pq + d, square))) for d in (-1, 1)]
-    bound = max(sums) // 2
+    walked = {knot, crosscap_knot(knot)}
+    bound = max(sum(cf.expand(k.fraction())) for k in walked) // 2
     if bound > MAX_STEPS:
         raise InvalidParameter(
             f"{knot} may take up to {bound} steps; report and trace stop at {MAX_STEPS}"
         )
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
     _check_work_bound(knot)
     report = genus_report(knot)
     if args.format == "json":
-        sys.stdout.write(_json_text(_report_dict(report)))
-    elif args.format == "csv":
-        sys.stdout.writelines(_csv_lines([CSV_COLUMNS, _report_csv_row(report)]))
-    else:
-        sys.stdout.write(_report_human(report))
-    return 0
+        return 0, [_json_text(_report_dict(report))]
+    if args.format == "csv":
+        return 0, _csv_lines([CSV_COLUMNS, _report_csv_row(report)])
+    return 0, [_report_human(report)]
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     stop = StopRule.ZERO if args.stop == "zero" else StopRule.FIRST_UNKNOT
     knot = normalize(args.p, args.q)
     trace = PinchTrace(knot, stop)
@@ -247,32 +229,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise InvalidParameter(
             f"{knot} takes {trace.moves} pinch moves; report and trace stop at {MAX_STEPS}"
         )
-    sys.stdout.writelines(line + "\n" for line in _trace_lines(trace))
-    return 0
+    return 0, (line + "\n" for line in _trace_lines(trace))
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.pmax < 2 or args.qmax < 2:
-        print("error: --pmax and --qmax must be at least 2", file=sys.stderr)
-        return 2
+        raise InvalidParameter("--pmax and --qmax must be at least 2")
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
-        chunks = _json_chunks(map(_report_dict, reports))
-    elif args.format == "human":
-        chunks = _table_human(map(_report_csv_row, reports))
-    else:
-        chunks = _csv_lines(itertools.chain([CSV_COLUMNS], map(_report_csv_row, reports)))
-    return _emit(chunks, args.out)
+        return 0, _json_chunks(map(_report_dict, reports))
+    if args.format == "human":
+        return 0, _table_human(map(_report_csv_row, reports))
+    return 0, _csv_lines(itertools.chain([CSV_COLUMNS], map(_report_csv_row, reports)))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     outcomes = run_all(args.max)
+    code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":
-        sys.stdout.write(_json_text([_outcome_dict(outcome) for outcome in outcomes]))
-    else:
-        sys.stdout.write(_verify_human(outcomes))
-    return 0 if all(outcome.passed for outcome in outcomes) else 1
+        return code, [_json_text([_outcome_dict(outcome) for outcome in outcomes])]
+    return code, [_verify_human(outcomes)]
 
 
 @functools.cache
@@ -316,12 +293,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command.  Its handler returns the exit code and the output
+    chunks, which may be lazy; only this function writes them."""
     args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.handler(args)
+        code, chunks = args.handler(args)
+        if out is None:
+            sys.stdout.writelines(chunks)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
     except CrosscapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at the null device, so that the
+        # flush at exit cannot fail again, and keep the command's exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
+    except OSError as exc:
+        if out is None:
+            raise
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

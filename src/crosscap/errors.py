@@ -28,8 +28,8 @@ class CrosscapError(ValueError):
 
 class InvalidParameter(CrosscapError):
     """A knot parameter or a verify bound is not an int (bools included), out of
-    range or misordered; a rational to expand is negative; or a knot would
-    take more steps than the CLI allows."""
+    range or misordered; a table bound is below 2; a rational to expand is
+    negative; or a knot would take more steps than the CLI allows."""
 
 
 class ZeroDenominator(CrosscapError):

@@ -10,7 +10,8 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               Teragaito's step-count formula: N(p,q) when pq is even, and
               N(pq-+1, p^2) when pq is odd, the sign picked by the parity
               of x with xq = -1 mod p.  N(a,b) counts reduction steps from
-              a/b to 0 and is computed by cf.steps_to_zero.
+              a/b to 0 and is computed by cf.steps_to_zero; `crosscap_knot`
+              names the knot T(a,b) it walks.
 * gamma4    - bounds for the nonorientable four-genus: lower 1, upper
               beta1_F, marked exact by the first certificate that applies:
               all positive pinches, then Batson, then interval collapse.
@@ -49,6 +50,7 @@ __all__ = [
     "pinches_to_zero",
     "odd_split",
     "crosscap_by_splitting",
+    "crosscap_knot",
     "crosscap_number",
     "four_genus_bounds",
     "gap_report",
@@ -101,8 +103,8 @@ class GenusReport:
 
     `trace` is the lazy `PinchTrace` to the first unknot: `beta1_F` and the
     gamma4 certificate are read from its runs, and its records are built
-    only when a caller iterates or indexes it.  `pinch_sequence`, and one
-    `pinch` per move in the tests, give the same records.
+    only when a caller iterates it.  `pinch_sequence`, and one `pinch` per
+    move in the tests, give the same records.
     """
 
     knot: TorusKnot
@@ -189,21 +191,26 @@ def crosscap_by_splitting(knot: TorusKnot) -> int:
     return pinches_to_zero(split.first) + pinches_to_zero(split.second)
 
 
-def crosscap_number(knot: TorusKnot) -> int:
-    """Crosscap number gamma3 of a nontrivial torus knot.
+def crosscap_knot(knot: TorusKnot) -> TorusKnot:
+    """The knot whose pinch count to T(0,1) is the crosscap number of `knot`.
 
-    Even pq: N(p,q).  Odd pq: N(pq-1, p^2) or N(pq+1, p^2) according to
-    whether the residue x with xq = -1 (mod p) is even or odd.  Both
-    N arguments are even and coprime to the odd square, so the step count
-    is always defined.
+    Even pq: T(p,q) itself.  Odd pq: T(pq-1, p^2) or T(pq+1, p^2) according
+    to whether the residue x with xq = -1 (mod p) is even or odd.  Both
+    first parameters are even and coprime to the odd square, so the result
+    is a normalized knot for every normalized input, trivial ones included.
     """
-    _require_nontrivial(knot)
     p, q = knot.p, knot.q
     if p % 2 == 0:
-        return cf.steps_to_zero(knot.fraction())
+        return knot
     x = (-pow(q, -1, p)) % p
-    numerator = p * q - 1 if x % 2 == 0 else p * q + 1
-    return cf.steps_to_zero(Fraction(numerator, p * p))
+    return TorusKnot(p * q - 1 if x % 2 == 0 else p * q + 1, p * p)
+
+
+def crosscap_number(knot: TorusKnot) -> int:
+    """Crosscap number gamma3 of a nontrivial torus knot: N of its
+    `crosscap_knot` (Teragaito's formula)."""
+    _require_nontrivial(knot)
+    return pinches_to_zero(crosscap_knot(knot))
 
 
 def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:

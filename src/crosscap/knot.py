@@ -19,20 +19,17 @@ p/q, and that equivalence is what the verification module stress-tests.
 
 A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
 which the expansion keeps its length, so its length, its signs and the knot
-it ends at cost O(len(expansion)) integer operations, and records are built
-only when asked for.
+it ends at cost O(len(expansion)) integer operations, and its records are
+built one at a time as it is iterated.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from . import cf
 from .errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
@@ -245,9 +242,7 @@ class _Run(NamedTuple):
     T(c,1) -> ... -> T(0,1).
     """
 
-    start: int  # index of the run's first move in the trace
     moves: int
-    last: int  # c
     k: int  # prefix length
 
 
@@ -273,17 +268,16 @@ def _record(source: TorusKnot, k: int, p: int, q: int) -> PinchRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class PinchTrace(Sequence[PinchRecord]):
+class PinchTrace:
     """The pinch moves from `knot` until `stop` is met, held as runs.
 
     This is the fast route to a pinch walk.  Building it expands p/q once
     and walks the coefficients right to left, so `moves` (which `len()`
     returns), `all_positive` and `final`, the knot the walk ends at, cost
     O(len(expansion)) integer operations however long the walk is.
-    Iteration and indexing (negative indices and slices included) build
-    each `PinchRecord` on demand from its run and the expansion's
-    convergents, with no `pow` and no `expand`; records are not kept.  Two
-    traces are equal when their knot and stop rule are.
+    Iteration builds each `PinchRecord` on demand from its run and the
+    expansion's convergents, with no `pow` and no `expand`; records are not
+    kept.  Two traces are equal when their knot and stop rule are.
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
@@ -322,7 +316,7 @@ class PinchTrace(Sequence[PinchRecord]):
             # a negative run, or an unknot tail with unsigned moves before T(2,1)
             if k % 2 == 0 and (k or last != 2):
                 positive = False
-            run = _Run(moves, last // 2, last, k)
+            run = _Run(last // 2, k)
             runs.append(run)
             moves += run.moves
             last -= 2 * run.moves
@@ -359,18 +353,6 @@ class PinchTrace(Sequence[PinchRecord]):
                 record = _record(source, k, p, q)
                 yield record
                 source = record.result
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[PinchRecord, list[PinchRecord]]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.moves))]
-        i = index + self.moves if index < 0 else index
-        if not 0 <= i < self.moves:
-            raise IndexError("pinch trace index out of range")
-        run = self._runs[bisect_right(self._runs, i, key=attrgetter("start")) - 1]
-        ps, qs = cf.convergent_terms(self.expansion.coeffs[: run.k])
-        x = run.last - 2 * (i - run.start)
-        source = TorusKnot._trusted(x * ps[-1] + ps[-2], x * qs[-1] + qs[-2])
-        return _record(source, run.k, ps[-1], qs[-1])
 
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:

@@ -20,7 +20,6 @@ from .genus import (
     crosscap_by_splitting,
     crosscap_number,
     euclidean_division,
-    pinches_to_unknot,
     terminal_unknot_parameter,
 )
 from .knot import (
@@ -84,6 +83,10 @@ class _Knot:
     @cached_property
     def first(self) -> PinchRecord:
         return pinch(self.knot)
+
+    @cached_property
+    def trace(self) -> PinchTrace:
+        return PinchTrace(self.knot, StopRule.FIRST_UNKNOT)
 
     @cached_property
     def gamma3(self) -> int:
@@ -173,7 +176,7 @@ def check_sign_parity(rec: _Knot) -> _Claims:
 def check_terminal_unknot(rec: _Knot) -> _Claims:
     """The division formula predicts the first unknot a pinch walk reaches."""
     predicted = terminal_unknot_parameter(rec.knot)
-    observed = PinchTrace(rec.knot, StopRule.FIRST_UNKNOT).final.p
+    observed = rec.trace.final.p
     yield predicted == observed, predicted, observed
 
 
@@ -188,7 +191,7 @@ def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
 def check_gap_formula(rec: _Knot) -> _Claims:
     """gamma3 - beta1_F equals ceil(k/2) and stays >= k/2 for even p."""
     quotient, _ = euclidean_division(rec.knot)
-    gap = rec.gamma3 - pinches_to_unknot(rec.knot)
+    gap = rec.gamma3 - rec.trace.moves
     yield gap == (quotient + 1) // 2, (quotient + 1) // 2, gap
     yield Fraction(gap) >= Fraction(quotient, 2), f"gap >= {Fraction(quotient, 2)}", gap
 

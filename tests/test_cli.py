@@ -397,13 +397,17 @@ def test_bad_arguments_exit_via_argparse():
         main(["report", "4", "3", "--format", "yaml"])
 
 
-def run_fresh(*argv):
-    """(exit code, stdout, stderr) of `python -m crosscap argv` in a new process."""
+def fresh_env():
+    """The environment of a new process that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m crosscap argv` in a new process."""
     result = subprocess.run(
-        [sys.executable, "-m", "crosscap", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "crosscap", *argv], capture_output=True, text=True, env=fresh_env()
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -412,6 +416,25 @@ def test_module_entry_point():
     code, out, _ = run_fresh("report", "4", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "argv", [("table", "--pmax", "150", "--qmax", "149"), ("trace", "200000", "199999")]
+)
+def test_a_closed_pipe_ends_the_command_quietly(argv):
+    # both outputs are far larger than a pipe holds, so the command is still
+    # writing when its reader goes, as under `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crosscap", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_one_parser_serves_every_call(capsys):

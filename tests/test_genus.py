@@ -15,7 +15,9 @@ from crosscap import (
     PinchTrace,
     StopRule,
     TorusKnot,
+    cf,
     crosscap_by_splitting,
+    crosscap_knot,
     crosscap_number,
     euclidean_division,
     four_genus_bounds,
@@ -170,6 +172,34 @@ def test_crosscap_number_examples(knot, value):
 def test_crosscap_number_rejects_unknots():
     with pytest.raises(UnknotInput):
         crosscap_number(TorusKnot(5, 1))
+
+
+def crosscap_fraction(knot):
+    """Test oracle for `crosscap_knot`: the rational Teragaito's formula
+    walks, p/q for even p and (pq-1)/p^2 or (pq+1)/p^2 for odd p, chosen by
+    the parity of x with xq = -1 (mod p)."""
+    p, q = knot.p, knot.q
+    if p % 2 == 0:
+        return Fraction(p, q)
+    x = (-pow(q, -1, p)) % p
+    return Fraction(p * q - 1 if x % 2 == 0 else p * q + 1, p * p)
+
+
+def test_crosscap_knot_matches_the_formula_on_the_box():
+    for knot in normalized_knots(300):
+        walked = crosscap_knot(knot)
+        expected = crosscap_fraction(knot)
+        assert (walked.p, walked.q) == (expected.numerator, expected.denominator)
+        assert crosscap_number(knot) == cf.steps_to_zero(expected)
+
+
+def test_crosscap_knot_is_a_knot_on_the_unknots():
+    # `report` bounds the crosscap walk before it rejects a trivial knot
+    for knot in [TorusKnot(0, 1), TorusKnot(1, 1)] + [TorusKnot(l, 1) for l in range(2, 51)]:
+        walked = crosscap_knot(knot)
+        assert walked == TorusKnot(walked.p, walked.q)
+        assert walked.fraction() == crosscap_fraction(knot)
+        assert pinches_to_zero(walked) >= 0
 
 
 def test_batson_family_small():

@@ -403,8 +403,6 @@ def assert_trace_matches_oracle(knot, stop):
     assert all(a.result is b.source for a, b in zip(records, records[1:]))
     if expected:
         assert records[0].source is knot
-        assert trace[-1] == expected[-1]
-        assert trace[len(expected) // 2] == expected[len(expected) // 2]
 
 
 def test_trace_matches_oracle_on_the_box():
@@ -414,17 +412,6 @@ def test_trace_matches_oracle_on_the_box():
             assert_trace_matches_oracle(knot, StopRule.ZERO)
     for l in range(0, 301, 2):
         assert_trace_matches_oracle(TorusKnot(l, 1), StopRule.ZERO)
-
-
-def test_trace_indexes_every_record():
-    for knot in normalized_knots(60):
-        stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
-        for stop in stops:
-            trace = PinchTrace(knot, stop)
-            expected = oracle_sequence(knot, stop)
-            assert [trace[i] for i in range(len(trace))] == expected
-            assert trace[::-1] == expected[::-1]
-            assert trace[1:-1:2] == expected[1:-1:2]
 
 
 @st.composite
@@ -459,8 +446,9 @@ def test_trace_records_need_no_expansion(monkeypatch):
         raise AssertionError("a record was built by expanding")
 
     monkeypatch.setattr(cf, "expand", expand)
-    assert len(list(trace)) == len(trace) == 999
-    assert trace[-1].result == trace.final == TorusKnot(2, 1)
+    records = list(trace)
+    assert len(records) == len(trace) == 999
+    assert records[-1].result == trace.final == TorusKnot(2, 1)
 
 
 def test_trace_of_a_huge_walk_is_cheap():
@@ -469,10 +457,6 @@ def test_trace_of_a_huge_walk_is_cheap():
     trace = PinchTrace(TorusKnot(2 * k, 2 * k - 1), StopRule.FIRST_UNKNOT)
     assert trace.moves == k - 1 and trace.all_positive
     assert trace.final == TorusKnot(2, 1)
-    assert trace[-1].source == TorusKnot(4, 3)
-    middle = trace[k // 2]
-    assert middle.source == TorusKnot(2 * k - 2 * (k // 2), 2 * k - 1 - 2 * (k // 2))
-    assert middle == pinch(middle.source)
 
 
 def test_trace_is_an_immutable_value():
@@ -482,10 +466,6 @@ def test_trace_is_an_immutable_value():
     assert trace != PinchTrace(TorusKnot(16, 5), StopRule.ZERO)
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.moves = 0
-    with pytest.raises(IndexError):
-        trace[len(trace)]
-    with pytest.raises(IndexError):
-        trace[-len(trace) - 1]
     assert list(PinchTrace(TorusKnot(0, 1), StopRule.ZERO)) == []
 
 
