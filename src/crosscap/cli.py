@@ -115,18 +115,27 @@ def _report_csv_row(report: GenusReport) -> list[str]:
 def _trace_lines(trace: PinchTrace) -> Iterator[str]:
     """One line per pinch record, with the expansions before and after.
 
-    A pinch move is one `cf.step`, so each record's result expansion is the
-    step of its source's, starting from the expansion the trace holds.
+    The lines read `PinchTrace.walk`, whose expansion after a move is a pair
+    (k, c): its text is that of the prefix [c0, ..., c_{k-1}] and then c.  k
+    never rises along a walk, so the prefix text is rebuilt only when k
+    changes, and a line costs O(1) work besides its text.  Each knot and
+    each expansion is formatted once: a line's result is the next line's
+    source.
     """
-    after = trace.expansion
-    for record in trace:
-        before, after = after, cf.step(after)
-        sign = str(record.sign) if record.sign is not None else "n/a"
+    coeffs = trace.expansion.coeffs
+    prefix_k, prefix = None, ""
+    source, before = str(trace.knot), str(trace.expansion)
+    for record, _, (k, c) in trace.walk():
+        if k != prefix_k:
+            prefix_k, prefix = k, "[" + "".join(f"{x}," for x in coeffs[:k])
+        result, after = str(record.result), f"{prefix}{c}]"
+        sign = "n/a" if record.sign is None else str(record.sign)
+        witness = record.witness
         yield (
-            f"{record.source} -> {record.result}"
-            f"   t={record.witness.t} h={record.witness.h} sign={sign}"
+            f"{source} -> {result}   t={witness.t} h={witness.h} sign={sign}"
             f"   {before} -> {after}"
         )
+        source, before = result, after
 
 
 def _report_human(report: GenusReport) -> str:
@@ -310,7 +319,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:
         # The reader has gone.  Point stdout at the null device, so that the
         # flush at exit cannot fail again, and keep the command's exit code.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return code
     except OSError as exc:
         if out is None:

@@ -171,11 +171,18 @@ def odd_split(knot: TorusKnot) -> OddSplit:
 
     With p_i/q_i the convergents of p/q = [c0, ..., cm], the pieces are
     T(p_{m-1}, q_{m-1}) and T(p - p_{m-1}, q - q_{m-1}), normalized.
+    This expands p/q itself, so `crosscap_by_splitting` stays a route apart
+    from `genus_report`, which splits the expansion its trace holds.
     """
     _require_nontrivial(knot)
     if knot.p % 2 == 0:
         raise EvenParity(f"splitting is defined for odd parameters only: {knot}")
-    ps, qs = cf.convergent_terms(cf.expand(knot.fraction()).coeffs[:-1])
+    return _split(knot, cf.expand(knot.fraction()))
+
+
+def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
+    """`odd_split` of a knot whose expansion is already at hand, unchecked."""
+    ps, qs = cf.convergent_terms(expansion.coeffs[:-1])
     first = normalize(ps[-1], qs[-1])
     second = normalize(knot.p - ps[-1], knot.q - qs[-1])
     return OddSplit(first, second)
@@ -268,5 +275,5 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         gap_lower_bound=Fraction(k, 2),
         orientable_genus=orientable_genus(knot),
         trace=trace,
-        split=odd_split(knot) if knot.p % 2 else None,
+        split=_split(knot, trace.expansion) if knot.p % 2 else None,
     )

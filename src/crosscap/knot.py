@@ -20,7 +20,8 @@ p/q, and that equivalence is what the verification module stress-tests.
 A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
 which the expansion keeps its length, so its length, its signs and the knot
 it ends at cost O(len(expansion)) integer operations, and its records are
-built one at a time as it is iterated.
+built one at a time as it is iterated, each with the expansions before and
+after its move read from its run.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import cf
@@ -53,11 +55,14 @@ __all__ = [
 
 
 class PinchSign(Enum):
-    POSITIVE = auto()
-    NEGATIVE = auto()
+    """The sign of a pinch move.  Its value is the word the outputs print,
+    and `str()` returns it as stored."""
+
+    POSITIVE = "positive"
+    NEGATIVE = "negative"
 
     def __str__(self) -> str:
-        return self.name.lower()
+        return self._value_
 
 
 class StopRule(Enum):
@@ -233,17 +238,18 @@ class _Run(NamedTuple):
 
     The prefix [c0, ..., c_{k-1}] is the first k coefficients of the
     starting expansion, so one list of that expansion's convergents serves
-    every run.  With P/Q and P0/Q0 the prefix's last two convergents, move j
-    starts at the value of [c0, ..., c_{k-1}, c-2j], which is
-    ((c-2j)*P + P0) / ((c-2j)*Q + Q0): each move subtracts 2P and 2Q.  The
-    run has c // 2 moves.  The last leaves a last coefficient 0 or 1, which
-    the next run's shorter expansion drops or folds as `cf.step` does.  The
-    empty prefix (k = 0, P/Q = 1/0, P0/Q0 = 0/1) is the unknot tail
-    T(c,1) -> ... -> T(0,1).
+    every run, and the pair (k, c) names the expansion.  With P/Q and P0/Q0
+    the prefix's last two convergents, move j starts at the value of
+    [c0, ..., c_{k-1}, c-2j], which is ((c-2j)*P + P0) / ((c-2j)*Q + Q0):
+    each move subtracts 2P and 2Q.  The run has c // 2 moves.  The last
+    leaves a last coefficient 0 or 1, which the next run's shorter expansion
+    drops or folds as `cf.step` does.  The empty prefix (k = 0, P/Q = 1/0,
+    P0/Q0 = 0/1) is the unknot tail T(c,1) -> ... -> T(0,1).
     """
 
     moves: int
     k: int  # prefix length
+    c: int  # last coefficient at the run's first move
 
 
 def _record(source: TorusKnot, k: int, p: int, q: int) -> PinchRecord:
@@ -281,8 +287,11 @@ class PinchTrace:
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
-    knot is linear in the last coefficient; see `_Run`.  The residue walk
-    of one `pinch` per move is the test oracle for this class.
+    knot is linear in the last coefficient; see `_Run`.  `walk` is the one
+    loop over the moves: it pairs each record with the expansions before and
+    after the move, and iteration reads its records.  The residue walk of one
+    `pinch` per move is the test oracle for the records, and one `cf.step`
+    per move for the expansions.
 
     Preconditions and their errors are those of `pinch_sequence`.
     """
@@ -316,7 +325,7 @@ class PinchTrace:
             # a negative run, or an unknot tail with unsigned moves before T(2,1)
             if k % 2 == 0 and (k or last != 2):
                 positive = False
-            run = _Run(last // 2, k)
+            run = _Run(last // 2, k, last)
             runs.append(run)
             moves += run.moves
             last -= 2 * run.moves
@@ -344,15 +353,30 @@ class PinchTrace:
         return self.moves
 
     def __iter__(self) -> Iterator[PinchRecord]:
+        return map(itemgetter(0), self.walk())
+
+    def walk(self) -> Iterator[tuple[PinchRecord, tuple[int, int], tuple[int, int]]]:
+        """Yield each move's record with the expansions before and after it.
+
+        An expansion is a pair (k, c), which stands for
+        `expansion.coeffs[:k] + (c,)`.  Inside a run a move takes (k, c) to
+        (k, c-2); a run's last move ends at the next run's first pair, or at
+        (0, l) for the final T(l,1).  So each record is yielded as soon as it
+        is built, with nothing read ahead, and k never rises along a walk.
+        """
         ps, qs = cf.convergent_terms(self.expansion.coeffs[:-1])
+        runs = self._runs
+        ends = [(run.k, run.c) for run in runs[1:]] + [(0, self._last)]
         source = self.knot
-        for run in self._runs:
-            k = run.k
+        for (moves, k, c), end in zip(runs, ends):
             p, q = ps[k + 1], qs[k + 1]
-            for _ in range(run.moves):
+            before = (k, c)
+            for left in range(moves - 1, -1, -1):
                 record = _record(source, k, p, q)
-                yield record
-                source = record.result
+                c -= 2
+                after = (k, c) if left else end
+                yield record, before, after
+                before, source = after, record.result
 
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:

@@ -271,6 +271,23 @@ def test_steps_to_integer_examples(value, expected):
     assert steps_to_integer(value) == expected
 
 
+def test_quotient_shift_lemma():
+    # p = qk + a gives p/q = [k; tail] with the tail fixed by a/q, and a step
+    # reads c0 only once the expansion is one entry.  So the walk from p/q
+    # is the walk from a/q, and ends at k more; for odd q that end is a mod 2.
+    cases = 0
+    for q in range(3, 40, 2):
+        for a in range(1, q):
+            if gcd(a, q) != 1:
+                continue
+            count, delta = steps_to_integer(Fraction(a, q))
+            assert delta == a % 2
+            for k in range(12):
+                assert steps_to_integer(Fraction(q * k + a, q)) == (count, delta + k)
+                cases += 1
+    assert cases == 3792
+
+
 # Properties.
 
 

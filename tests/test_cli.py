@@ -13,12 +13,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crosscap import cf, cli
 from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
 from crosscap.genus import crosscap_number
-from crosscap.knot import PinchTrace, StopRule, TorusKnot, normalized_knots, pinch_sequence
+from crosscap.knot import (
+    PinchTrace,
+    StopRule,
+    TorusKnot,
+    is_unknot,
+    normalize,
+    normalized_knots,
+    pinch_sequence,
+)
 from crosscap.verify import CheckOutcome, Counterexample
 
 
@@ -125,7 +135,7 @@ def test_trace_expands_each_knot_once(monkeypatch, capsys):
     assert code == 0
     records = out.splitlines()
     assert len(records) == 99
-    # the knot is expanded once; every later expansion is one step of the last
+    # the knot is expanded once; every later expansion is read from its runs
     assert len(calls) == 1
 
 
@@ -141,6 +151,58 @@ def test_trace_lines_step_as_euclid_expands():
             for line, record in zip(lines, trace):
                 before, after = (cf.expand(x.fraction()) for x in (record.source, record.result))
                 assert line.endswith(f"   {before} -> {after}")
+
+
+def oracle_trace_lines(trace):
+    """Test oracle for `cli._trace_lines`: one `cf.step` per move, from the
+    expansion the trace holds, and `str()` of each knot and expansion.  So
+    the expansions come from the stepwise walk, not from the trace's runs.
+    """
+    after = trace.expansion
+    for record in trace:
+        before, after = after, cf.step(after)
+        sign = record.sign.name.lower() if record.sign is not None else "n/a"
+        yield (
+            f"{record.source} -> {record.result}"
+            f"   t={record.witness.t} h={record.witness.h} sign={sign}"
+            f"   {before} -> {after}"
+        )
+
+
+def assert_trace_lines_match_oracle(knot):
+    stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
+    for stop in stops:
+        trace = PinchTrace(knot, stop)
+        assert list(cli._trace_lines(trace)) == list(oracle_trace_lines(trace))
+
+
+def test_trace_lines_match_the_step_oracle_on_the_box():
+    for knot in normalized_knots(60):
+        assert_trace_lines_match_oracle(knot)
+
+
+@st.composite
+def knots_of_long_expansions(draw):
+    """Knots whose p/q expands to up to 30 coefficients, each 1 to 9 and the
+    last at least 2, so that p and q reach about 10^30."""
+    coeffs = draw(st.lists(st.integers(1, 9), max_size=29)) + [draw(st.integers(2, 9))]
+    value = cf.evaluate(coeffs)
+    knot = normalize(value.numerator, value.denominator)
+    assume(not is_unknot(knot))
+    return knot
+
+
+@settings(max_examples=300)
+@given(knots_of_long_expansions())
+def test_trace_lines_match_the_step_oracle_large(knot):
+    assert_trace_lines_match_oracle(knot)
+
+
+def test_trace_takes_no_step(monkeypatch, capsys):
+    trace = PinchTrace(TorusKnot(2000, 1999), StopRule.FIRST_UNKNOT)
+    expected = "".join(line + "\n" for line in oracle_trace_lines(trace))
+    forbid_steps(monkeypatch)
+    assert run_cli(capsys, "trace", "2000", "1999") == (0, expected, "")
 
 
 class LoggingSink:
@@ -437,6 +499,50 @@ def test_a_closed_pipe_ends_the_command_quietly(argv):
     assert (proc.returncode, err) == (0, b"")
 
 
+# Five `main` calls whose stdout raises BrokenPipeError, as a pipe with no
+# reader does.  They run in a new process, so that pointing stdout at the null
+# device leaves pytest's capture alone.
+CLOSED_PIPE_CALLS = """
+import json, os, sys
+from crosscap.cli import main
+
+class ClosedPipe:
+    def __init__(self):
+        self.fd = os.open(os.devnull, os.O_WRONLY)
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def writelines(self, chunks):
+        raise BrokenPipeError
+
+def lowest_free_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+sys.stdout = ClosedPipe()
+before = lowest_free_descriptor()
+codes = [main(["report", "4", "3"]) for _ in range(5)]
+after = lowest_free_descriptor()
+sys.stdout = sys.__stdout__
+print(json.dumps([codes, before, after]))
+"""
+
+
+def test_a_closed_pipe_leaks_no_descriptor():
+    result = subprocess.run(
+        [sys.executable, "-c", CLOSED_PIPE_CALLS], capture_output=True, text=True, env=fresh_env()
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    codes, before, after = json.loads(result.stdout)
+    assert codes == [0] * 5
+    assert after == before
+
+
 def test_one_parser_serves_every_call(capsys):
     commands = [
         ("report", "16", "5"),
@@ -483,6 +589,11 @@ GOLDEN_SHA256 = [
         "614e96abd6df66fee2cd103adf605e4f0610ff5bd6b40a1e7489b3204e10f864",
     ),
     (("trace", "3001", "2998"), "d6c9e6af03f6f8b0459a0dd6171180452b1435c1aa37ecb12685ad75184579b7"),
+    # a [...,a,b,0] drop, a [...,b,1] fold and an unsigned move on the unknot tail
+    (
+        ("trace", "292", "89", "--stop", "zero"),
+        "ce342ac18a8f9a034354bdff40fb1fc8b54c7ae571144f22ed787d7124e5b59f",
+    ),
 ]
 
 
@@ -499,7 +610,7 @@ def test_golden_output(capsys, argv, digest):
 
 def forbid_steps(monkeypatch):
     def step(_):
-        raise AssertionError("stepped before the work bound was checked")
+        raise AssertionError("cf.step was called")
 
     monkeypatch.setattr(cf, "step", step)
 

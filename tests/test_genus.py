@@ -232,6 +232,14 @@ def test_four_genus_bounds_examples(knot, lower, upper, exact, provenance):
     )
 
 
+def test_lobb_counterexample_is_not_certified():
+    # Lobb, "A counterexample to Batson's conjecture" (2019): gamma4(T(4,9))
+    # is 1 while beta1_F is 2, so no certificate may call gamma4 exact at 2
+    report = genus_report(TorusKnot(4, 9))
+    assert report.beta1_F == 2
+    assert (report.gamma4.exact, report.gamma4.provenance) == (None, EXACT_UNKNOWN)
+
+
 def test_four_genus_batson_provenance():
     # q = p-1 with more than one pinch and a negative somewhere is impossible,
     # so the all-positive rule usually wins; force the batson label off a knot

@@ -435,8 +435,34 @@ def knots_from_expansions(draw, bound=10**30):
 @given(knots_from_expansions())
 def test_trace_matches_oracle_large(knot):
     assert_trace_matches_oracle(knot, StopRule.FIRST_UNKNOT)
+    assert_walk_matches_steps(knot, StopRule.FIRST_UNKNOT)
     if knot.p % 2 == 0:
         assert_trace_matches_oracle(knot, StopRule.ZERO)
+        assert_walk_matches_steps(knot, StopRule.ZERO)
+
+
+def assert_walk_matches_steps(knot, stop):
+    # `walk` pairs each record with the expansions (k, c) around its move;
+    # one `cf.step` per move, from the trace's expansion, is their oracle
+    trace = PinchTrace(knot, stop)
+    coeffs = trace.expansion.coeffs
+    moves = list(trace.walk())
+    assert [record for record, _, _ in moves] == list(trace)
+    expansion = trace.expansion
+    for _, (k, c), (k_after, c_after) in moves:
+        assert coeffs[:k] + (c,) == expansion.coeffs
+        expansion = step(expansion)
+        assert coeffs[:k_after] + (c_after,) == expansion.coeffs
+    assert expansion == expand(trace.final.fraction())
+
+
+def test_walk_matches_steps_on_the_box():
+    for knot in normalized_knots(60):
+        assert_walk_matches_steps(knot, StopRule.FIRST_UNKNOT)
+        if knot.p % 2 == 0:
+            assert_walk_matches_steps(knot, StopRule.ZERO)
+    for l in range(0, 61, 2):
+        assert_walk_matches_steps(TorusKnot(l, 1), StopRule.ZERO)
 
 
 def test_trace_records_need_no_expansion(monkeypatch):
