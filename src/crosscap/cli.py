@@ -5,8 +5,10 @@ prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot whose step walks could exceed
-MAX_STEPS.  `trace` writes each line as its record is built.  A reader that
-closes the pipe early ends the command quietly, with its own exit code.
+MAX_STEPS.  `trace` and a human `report` write each trace line as its move
+is walked, formatted from the plain integer tuple `PinchTrace.walk` yields,
+so no object is built per move.  A reader that closes the pipe early ends
+the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import cf
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, crosscap_knot, genus_report
-from .knot import PinchRecord, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
+from .knot import PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
@@ -86,13 +88,15 @@ def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
         buffer.truncate()
 
 
-def _trace_row(record: PinchRecord) -> dict:
+def _trace_row(move: tuple) -> dict:
+    """The JSON row of one move as `PinchTrace.walk` yields it."""
+    sp, sq, rp, rq, t, h, sign, _, _ = move
     return {
-        "from": [record.source.p, record.source.q],
-        "to": [record.result.p, record.result.q],
-        "t": record.witness.t,
-        "h": record.witness.h,
-        "sign": str(record.sign) if record.sign is not None else None,
+        "from": [sp, sq],
+        "to": [rp, rq],
+        "t": t,
+        "h": h,
+        "sign": None if sign is None else sign.value,
     }
 
 
@@ -104,7 +108,7 @@ def _report_dict(report: GenusReport) -> dict:
         for key in parents:
             node = node.setdefault(key, {})
         node[leaf] = value
-    payload["trace"] = [_trace_row(record) for record in report.trace]
+    payload["trace"] = [_trace_row(move) for move in report.trace.walk()]
     return payload
 
 
@@ -113,37 +117,37 @@ def _report_csv_row(report: GenusReport) -> list[str]:
 
 
 def _trace_lines(trace: PinchTrace) -> Iterator[str]:
-    """One line per pinch record, with the expansions before and after.
+    """One line per pinch move, with the expansions before and after.
 
-    The lines read `PinchTrace.walk`, whose expansion after a move is a pair
-    (k, c): its text is that of the prefix [c0, ..., c_{k-1}] and then c.  k
-    never rises along a walk, so the prefix text is rebuilt only when k
-    changes, and a line costs O(1) work besides its text.  Each knot and
-    each expansion is formatted once: a line's result is the next line's
-    source.
+    The lines read the integer tuples of `PinchTrace.walk`, whose expansion
+    after a move is a pair (k, c): its text is that of the prefix
+    [c0, ..., c_{k-1}] and then c.  k never rises along a walk, so the
+    prefix text is rebuilt only when k changes, and a line costs O(1) work
+    besides its text, with no object built per move.  Each expansion is
+    formatted once: a line's after is the next line's before.
     """
     coeffs = trace.expansion.coeffs
     prefix_k, prefix = None, ""
-    source, before = str(trace.knot), str(trace.expansion)
-    for record, _, (k, c) in trace.walk():
+    before = str(trace.expansion)
+    for sp, sq, rp, rq, t, h, sign, k, c in trace.walk():
         if k != prefix_k:
             prefix_k, prefix = k, "[" + "".join(f"{x}," for x in coeffs[:k])
-        result, after = str(record.result), f"{prefix}{c}]"
-        sign = "n/a" if record.sign is None else str(record.sign)
-        witness = record.witness
+        after = f"{prefix}{c}]"
         yield (
-            f"{source} -> {result}   t={witness.t} h={witness.h} sign={sign}"
-            f"   {before} -> {after}"
+            f"T({sp},{sq}) -> T({rp},{rq})   t={t} h={h}"
+            f" sign={'n/a' if sign is None else sign.value}   {before} -> {after}"
         )
-        source, before = result, after
+        before = after
 
 
-def _report_human(report: GenusReport) -> str:
+def _report_human(report: GenusReport) -> Iterator[str]:
+    """The human report: one chunk for the invariants, then one per trace
+    line, so a long trace is written as it is walked."""
     knot = report.knot
     g4 = report.gamma4
     exact = "-" if g4.exact is None else str(g4.exact)
     lines = [
-        f"{knot}",
+        f"T({knot.p},{knot.q})",
         f"  division:          {knot.p} = {knot.q}*{report.k} + {report.a}  (k={report.k}, a={report.a})",
         f"  terminal unknot:   T({report.ell},1)  (ell={report.ell})",
         f"  beta1_F:           {report.beta1_F}  (pinch moves to first unknot; gamma4 upper bound)",
@@ -155,8 +159,9 @@ def _report_human(report: GenusReport) -> str:
     if report.split is not None:
         lines.append(f"  split:             {report.split.first} + {report.split.second}")
     lines.append("  pinch trace:")
-    lines.extend(f"    {line}" for line in _trace_lines(report.trace))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    for line in _trace_lines(report.trace):
+        yield f"    {line}\n"
 
 
 def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -227,7 +232,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         return 0, [_json_text(_report_dict(report))]
     if args.format == "csv":
         return 0, _csv_lines([CSV_COLUMNS, _report_csv_row(report)])
-    return 0, [_report_human(report)]
+    return 0, _report_human(report)
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

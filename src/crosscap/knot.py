@@ -19,9 +19,9 @@ p/q, and that equivalence is what the verification module stress-tests.
 
 A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
 which the expansion keeps its length, so its length, its signs and the knot
-it ends at cost O(len(expansion)) integer operations, and its records are
-built one at a time as it is iterated, each with the expansions before and
-after its move read from its run.
+it ends at cost O(len(expansion)) integer operations.  Its `walk` computes
+the moves one at a time from their runs, each as a plain tuple of ints with
+the expansion after the move, and iterating it builds the `PinchRecord`s.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import cf
@@ -232,6 +231,10 @@ def pinch_sign_from_expansion(knot: TorusKnot) -> PinchSign:
     return PinchSign.POSITIVE if m % 2 else PinchSign.NEGATIVE
 
 
+# One pinch move as `PinchTrace.walk` yields it: (sp, sq, rp, rq, t, h, sign, k, c).
+_Move = tuple[int, int, int, int, int, int, Optional[PinchSign], int, int]
+
+
 class _Run(NamedTuple):
     """Consecutive moves over which the expansion [c0, ..., c_{k-1}, c] keeps
     its length k+1, and so its sign.
@@ -252,27 +255,6 @@ class _Run(NamedTuple):
     c: int  # last coefficient at the run's first move
 
 
-def _record(source: TorusKnot, k: int, p: int, q: int) -> PinchRecord:
-    """The move from `source` in a run with prefix length k, whose prefix
-    ends in the convergent p/q.
-
-    The result is source - (2p, 2q).  For source (s, s'), result (r, r') and
-    sign sigma = +1 or -1, the residues are t = (s - sigma*r)/2 and
-    h = (s' - sigma*r')/2: (p, q) for a positive move (k odd) and
-    (s - p, s' - q) for a negative one.  On the unknot tail (k = 0),
-    T(l,1) -> T(l-2,1) has t = l-1 and h = 0, and only its last move, from
-    T(2,1), has a sign: positive.
-    """
-    sp, sq = source.p, source.q
-    result = TorusKnot._trusted(sp - 2 * p, sq - 2 * q)
-    if k % 2:
-        return PinchRecord(source, result, PinchWitness(p, q), PinchSign.POSITIVE)
-    if k:
-        return PinchRecord(source, result, PinchWitness(sp - p, sq - q), PinchSign.NEGATIVE)
-    sign = PinchSign.POSITIVE if sp == 2 else None
-    return PinchRecord(source, result, PinchWitness(sp - 1, 0), sign)
-
-
 @dataclass(frozen=True, slots=True)
 class PinchTrace:
     """The pinch moves from `knot` until `stop` is met, held as runs.
@@ -281,17 +263,18 @@ class PinchTrace:
     and walks the coefficients right to left, so `moves` (which `len()`
     returns), `all_positive` and `final`, the knot the walk ends at, cost
     O(len(expansion)) integer operations however long the walk is.
-    Iteration builds each `PinchRecord` on demand from its run and the
-    expansion's convergents, with no `pow` and no `expand`; records are not
-    kept.  Two traces are equal when their knot and stop rule are.
+    Each move is computed on demand from its run and the expansion's
+    convergents, with no `pow` and no `expand`; moves are not kept.  Two
+    traces are equal when their knot and stop rule are.
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
     knot is linear in the last coefficient; see `_Run`.  `walk` is the one
-    loop over the moves: it pairs each record with the expansions before and
-    after the move, and iteration reads its records.  The residue walk of one
-    `pinch` per move is the test oracle for the records, and one `cf.step`
-    per move for the expansions.
+    loop over the moves: it yields each move as a plain tuple of ints (its
+    knots, witness, sign and the expansion after it), and iteration builds a
+    chained `PinchRecord` from each.  The residue walk of one `pinch` per
+    move is the test oracle for the moves, and one `cf.step` per move for
+    the expansions.
 
     Preconditions and their errors are those of `pinch_sequence`.
     """
@@ -353,30 +336,52 @@ class PinchTrace:
         return self.moves
 
     def __iter__(self) -> Iterator[PinchRecord]:
-        return map(itemgetter(0), self.walk())
+        source = self.knot
+        for _, _, rp, rq, t, h, sign, _, _ in self.walk():
+            result = TorusKnot._trusted(rp, rq)
+            yield PinchRecord(source, result, PinchWitness(t, h), sign)
+            source = result
 
-    def walk(self) -> Iterator[tuple[PinchRecord, tuple[int, int], tuple[int, int]]]:
-        """Yield each move's record with the expansions before and after it.
+    def walk(self) -> Iterator[_Move]:
+        """Yield each move as a plain tuple `(sp, sq, rp, rq, t, h, sign, k, c)`.
 
-        An expansion is a pair (k, c), which stands for
-        `expansion.coeffs[:k] + (c,)`.  Inside a run a move takes (k, c) to
-        (k, c-2); a run's last move ends at the next run's first pair, or at
-        (0, l) for the final T(l,1).  So each record is yielded as soon as it
-        is built, with nothing read ahead, and k never rises along a walk.
+        T(sp,sq) -> T(rp,rq) is the move, (t, h) its witness and `sign` its
+        `PinchSign` or None, as in its `PinchRecord`.  (k, c) is the
+        expansion after the move, which stands for
+        `expansion.coeffs[:k] + (c,)`: inside a run a move takes (k, c) to
+        (k, c-2), and a run's last move ends at the next run's first pair, or
+        at (0, l) for the final T(l,1).  So each move is yielded as soon as it
+        is computed, with nothing read ahead, and k never rises along a walk.
+
+        With P/Q the run's convergent, the result is the source minus
+        (2P, 2Q).  The residues are t = (sp - sigma*rp)/2 and
+        h = (sq - sigma*rq)/2 for the sign sigma = +1 or -1: (P, Q) for a
+        positive move (k odd) and (sp - P, sq - Q) for a negative one.  On
+        the unknot tail (k = 0), T(l,1) -> T(l-2,1) has t = l-1 and h = 0,
+        and only its last move, from T(2,1), has a sign: positive.
         """
         ps, qs = cf.convergent_terms(self.expansion.coeffs[:-1])
         runs = self._runs
         ends = [(run.k, run.c) for run in runs[1:]] + [(0, self._last)]
-        source = self.knot
+        sp, sq = self.knot.p, self.knot.q
+        positive, negative = PinchSign.POSITIVE, PinchSign.NEGATIVE
         for (moves, k, c), end in zip(runs, ends):
-            p, q = ps[k + 1], qs[k + 1]
-            before = (k, c)
-            for left in range(moves - 1, -1, -1):
-                record = _record(source, k, p, q)
-                c -= 2
-                after = (k, c) if left else end
-                yield record, before, after
-                before, source = after, record.result
+            P, Q = ps[k + 1], qs[k + 1]
+            P2, Q2 = 2 * P, 2 * Q
+            odd = k % 2
+            last = c - 2 * moves
+            for c in range(c - 2, last - 1, -2):
+                rp, rq = sp - P2, sq - Q2
+                if odd:
+                    t, h, sign = P, Q, positive
+                elif k:
+                    t, h, sign = sp - P, sq - Q, negative
+                else:
+                    t, h, sign = sp - 1, 0, positive if sp == 2 else None
+                if c == last:
+                    k, c = end
+                yield sp, sq, rp, rq, t, h, sign, k, c
+                sp, sq = rp, rq
 
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:

@@ -219,22 +219,50 @@ class LoggingSink:
             self.write(chunk)
 
 
-@pytest.mark.parametrize("argv", [("trace", "40", "13"), ("trace", "40", "13", "--stop", "zero")])
+@pytest.mark.parametrize(
+    "argv",
+    [("trace", "40", "13"), ("trace", "40", "13", "--stop", "zero"), ("report", "40", "13")],
+)
 def test_trace_writes_before_the_last_record(monkeypatch, argv):
     events = []
-    build = knot_module.PinchRecord
+    walk = PinchTrace.walk
 
-    def logged(*args):
-        events.append("record")
-        return build(*args)
+    def logged(self):
+        for move in walk(self):
+            events.append("move")
+            yield move
 
-    monkeypatch.setattr(knot_module, "PinchRecord", logged)
+    monkeypatch.setattr(PinchTrace, "walk", logged)
     monkeypatch.setattr(sys, "stdout", LoggingSink(events))
     assert main(list(argv)) == 0
-    # every line but the last is on its way out before the last record is built
-    last = len(events) - 1 - events[::-1].index("record")
-    assert events.count("record") > 2
-    assert events[:last].count("write") == events.count("record") - 1
+    # a line per move, after the report's invariants; every line but the
+    # last is on its way out before the last move is walked
+    moves = events.count("move")
+    lines = moves + (argv[0] == "report")
+    last = len(events) - 1 - events[::-1].index("move")
+    assert moves > 2
+    assert events.count("write") == lines
+    assert events[:last].count("write") == lines - 1
+
+
+def record_row(record):
+    """The JSON trace row of one `PinchRecord`: the oracle for
+    `cli._trace_row`, which reads the integer tuple of its move instead."""
+    return {
+        "from": [record.source.p, record.source.q],
+        "to": [record.result.p, record.result.q],
+        "t": record.witness.t,
+        "h": record.witness.h,
+        "sign": None if record.sign is None else record.sign.name.lower(),
+    }
+
+
+def test_trace_rows_match_the_records_on_the_box():
+    for knot in normalized_knots(60):
+        stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
+        for stop in stops:
+            rows = [cli._trace_row(move) for move in PinchTrace(knot, stop).walk()]
+            assert rows == [record_row(record) for record in pinch_sequence(knot, stop)]
 
 
 def test_trace_is_bounded_by_its_exact_length(monkeypatch, capsys):
@@ -594,6 +622,13 @@ GOLDEN_SHA256 = [
         ("trace", "292", "89", "--stop", "zero"),
         "ce342ac18a8f9a034354bdff40fb1fc8b54c7ae571144f22ed787d7124e5b59f",
     ),
+    # four runs, with drops, folds and both signs in the JSON trace rows
+    (
+        ("report", "292", "89", "--format", "json"),
+        "d363e2c31b3ba71e061cfbb93f9753454b06ba18a3b9a2941f86b77bd6a9b9be",
+    ),
+    # an odd p: the split line and a mixed-sign trace
+    (("report", "12345", "7"), "291a97604fae373010ea5a5b2b6bb1077c6083fbb79274da8514ffab7f33530d"),
 ]
 
 
@@ -602,6 +637,32 @@ def test_golden_output(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_output_builds_no_per_move_object(monkeypatch, capsys):
+    # trace lines and JSON trace rows are formatted from the integer moves
+    # of `PinchTrace.walk`: no record, witness or knot text per move
+    trace = PinchTrace(TorusKnot(2000, 1999), StopRule.FIRST_UNKNOT)
+    expected = "".join(line + "\n" for line in oracle_trace_lines(trace))
+
+    def fail(*_):
+        raise AssertionError("a per-move object was built")
+
+    monkeypatch.setattr(knot_module, "PinchRecord", fail)
+    monkeypatch.setattr(knot_module, "PinchWitness", fail)
+    monkeypatch.setattr(TorusKnot, "__str__", fail)
+    assert run_cli(capsys, "trace", "2000", "1999") == (0, expected, "")
+    golden = dict(GOLDEN_SHA256)
+    for argv in [
+        ("trace", "3001", "2998"),
+        ("trace", "292", "89", "--stop", "zero"),
+        ("report", "2000", "1999"),
+        ("report", "12345", "7", "--format", "json"),
+        ("report", "292", "89", "--format", "json"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
 
 
 # report and trace refuse, before the first step, a knot whose walks could

@@ -442,17 +442,24 @@ def test_trace_matches_oracle_large(knot):
 
 
 def assert_walk_matches_steps(knot, stop):
-    # `walk` pairs each record with the expansions (k, c) around its move;
-    # one `cf.step` per move, from the trace's expansion, is their oracle
+    # `walk` yields each move as ints: source, result, witness, sign and the
+    # expansion (k, c) after the move.  The residue walk of one `pinch` per
+    # move is the oracle for the move, and one `cf.step` per move, from the
+    # trace's expansion, for the expansions.
     trace = PinchTrace(knot, stop)
     coeffs = trace.expansion.coeffs
     moves = list(trace.walk())
-    assert [record for record, _, _ in moves] == list(trace)
+    expected = oracle_sequence(knot, stop)
+    assert len(moves) == len(expected)
     expansion = trace.expansion
-    for _, (k, c), (k_after, c_after) in moves:
-        assert coeffs[:k] + (c,) == expansion.coeffs
+    for move, record in zip(moves, expected):
+        sp, sq, rp, rq, t, h, sign, k, c = move
+        assert all(type(x) is int for x in move[:6] + move[7:])
+        assert (sp, sq) == (record.source.p, record.source.q)
+        assert (rp, rq) == (record.result.p, record.result.q)
+        assert (t, h, sign) == (record.witness.t, record.witness.h, record.sign)
         expansion = step(expansion)
-        assert coeffs[:k_after] + (c_after,) == expansion.coeffs
+        assert coeffs[:k] + (c,) == expansion.coeffs
     assert expansion == expand(trace.final.fraction())
 
 
