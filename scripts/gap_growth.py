@@ -8,6 +8,7 @@ linearly while beta1_F stays put.  Run as
 """
 
 import argparse
+import math
 
 from crosscap import TorusKnot, genus_report
 
@@ -24,6 +25,8 @@ def main() -> None:
         parser.error("--q must be odd and at least 3")
     if args.residue % 2 or args.residue < 2:
         parser.error("--residue must be even and at least 2")
+    if math.gcd(args.residue, args.q) != 1:
+        parser.error("--residue must be coprime to --q")
 
     print(f"{'p':>6} {'q':>4} {'k':>4} {'beta1_F':>8} {'gamma3':>7} {'gap':>5}")
     p = args.residue

@@ -7,7 +7,8 @@ and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 also exit 2, before any step, on a knot whose step walks could exceed
 MAX_STEPS.  `trace` and a human `report` write each trace line as its move
 is walked, formatted from the plain integer tuple `PinchTrace.walk` yields,
-so no object is built per move.  A reader that closes the pipe early ends
+so no object is built per move; a JSON `report` writes its invariants and
+then each trace row the same way.  A reader that closes the pipe early ends
 the command quietly, with its own exit code.
 """
 
@@ -65,17 +66,25 @@ CSV_COLUMNS = [column for column, _, _ in _FIELDS]
 _field_values = operator.attrgetter(*(attribute for _, _, attribute in _FIELDS))
 
 
+# `json.dumps(payload, indent=2)` is `_JSON.encode(payload)`; one encoder
+# serves every call, so a trace row costs no encoder of its own.
+_JSON = json.JSONEncoder(indent=2)
+
+
 def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _JSON.encode(payload) + "\n"
 
 
-def _json_chunks(payloads: Iterable[object]) -> Iterator[str]:
-    """The text of `_json_text(list(payloads))`, one list item per chunk."""
-    separator = "[\n  "
+def _json_chunks(payloads: Iterable[object], indent: str = "") -> Iterator[str]:
+    """The text of `json.dumps(list(payloads), indent=2)`, one list item per
+    chunk, with every line after the first indented by `indent`, as the list
+    reads when it is nested in an object at that depth."""
+    inner = indent + "  "
+    opening = separator = "[\n" + inner
     for payload in payloads:
-        yield separator + json.dumps(payload, indent=2).replace("\n", "\n  ")
-        separator = ",\n  "
-    yield "[]\n" if separator == "[\n  " else "\n]\n"
+        yield separator + _JSON.encode(payload).replace("\n", "\n" + inner)
+        separator = ",\n" + inner
+    yield "[]" if separator == opening else "\n" + indent + "]"
 
 
 def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -100,7 +109,8 @@ def _trace_row(move: tuple) -> dict:
     }
 
 
-def _report_dict(report: GenusReport) -> dict:
+def _report_fields(report: GenusReport) -> dict:
+    """The JSON report without its trace."""
     payload: dict = {}
     for (_, path, _), value in zip(_FIELDS, _field_values(report)):
         *parents, leaf = path
@@ -108,8 +118,23 @@ def _report_dict(report: GenusReport) -> dict:
         for key in parents:
             node = node.setdefault(key, {})
         node[leaf] = value
+    return payload
+
+
+def _report_dict(report: GenusReport) -> dict:
+    payload = _report_fields(report)
     payload["trace"] = [_trace_row(move) for move in report.trace.walk()]
     return payload
+
+
+def _report_json(report: GenusReport) -> Iterator[str]:
+    """The text of `_json_text(_report_dict(report))`: the invariants in one
+    chunk, then one chunk per trace row, so a long trace is written as it
+    is walked."""
+    fields = _JSON.encode(_report_fields(report))
+    yield fields[: -len("\n}")] + ',\n  "trace": '
+    yield from _json_chunks(map(_trace_row, report.trace.walk()), "  ")
+    yield "\n}\n"
 
 
 def _report_csv_row(report: GenusReport) -> list[str]:
@@ -229,7 +254,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_work_bound(knot)
     report = genus_report(knot)
     if args.format == "json":
-        return 0, [_json_text(_report_dict(report))]
+        return 0, _report_json(report)
     if args.format == "csv":
         return 0, _csv_lines([CSV_COLUMNS, _report_csv_row(report)])
     return 0, _report_human(report)
@@ -252,7 +277,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
-        return 0, _json_chunks(map(_report_dict, reports))
+        return 0, itertools.chain(_json_chunks(map(_report_dict, reports)), ["\n"])
     if args.format == "human":
         return 0, _table_human(map(_report_csv_row, reports))
     return 0, _csv_lines(itertools.chain([CSV_COLUMNS], map(_report_csv_row, reports)))

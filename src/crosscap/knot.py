@@ -16,6 +16,8 @@ both are <= 0; for nontrivial knots exactly one of these holds, and the
 outcome is decided by the parity of the expansion length of p/q alone.
 Equivalently, one pinch move is one `step` on the continued fraction of
 p/q, and that equivalence is what the verification module stress-tests.
+The two expansion routes, `pinch_by_step` and `pinch_sign_from_expansion`,
+take that expansion from the caller rather than expanding p/q again.
 
 A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
 which the expansion keeps its length, so its length, its signs and the knot
@@ -82,7 +84,8 @@ class TorusKnot:
     type, then coprimality, then range, then order.  `pinch` builds its
     results through `_trusted` instead: a pinch result is a nonnegative,
     coprime pair of ints by construction, and `pinch` puts it in order
-    itself.  The tests re-validate pinch results through the constructor.
+    itself.  `normalized_knots` does the same with the pairs its loop
+    admits.  The tests re-validate both through the constructor.
     """
 
     p: int
@@ -207,27 +210,32 @@ def pinch(knot: TorusKnot) -> PinchRecord:
     return PinchRecord(knot, result, PinchWitness(t, h), sign)
 
 
-def pinch_by_step(knot: TorusKnot) -> TorusKnot:
-    """Apply one pinch move by stepping the expansion of p/q instead.
+def pinch_by_step(expansion: cf.ContinuedFraction) -> TorusKnot:
+    """Apply one pinch move to the knot whose p/q expands to `expansion`, by
+    one `cf.step` of that expansion instead of the residues.
 
-    Independent route to the same knot as `pinch`; the denominator-2 guard
-    in `step` never fires because normalized knots have odd q.
+    Independent route to the same knot as `pinch`: it reads only the
+    expansion, which the caller has at hand (a `PinchTrace` holds it), and
+    builds its result through the validating `normalize`.  [0] and [1] are
+    T(0,1) and T(1,1), which have no pinch; the denominator-2 guard in
+    `step` never fires because normalized knots have odd q.
     """
-    if knot.p <= 1:
-        raise PinchUndefined(f"no pinch move on {knot}")
-    value = cf.evaluate(cf.step(cf.expand(knot.fraction())))
+    if expansion.coeffs in ((0,), (1,)):
+        raise PinchUndefined(f"no pinch move on the knot of {expansion}")
+    value = cf.evaluate(cf.step(expansion))
     return normalize(value.numerator, value.denominator)
 
 
-def pinch_sign_from_expansion(knot: TorusKnot) -> PinchSign:
+def pinch_sign_from_expansion(expansion: cf.ContinuedFraction) -> PinchSign:
     """Predict the sign of the next pinch from the expansion length alone.
 
-    For a nontrivial normalized knot with expansion [c0, ..., cm], the pinch
-    is positive exactly when m is odd.
+    For a nontrivial normalized knot whose p/q expands to [c0, ..., cm],
+    the pinch is positive exactly when m is odd.  A one-entry expansion is
+    an unknot, T(l,1) or T(0,1), where the sign is undefined.
     """
-    if is_unknot(knot):
-        raise PinchUndefined(f"no pinch move on {knot}")
-    m = len(cf.expand(knot.fraction())) - 1
+    m = len(expansion) - 1
+    if not m:
+        raise PinchUndefined(f"no pinch move on the knot of {expansion}")
     return PinchSign.POSITIVE if m % 2 else PinchSign.NEGATIVE
 
 
@@ -406,13 +414,16 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
 
     Order is p ascending, then q ascending.  qmax defaults to pmax.
     Nontrivial normalized knots have odd q >= 3, with q < p in the odd-odd
-    case, so that is all the loop visits.
+    case, so that is all the loop visits.  Those tests and the gcd make
+    every pair it yields valid, so knots are built through `_trusted`; the
+    tests re-validate them through the constructor.
     """
     if qmax is None:
         qmax = pmax
+    trusted = TorusKnot._trusted
     for p in range(2, pmax + 1):
         for q in range(3, qmax + 1, 2):
             if p % 2 and q >= p:
                 break
             if math.gcd(p, q) == 1:
-                yield TorusKnot(p, q)
+                yield trusted(p, q)

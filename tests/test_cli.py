@@ -221,7 +221,12 @@ class LoggingSink:
 
 @pytest.mark.parametrize(
     "argv",
-    [("trace", "40", "13"), ("trace", "40", "13", "--stop", "zero"), ("report", "40", "13")],
+    [
+        ("trace", "40", "13"),
+        ("trace", "40", "13", "--stop", "zero"),
+        ("report", "40", "13"),
+        ("report", "40", "13", "--format", "json"),
+    ],
 )
 def test_trace_writes_before_the_last_record(monkeypatch, argv):
     events = []
@@ -235,13 +240,15 @@ def test_trace_writes_before_the_last_record(monkeypatch, argv):
     monkeypatch.setattr(PinchTrace, "walk", logged)
     monkeypatch.setattr(sys, "stdout", LoggingSink(events))
     assert main(list(argv)) == 0
-    # a line per move, after the report's invariants; every line but the
-    # last is on its way out before the last move is walked
+    # a line (a JSON trace row) per move, after the report's invariants, and
+    # in JSON the closing brackets of the trace and of the report last; every
+    # line but the last is on its way out before the last move is walked
     moves = events.count("move")
     lines = moves + (argv[0] == "report")
+    closing = 2 if "json" in argv else 0
     last = len(events) - 1 - events[::-1].index("move")
     assert moves > 2
-    assert events.count("write") == lines
+    assert events.count("write") == lines + closing
     assert events[:last].count("write") == lines - 1
 
 

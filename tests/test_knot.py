@@ -50,6 +50,11 @@ def coprime_pairs(limit):
                 yield a, b
 
 
+def expansion_of(knot):
+    """The expansion of p/q that the expansion routes read."""
+    return expand(knot.fraction())
+
+
 @st.composite
 def knots(draw, max_param=400):
     a = draw(st.integers(min_value=2, max_value=max_param))
@@ -175,7 +180,7 @@ def test_pinch_undefined_on_terminal_unknots(knot):
     with pytest.raises(PinchUndefined):
         pinch(TorusKnot(*knot))
     with pytest.raises(PinchUndefined):
-        pinch_by_step(TorusKnot(*knot))
+        pinch_by_step(expansion_of(TorusKnot(*knot)))
 
 
 @pytest.mark.parametrize(
@@ -189,7 +194,7 @@ def test_pinch_undefined_on_terminal_unknots(knot):
     ],
 )
 def test_pinch_by_step_examples(knot, result):
-    assert pinch_by_step(TorusKnot(*knot)) == TorusKnot(*result)
+    assert pinch_by_step(expansion_of(TorusKnot(*knot))) == TorusKnot(*result)
 
 
 @pytest.mark.parametrize(
@@ -202,12 +207,33 @@ def test_pinch_by_step_examples(knot, result):
     ],
 )
 def test_pinch_sign_from_expansion_examples(knot, sign):
-    assert pinch_sign_from_expansion(TorusKnot(*knot)) is sign
+    assert pinch_sign_from_expansion(expansion_of(TorusKnot(*knot))) is sign
 
 
 def test_pinch_sign_from_expansion_rejects_unknots():
     with pytest.raises(PinchUndefined):
-        pinch_sign_from_expansion(TorusKnot(5, 1))
+        pinch_sign_from_expansion(expansion_of(TorusKnot(5, 1)))
+
+
+def test_expansion_routes_expand_nothing(monkeypatch):
+    # both routes read the expansion they are given and expand no rational
+    cases = [(knot, expansion_of(knot)) for knot in normalized_knots(40)]
+
+    def forbidden(x):
+        raise AssertionError("cf.expand was called")
+
+    monkeypatch.setattr(cf, "expand", forbidden)
+    for knot, expansion in cases:
+        record = pinch(knot)
+        assert pinch_by_step(expansion) == record.result
+        assert pinch_sign_from_expansion(expansion) is record.sign
+    # the unknots T(0,1), T(1,1) and T(6,1) expand to [0], [1] and [6]
+    for coeffs in [(0,), (1,)]:
+        with pytest.raises(PinchUndefined):
+            pinch_by_step(cf.ContinuedFraction(coeffs))
+    for coeffs in [(0,), (1,), (6,)]:
+        with pytest.raises(PinchUndefined):
+            pinch_sign_from_expansion(cf.ContinuedFraction(coeffs))
 
 
 def test_pinch_sequence_first_unknot():
@@ -245,7 +271,7 @@ def test_witness_matches_linear_search():
 
 def test_pinch_routes_agree_exhaustive():
     for knot in normalized_knots(80):
-        assert pinch(knot).result == pinch_by_step(knot)
+        assert pinch(knot).result == pinch_by_step(expansion_of(knot))
 
 
 def test_step_value_matches_residue_formula():
@@ -279,7 +305,7 @@ def test_magnitude_order_before_normalization():
 
 def test_sign_matches_expansion_parity():
     for knot in normalized_knots(80):
-        assert pinch(knot).sign is pinch_sign_from_expansion(knot)
+        assert pinch(knot).sign is pinch_sign_from_expansion(expansion_of(knot))
 
 
 def test_pinch_strictly_shrinks_max():
@@ -308,8 +334,8 @@ def test_sequences_terminate_and_land_correctly(knot):
 @given(knots())
 def test_single_pinch_properties_random(knot):
     record = pinch(knot)
-    assert record.result == pinch_by_step(knot)
-    assert record.sign is pinch_sign_from_expansion(knot)
+    assert record.result == pinch_by_step(expansion_of(knot))
+    assert record.sign is pinch_sign_from_expansion(expansion_of(knot))
     assert gcd(record.result.p, record.result.q) == 1
 
 
@@ -327,6 +353,27 @@ def test_enumeration_matches_brute_force():
     assert set(listed) == expected
     assert listed == sorted(listed, key=lambda k: (k.p, k.q))
     assert len(listed) == len(set(listed))
+
+
+@pytest.mark.parametrize("pmax, qmax", [(200, 200), (20, 301), (301, 21)])
+def test_enumeration_is_the_constructor_filtered_box(pmax, qmax):
+    # `normalized_knots` builds its knots without re-validation: they must be
+    # exactly the nontrivial pairs the constructor accepts, in p-then-q order,
+    # and each must pass the constructor again and hash the same
+    expected = []
+    for p in range(pmax + 1):
+        for q in range(qmax + 1):
+            try:
+                knot = TorusKnot(p, q)
+            except (InvalidParameter, NotCoprime):
+                continue
+            if not is_unknot(knot):
+                expected.append(knot)
+    listed = list(normalized_knots(pmax, qmax))
+    assert listed == expected
+    for knot in listed:
+        again = TorusKnot(knot.p, knot.q)
+        assert again == knot and hash(again) == hash(knot)
 
 
 def test_enumeration_respects_qmax():

@@ -10,17 +10,21 @@ from crosscap import normalized_knots
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script_process(name, *args):
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        check=True,
         env=env,
     )
+
+
+def run_script(name, *args):
+    result = run_script_process(name, *args)
+    result.check_returncode()
     return result.stdout.splitlines()
 
 
@@ -31,6 +35,15 @@ def test_gap_growth_gap_is_half_k_rounded_up():
     for row in rows:
         _, _, k, beta1_f, gamma3, gap = map(int, row.split())
         assert gap == gamma3 - beta1_f == (k + 1) // 2
+
+
+def test_gap_growth_rejects_a_residue_sharing_a_factor_with_q():
+    # 6 and 3 are not coprime, so T(6,3) is no knot: a usage error, exit 2
+    result = run_script_process("gap_growth.py", "--q", "3", "--residue", "6")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "--residue must be coprime to --q" in result.stderr
 
 
 def test_sign_census_total_counts_every_knot():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from crosscap import verify
+from crosscap import cf, verify
 from crosscap.errors import InvalidParameter
-from crosscap.knot import TorusKnot, normalized_knots, pinch
+from crosscap.knot import TorusKnot, normalize, normalized_knots, pinch
 from crosscap.verify import (
     MAX_COUNTEREXAMPLES,
     Counterexample,
@@ -71,8 +71,13 @@ def test_run_all_rejects_tiny_bounds():
 
 def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
     # every knot then "pinches" to itself, so every case fails; returning
-    # T(0,1) would not do, since some knots below 40 really pinch there
-    monkeypatch.setattr(verify, "pinch_by_step", lambda knot: knot)
+    # T(0,1) would not do, since some knots below 40 really pinch there.
+    # The route reads the knot's expansion, whose value is p/q.
+    def to_itself(expansion):
+        value = cf.evaluate(expansion)
+        return normalize(value.numerator, value.denominator)
+
+    monkeypatch.setattr(verify, "pinch_by_step", to_itself)
     outcome = check_pinch_equivalence(40)
     assert not outcome.passed
     assert outcome.failures_total == outcome.cases_checked > MAX_COUNTEREXAMPLES
@@ -90,9 +95,12 @@ def test_run_all_matches_checks_run_alone():
 def test_failure_stays_inside_its_check(monkeypatch):
     clean = run_all(40)
     bad_knot, wrong = TorusKnot(5, 3), TorusKnot(0, 1)
+    bad_expansion = cf.expand(bad_knot.fraction())
     by_step = verify.pinch_by_step
     monkeypatch.setattr(
-        verify, "pinch_by_step", lambda knot: wrong if knot == bad_knot else by_step(knot)
+        verify,
+        "pinch_by_step",
+        lambda expansion: wrong if expansion == bad_expansion else by_step(expansion),
     )
     outcomes = run_all(40)
     assert [o.cases_checked for o in outcomes] == [o.cases_checked for o in clean]
@@ -115,3 +123,22 @@ def test_run_all_enumerates_the_box_once(monkeypatch):
     monkeypatch.setattr(verify, "normalized_knots", counting)
     run_all(40)
     assert calls == [(40,)]
+
+
+def test_run_all_expands_each_rational_once(monkeypatch):
+    # One record per knot: its trace expands p/q once, and both expansion
+    # routes read that expansion.  Besides, gamma3 expands the knot its walk
+    # starts from, and for odd p crosscap_by_splitting expands p/q and its
+    # two split pieces, as a route of its own: 2 calls per even-p knot and
+    # 5 per odd-p knot.
+    calls = []
+    expand = cf.expand
+
+    def counting(x):
+        calls.append(x)
+        return expand(x)
+
+    monkeypatch.setattr(cf, "expand", counting)
+    run_all(40)
+    parities = [knot.p % 2 for knot in normalized_knots(40)]
+    assert len(calls) == 2 * parities.count(0) + 5 * parities.count(1)
