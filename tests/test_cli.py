@@ -252,6 +252,18 @@ def test_trace_writes_before_the_last_record(monkeypatch, argv):
     assert events[:last].count("write") == lines - 1
 
 
+def test_streamed_json_report_is_one_dump():
+    # the chunks of a JSON report join to the text of one `json.dumps` of
+    # the whole report, whatever the length of its trace
+    for knot in normalized_knots(40):
+        report = cli.genus_report(knot)
+        expected = cli._json_text(cli._report_dict(report))
+        assert "".join(cli._report_json(report)) == expected
+    for items in ([], [1], [{"a": [1, 2]}, None, "b"]):
+        nested = '{\n  "x": ' + "".join(cli._json_chunks(items, "  ")) + "\n}"
+        assert nested == json.dumps({"x": items}, indent=2)
+
+
 def record_row(record):
     """The JSON trace row of one `PinchRecord`: the oracle for
     `cli._trace_row`, which reads the integer tuple of its move instead."""
