@@ -226,7 +226,8 @@ def convergents(cf: ContinuedFraction) -> list[Convergent]:
     The terms come from `convergent_terms`.  Consecutive convergents satisfy
     p_i q_{i-1} - p_{i-1} q_i = (-1)^(i-1), so each p_i/q_i is automatically
     in lowest terms and the final convergent equals the value of the
-    expansion.
+    expansion.  No library code calls this (the library reads the integer
+    `convergent_terms`); the tests use it for the determinant identity.
     """
     ps, qs = convergent_terms(cf.coeffs)
     return [Convergent(i, Fraction(p, q)) for i, (p, q) in enumerate(zip(ps[2:], qs[2:]))]

@@ -19,11 +19,11 @@ p/q, and that equivalence is what the verification module stress-tests.
 The two expansion routes, `pinch_by_step` and `pinch_sign_from_expansion`,
 take that expansion from the caller rather than expanding p/q again.
 
-A whole walk is a `PinchTrace`: it holds the walk as runs of moves over
-which the expansion keeps its length, so its length, its signs and the knot
-it ends at cost O(len(expansion)) integer operations.  Its `walk` computes
-the moves one at a time from their runs, each as a plain tuple of ints with
-the expansion after the move, and iterating it builds the `PinchRecord`s.
+A whole walk is a `PinchTrace`: it reads the walk off the expansion as runs
+of moves over which the expansion keeps its length, so its length, its signs
+and the knot it ends at cost O(len(expansion)) integer operations.  Its
+`walk` reads the runs again to compute the moves one at a time, each a tuple
+of ints with the expansion after the move; iterating it builds `PinchRecord`s.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from . import cf
 from .errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
@@ -243,41 +243,51 @@ def pinch_sign_from_expansion(expansion: cf.ContinuedFraction) -> PinchSign:
 _Move = tuple[int, int, int, int, int, int, Optional[PinchSign], int, int]
 
 
-class _Run(NamedTuple):
-    """Consecutive moves over which the expansion [c0, ..., c_{k-1}, c] keeps
-    its length k+1, and so its sign.
+def _runs(coeffs: tuple[int, ...], stop: StopRule) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield the runs of the walk from `coeffs` as (moves, k, c, k_end, c_end).
 
-    The prefix [c0, ..., c_{k-1}] is the first k coefficients of the
-    starting expansion, so one list of that expansion's convergents serves
-    every run, and the pair (k, c) names the expansion.  With P/Q and P0/Q0
-    the prefix's last two convergents, move j starts at the value of
-    [c0, ..., c_{k-1}, c-2j], which is ((c-2j)*P + P0) / ((c-2j)*Q + Q0):
-    each move subtracts 2P and 2Q.  The run has c // 2 moves.  The last
-    leaves a last coefficient 0 or 1, which the next run's shorter expansion
-    drops or folds as `cf.step` does.  The empty prefix (k = 0, P/Q = 1/0,
-    P0/Q0 = 0/1) is the unknot tail T(c,1) -> ... -> T(0,1).
+    A run is the moves over which the expansion [c0, ..., c_{k-1}, c] keeps
+    its length k+1, and so its sign.  Its prefix is the first k coefficients
+    of the starting expansion, so one list of their convergents serves every
+    run.  With P/Q and P0/Q0 the prefix's last two convergents, move j starts
+    at [c0, ..., c_{k-1}, c-2j] = ((c-2j)*P + P0) / ((c-2j)*Q + Q0): each
+    move subtracts 2P and 2Q.  The run has c // 2 moves; the last leaves a
+    last coefficient 0 or 1, which this loop, the only one that folds runs,
+    drops or folds as `cf.step` does, to (k_end, c_end): the next run's
+    (k, c), or (0, l) for the final T(l,1).  The empty prefix (k = 0,
+    P/Q = 1/0, P0/Q0 = 0/1) is the unknot tail T(c,1) -> ... -> T(0,1).
     """
-
-    moves: int
-    k: int  # prefix length
-    c: int  # last coefficient at the run's first move
+    k = len(coeffs) - 1
+    c = coeffs[k]
+    while k or (c and stop is StopRule.ZERO):
+        moves = c // 2
+        k_end, c_end = k, c - 2 * moves
+        while k_end and c_end < 2:
+            if c_end == 1:  # [..., b, 1] == [..., b+1]
+                k_end -= 1
+                c_end = coeffs[k_end] + 1
+            else:  # [..., a, b, 0] == [..., a]
+                k_end -= 2
+                c_end = coeffs[k_end]
+        yield moves, k, c, k_end, c_end
+        k, c = k_end, c_end
 
 
 @dataclass(frozen=True, slots=True)
 class PinchTrace:
-    """The pinch moves from `knot` until `stop` is met, held as runs.
+    """The pinch moves from `knot` until `stop` is met, read as runs.
 
     This is the fast route to a pinch walk.  Building it expands p/q once
     and walks the coefficients right to left, so `moves` (which `len()`
     returns), `all_positive` and `final`, the knot the walk ends at, cost
-    O(len(expansion)) integer operations however long the walk is.
-    Each move is computed on demand from its run and the expansion's
-    convergents, with no `pow` and no `expand`; moves are not kept.  Two
-    traces are equal when their knot and stop rule are.
+    O(len(expansion)) integer operations however long the walk is.  Runs
+    and moves are not kept: `walk` reads the runs again and computes each
+    move from its run and the expansion's convergents, with no `pow` and no
+    `expand`.  Two traces are equal when their knot and stop rule are.
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
-    knot is linear in the last coefficient; see `_Run`.  `walk` is the one
+    knot is linear in the last coefficient; see `_runs`.  `walk` is the one
     loop over the moves: it yields each move as a plain tuple of ints (its
     knots, witness, sign and the expansion after it), and iteration builds a
     chained `PinchRecord` from each.  The residue walk of one `pinch` per
@@ -292,7 +302,6 @@ class PinchTrace:
     expansion: cf.ContinuedFraction = field(init=False, repr=False, compare=False)
     moves: int = field(init=False, repr=False, compare=False)
     all_positive: bool = field(init=False, repr=False, compare=False)
-    _runs: tuple[_Run, ...] = field(init=False, repr=False, compare=False)
     _last: int = field(init=False, repr=False, compare=False)  # l of the final T(l,1)
 
     def __post_init__(self) -> None:
@@ -306,33 +315,18 @@ class PinchTrace:
         else:
             raise ValueError(f"unknown stop rule: {stop!r}")
         expansion = cf.expand(knot.fraction())
-        coeffs = expansion.coeffs
-        k = len(coeffs) - 1
-        last = coeffs[k]
-        runs = []
+        last = expansion.coeffs[-1]
         moves = 0
         positive = True
-        while k or (last and stop is StopRule.ZERO):
+        for n, k, c, _, last in _runs(expansion.coeffs, stop):
+            moves += n
             # a negative run, or an unknot tail with unsigned moves before T(2,1)
-            if k % 2 == 0 and (k or last != 2):
+            if k % 2 == 0 and (k or c != 2):
                 positive = False
-            run = _Run(last // 2, k, last)
-            runs.append(run)
-            moves += run.moves
-            last -= 2 * run.moves
-            # the step that ends the run restores canonical form, as cf.step
-            while k and last < 2:
-                if last == 1:  # [..., b, 1] == [..., b+1]
-                    k -= 1
-                    last = coeffs[k] + 1
-                else:  # [..., a, b, 0] == [..., a]
-                    k -= 2
-                    last = coeffs[k]
         put = object.__setattr__
         put(self, "expansion", expansion)
         put(self, "moves", moves)
         put(self, "all_positive", positive)
-        put(self, "_runs", tuple(runs))
         put(self, "_last", last)
 
     @property
@@ -357,8 +351,9 @@ class PinchTrace:
         `PinchSign` or None, as in its `PinchRecord`.  (k, c) is the
         expansion after the move, which stands for
         `expansion.coeffs[:k] + (c,)`: inside a run a move takes (k, c) to
-        (k, c-2), and a run's last move ends at the next run's first pair, or
-        at (0, l) for the final T(l,1).  So each move is yielded as soon as it
+        (k, c-2), and a run's last move ends at the pair (k_end, c_end) that
+        `_runs` gives it: the next run's first pair, or (0, l) for the final
+        T(l,1).  So each move is yielded as soon as it
         is computed, with nothing read ahead, and k never rises along a walk.
 
         With P/Q the run's convergent, the result is the source minus
@@ -368,12 +363,11 @@ class PinchTrace:
         the unknot tail (k = 0), T(l,1) -> T(l-2,1) has t = l-1 and h = 0,
         and only its last move, from T(2,1), has a sign: positive.
         """
-        ps, qs = cf.convergent_terms(self.expansion.coeffs[:-1])
-        runs = self._runs
-        ends = [(run.k, run.c) for run in runs[1:]] + [(0, self._last)]
+        coeffs = self.expansion.coeffs
+        ps, qs = cf.convergent_terms(coeffs[:-1])
         sp, sq = self.knot.p, self.knot.q
         positive, negative = PinchSign.POSITIVE, PinchSign.NEGATIVE
-        for (moves, k, c), end in zip(runs, ends):
+        for moves, k, c, k_end, c_end in _runs(coeffs, self.stop):
             P, Q = ps[k + 1], qs[k + 1]
             P2, Q2 = 2 * P, 2 * Q
             odd = k % 2
@@ -387,7 +381,7 @@ class PinchTrace:
                 else:
                     t, h, sign = sp - 1, 0, positive if sp == 2 else None
                 if c == last:
-                    k, c = end
+                    k, c = k_end, c_end
                 yield sp, sq, rp, rq, t, h, sign, k, c
                 sp, sq = rp, rq
 

@@ -72,30 +72,29 @@ class CheckOutcome:
 
 class _Knot:
     """One knot of the box and the values its checks share, each computed
-    once, when the record is built, since a pass of every check reads all
-    three on every knot:
+    once, when the record is built, since a pass of every check reads both
+    on every knot:
 
     * `first`, the residue `pinch`, read by pinch-equivalence, sign-lemma,
       magnitude-order and sign-parity;
     * `trace`, the `PinchTrace` to the first unknot, whose `expansion` is
       the one expansion of p/q that the expansion routes read, and whose
-      `final` and `moves` terminal-unknot and gap-formula read;
-    * `gamma3`, `crosscap_number` on its own walk, read by
-      crosscap-odd-consistency (odd p) and gap-formula (even p).
+      `final` and `moves` terminal-unknot and gap-formula read.
 
     Each check still computes the route it compares against: one `cf.step`
     for the residues, the expansion length for the residue sign, the
     division formula for `trace.final`, and `crosscap_by_splitting`, which
-    expands and splits p/q itself, for gamma3.
+    expands and splits p/q itself, for gamma3.  gamma3 is not shared:
+    crosscap-odd-consistency (odd p) and gap-formula (even p) run on
+    disjoint parities, so each calls `crosscap_number` itself.
     """
 
-    __slots__ = ("knot", "first", "trace", "gamma3")
+    __slots__ = ("knot", "first", "trace")
 
     def __init__(self, knot: TorusKnot):
         self.knot = knot
         self.first = pinch(knot)
         self.trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
-        self.gamma3 = crosscap_number(knot)
 
 
 # A predicate yields one claim (holds, expected, actual) per identity it checks.
@@ -188,15 +187,15 @@ def check_terminal_unknot(rec: _Knot) -> _Claims:
 @_check("crosscap-odd-consistency", "odd coprime 3 <= q < p <= {}", parity=1)
 def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
     """Closed-formula crosscap number agrees with the splitting construction."""
-    geometric = crosscap_by_splitting(rec.knot)
-    yield rec.gamma3 == geometric, geometric, rec.gamma3
+    gamma3, geometric = crosscap_number(rec.knot), crosscap_by_splitting(rec.knot)
+    yield gamma3 == geometric, geometric, gamma3
 
 
 @_check("gap-formula", "normalized nontrivial T(p,q), p even, p,q <= {}", parity=0)
 def check_gap_formula(rec: _Knot) -> _Claims:
     """gamma3 - beta1_F equals ceil(k/2) and stays >= k/2 for even p."""
     quotient, _ = euclidean_division(rec.knot)
-    gap = rec.gamma3 - rec.trace.moves
+    gap = crosscap_number(rec.knot) - rec.trace.moves
     yield gap == (quotient + 1) // 2, (quotient + 1) // 2, gap
     holds = 2 * gap >= quotient  # gap >= k/2, in integers; the text only on failure
     yield holds, "" if holds else f"gap >= {Fraction(quotient, 2)}", gap

@@ -6,6 +6,7 @@ the run-length `PinchTrace` against one residue pinch per move.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -537,6 +538,32 @@ def test_trace_of_a_huge_walk_is_cheap():
     trace = PinchTrace(TorusKnot(2 * k, 2 * k - 1), StopRule.FIRST_UNKNOT)
     assert trace.moves == k - 1 and trace.all_positive
     assert trace.final == TorusKnot(2, 1)
+
+
+def assert_walk_starts_as_pinches(trace, n):
+    # the first n moves of `walk`, against the chain of residue pinches
+    moves = list(itertools.islice(trace.walk(), n))
+    assert len(moves) == n
+    record = pinch(trace.knot)
+    for sp, sq, rp, rq, t, h, sign, _, _ in moves:
+        assert record.source == TorusKnot(sp, sq) and record.result == TorusKnot(rp, rq)
+        assert (record.witness.t, record.witness.h, record.sign) == (t, h, sign)
+        record = pinch(record.result)
+
+
+def test_zero_walks_of_huge_knots_are_cheap():
+    k = 10**30
+    # T(2k,2k-1) = [1, 2k-1] pinches k-1 times to T(2,1), then once more,
+    # positively, to T(0,1): gamma3 of the Batson knot is k
+    batson = PinchTrace(TorusKnot(2 * k, 2 * k - 1), StopRule.ZERO)
+    assert batson.moves == k and batson.all_positive
+    assert batson.final == TorusKnot(0, 1)
+    assert_walk_starts_as_pinches(batson, 3)
+    # T(2k,1) = [2k] is the unknot tail alone: k moves, all unsigned but the last
+    tail = PinchTrace(TorusKnot(2 * k, 1), StopRule.ZERO)
+    assert tail.moves == k and not tail.all_positive
+    assert tail.final == TorusKnot(0, 1)
+    assert_walk_starts_as_pinches(tail, 3)
 
 
 def test_trace_is_an_immutable_value():

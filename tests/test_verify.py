@@ -142,3 +142,31 @@ def test_run_all_expands_each_rational_once(monkeypatch):
     run_all(40)
     parities = [knot.p % 2 for knot in normalized_knots(40)]
     assert len(calls) == 2 * parities.count(0) + 5 * parities.count(1)
+
+
+# The knots on which each entry point computes gamma3: only
+# crosscap-odd-consistency (odd p) and gap-formula (even p) read it.
+GAMMA3_KNOTS = {
+    "check_pinch_equivalence": lambda knot: False,
+    "check_sign_lemma": lambda knot: False,
+    "check_magnitude": lambda knot: False,
+    "check_sign_parity": lambda knot: False,
+    "check_terminal_unknot": lambda knot: False,
+    "check_crosscap_odd_consistency": lambda knot: knot.p % 2 == 1,
+    "check_gap_formula": lambda knot: knot.p % 2 == 0,
+    "run_all": lambda knot: True,
+}
+
+
+@pytest.mark.parametrize("name", list(GAMMA3_KNOTS))
+def test_gamma3_is_computed_only_where_it_is_read(monkeypatch, name):
+    calls = []
+    crosscap_number = verify.crosscap_number
+
+    def counting(knot):
+        calls.append(knot)
+        return crosscap_number(knot)
+
+    monkeypatch.setattr(verify, "crosscap_number", counting)
+    getattr(verify, name)(40)
+    assert calls == [knot for knot in normalized_knots(40) if GAMMA3_KNOTS[name](knot)]
