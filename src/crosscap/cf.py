@@ -22,9 +22,11 @@ build them without re-validating; the tests re-validate every output of
 both against the constructor and compare `step` with `canonicalize`.
 
 Values are plain integer pairs on the hot path.  `expand` and the step
-counters read an `int` or a `Fraction` (bools included) as it is, and only
-coerce other inputs with `Fraction(x)`; `evaluate` runs an integer
-recurrence and builds a single `Fraction` at the end.
+counters read an `int`, a `Fraction` (bools included) or a pair (a, b) of
+ints as it is, and only coerce other inputs with `Fraction(x)`;
+`steps_to_zero` also walks an expansion the caller already holds.
+`evaluate` runs an integer recurrence and builds a single `Fraction` at the
+end.
 """
 
 from __future__ import annotations
@@ -122,23 +124,31 @@ def _exact(x: object) -> Union[Fraction, int]:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def expand(x: Union[Fraction, int]) -> ContinuedFraction:
+def expand(x: Union[Fraction, int, tuple[int, int]]) -> ContinuedFraction:
     """Return the canonical continued-fraction expansion of x >= 0.
 
     An int or a Fraction (bools included) is read through its numerator and
-    denominator without building a new Fraction; any other input that
-    `Fraction()` accepts, such as "3/4" or 0.5, is coerced first.  Negative
-    values raise InvalidParameter.
+    denominator, and a pair (a, b) of ints with b >= 1 as a/b, without
+    building a new Fraction; the pair need not be in lowest terms, since
+    Euclid's algorithm gives a/b the quotients of its reduced form.  Any
+    other input that `Fraction()` accepts, such as "3/4" or 0.5, is coerced
+    first.  Negative values, and pairs that are not two ints with b >= 1,
+    raise InvalidParameter.
 
     Repeated Euclidean division yields a canonical expansion: every
     quotient after the first is >= 1, and the last one is >= 2 because it
     divides the previous remainder by a strictly smaller one.
     """
-    x = _exact(x)
-    a, b = x.numerator, x.denominator
+    if type(x) is tuple:
+        a, b = x
+        if type(a) is not int or type(b) is not int or b < 1:
+            raise InvalidParameter(f"a pair must hold ints a and b >= 1: {x!r}")
+    else:
+        x = _exact(x)
+        a, b = x.numerator, x.denominator
     if a < 0:
         raise InvalidParameter(
-            f"expansion is defined for nonnegative rationals only: {Fraction(x)}"
+            f"expansion is defined for nonnegative rationals only: {Fraction(a, b)}"
         )
     coeffs = []
     while b:
@@ -262,18 +272,30 @@ def step(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction._trusted(c[:-2] + (c[-2] + 1,))
 
 
-def steps_to_zero(x: Union[Fraction, int]) -> int:
+def _numerator_is_odd(coeffs: tuple[int, ...]) -> int:
+    """The parity of the numerator of [c0, ..., cm], from the convergent
+    recurrence p_i = c_i * p_{i-1} + p_{i-2} taken mod 2."""
+    prev, num = 1, coeffs[0] & 1
+    for c in coeffs[1:]:
+        prev, num = num, (c & num) ^ prev
+    return num
+
+
+def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -> int:
     """Count reduction steps from a/b down to [0], for even a and odd b.
+
+    x is read as `expand` reads it, or it is the canonical expansion of a/b,
+    which is walked as it is: a caller that holds it (a `PinchTrace` does)
+    need not expand a/b again.  The walk is one `step` per count either way.
 
     Coprimality makes b odd automatically once a is even.  Each step
     preserves the parities of numerator and denominator, so the walk can
     never strand on [1] or on a denominator-2 value, and the strictly
     decreasing numerator forces termination at [0].
     """
-    x = _exact(x)
-    if x.numerator % 2:
-        raise InvalidParity(f"numerator must be even: {Fraction(x)}")
-    cf = expand(x)
+    cf = x if isinstance(x, ContinuedFraction) else expand(x)
+    if _numerator_is_odd(cf.coeffs):
+        raise InvalidParity(f"numerator must be even: {evaluate(cf)}")
     n = 0
     while cf.coeffs != (0,):
         cf = step(cf)

@@ -8,8 +8,8 @@ also exit 2, before any step, on a knot whose step walks could exceed
 MAX_STEPS.  `trace` and a human `report` write each trace line as its move
 is walked, formatted from the plain integer tuple `PinchTrace.walk` yields,
 so no object is built per move; a JSON `report` writes its invariants and
-then each trace row the same way.  A reader that closes the pipe early ends
-the command quietly, with its own exit code.
+then each trace row the same way, one f-string per row.  A reader that
+closes the pipe early ends the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import operator
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import cf
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, crosscap_knot, genus_report
-from .knot import PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
+from .knot import PinchSign, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
@@ -67,7 +66,7 @@ _field_values = operator.attrgetter(*(attribute for _, _, attribute in _FIELDS))
 
 
 # `json.dumps(payload, indent=2)` is `_JSON.encode(payload)`; one encoder
-# serves every call, so a trace row costs no encoder of its own.
+# serves every call.
 _JSON = json.JSONEncoder(indent=2)
 
 
@@ -75,30 +74,37 @@ def _json_text(payload: object) -> str:
     return _JSON.encode(payload) + "\n"
 
 
-def _json_chunks(payloads: Iterable[object], indent: str = "") -> Iterator[str]:
-    """The text of `json.dumps(list(payloads), indent=2)`, one list item per
-    chunk, with every line after the first indented by `indent`, as the list
-    reads when it is nested in an object at that depth."""
+def _json_list(items: Iterable[str], indent: str = "") -> Iterator[str]:
+    """The text of a JSON list nested at `indent`, one item per chunk.
+
+    Each item is the `json.dumps(..., indent=2)` text of one element as it
+    reads inside the list: every line after its first indented by
+    `indent` plus two spaces.  An empty list reads `[]`."""
     inner = indent + "  "
     opening = separator = "[\n" + inner
-    for payload in payloads:
-        yield separator + _JSON.encode(payload).replace("\n", "\n" + inner)
+    for item in items:
+        yield separator + item
         separator = ",\n" + inner
     yield "[]" if separator == opening else "\n" + indent + "]"
 
 
-def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-        yield buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
+class _Echo:
+    """A file whose `write` returns its text: `csv.writer(_Echo).writerow`
+    returns the row's line, with no buffer to read back and clear."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_lines(rows: Iterable[Iterable[object]]) -> Iterator[str]:
+    return map(csv.writer(_Echo, lineterminator="\n").writerow, rows)
 
 
 def _trace_row(move: tuple) -> dict:
-    """The JSON row of one move as `PinchTrace.walk` yields it."""
+    """The JSON row of one move as `PinchTrace.walk` yields it.
+
+    Only the tests read this: it is the oracle for `_trace_rows_json`."""
     sp, sq, rp, rq, t, h, sign, _, _ = move
     return {
         "from": [sp, sq],
@@ -107,6 +113,30 @@ def _trace_row(move: tuple) -> dict:
         "h": h,
         "sign": None if sign is None else sign.value,
     }
+
+
+_SIGN_JSON = {sign: json.dumps(sign.value) for sign in PinchSign} | {None: "null"}
+
+
+def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
+    """The text of each `_trace_row` of `trace`, as `_json_list` takes it for
+    a list nested at `indent`: one f-string per row, with no encoder."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    open_from = f'{{\n{i2}"from": [\n{i3}'
+    item = f",\n{i3}"
+    open_to = f'\n{i2}],\n{i2}"to": [\n{i3}'
+    key_t = f'\n{i2}],\n{i2}"t": '
+    key_h = f',\n{i2}"h": '
+    key_sign = f',\n{i2}"sign": '
+    close = f"\n{i1}}}"
+    signs = _SIGN_JSON
+    for sp, sq, rp, rq, t, h, sign, _, _ in trace.walk():
+        yield (
+            f"{open_from}{sp}{item}{sq}{open_to}{rp}{item}{rq}"
+            f"{key_t}{t}{key_h}{h}{key_sign}{signs[sign]}{close}"
+        )
 
 
 def _report_fields(report: GenusReport) -> dict:
@@ -122,22 +152,27 @@ def _report_fields(report: GenusReport) -> dict:
 
 
 def _report_dict(report: GenusReport) -> dict:
+    """The JSON report as one object.  Only the tests read this: it is the
+    oracle for `_report_json`, which writes the same text as it walks."""
     payload = _report_fields(report)
     payload["trace"] = [_trace_row(move) for move in report.trace.walk()]
     return payload
 
 
-def _report_json(report: GenusReport) -> Iterator[str]:
-    """The text of `_json_text(_report_dict(report))`: the invariants in one
-    chunk, then one chunk per trace row, so a long trace is written as it
-    is walked."""
-    fields = _JSON.encode(_report_fields(report))
-    yield fields[: -len("\n}")] + ',\n  "trace": '
-    yield from _json_chunks(map(_trace_row, report.trace.walk()), "  ")
-    yield "\n}\n"
+def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
+    """The text of `json.dumps(_report_dict(report), indent=2)` nested at
+    `indent`, then `end`: the invariants in one chunk, then one chunk per
+    trace row, so a long trace is written as it is walked."""
+    fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
+    yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
+    yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
+    yield "\n" + indent + "}" + end
 
 
-def _report_csv_row(report: GenusReport) -> list[str]:
+def _report_cells(report: GenusReport) -> list[str]:
+    """The report's fields as the text the human table aligns.  A CSV row
+    is the field values themselves: `csv.writer` writes None as the empty
+    field and every other value as its `str`, as this does."""
     return ["" if value is None else str(value) for value in _field_values(report)]
 
 
@@ -256,7 +291,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.format == "json":
         return 0, _report_json(report)
     if args.format == "csv":
-        return 0, _csv_lines([CSV_COLUMNS, _report_csv_row(report)])
+        return 0, _csv_lines([CSV_COLUMNS, _field_values(report)])
     return 0, _report_human(report)
 
 
@@ -277,10 +312,11 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
-        return 0, itertools.chain(_json_chunks(map(_report_dict, reports)), ["\n"])
+        items = ("".join(_report_json(report, "  ", "")) for report in reports)
+        return 0, itertools.chain(_json_list(items), ["\n"])
     if args.format == "human":
-        return 0, _table_human(map(_report_csv_row, reports))
-    return 0, _csv_lines(itertools.chain([CSV_COLUMNS], map(_report_csv_row, reports)))
+        return 0, _table_human(map(_report_cells, reports))
+    return 0, _csv_lines(itertools.chain([CSV_COLUMNS], map(_field_values, reports)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

@@ -24,6 +24,12 @@ The odd-pq crosscap number also has a geometric form: split T(p,q) along
 the second-to-last convergent of p/q and sum the pinch counts of the two
 pieces (Teragaito again).  `crosscap_by_splitting` implements that route so
 the verification module can cross-check the closed formula against it.
+
+`genus_report` computes each value once per knot: it divides p by q once,
+its `PinchTrace` expands p/q once, and gamma3 walks that same expansion
+when p is even (the knot is its own `crosscap_knot`) and expands
+`crosscap_knot` once when p is odd.  The only Fraction it builds is the gap
+bound k/2, and the odd split is computed only when `split` is read.
 """
 
 from __future__ import annotations
@@ -104,7 +110,9 @@ class GenusReport:
     `trace` is the lazy `PinchTrace` to the first unknot: `beta1_F` and the
     gamma4 certificate are read from its runs, and its records are built
     only when a caller iterates it.  `pinch_sequence`, and one `pinch` per
-    move in the tests, give the same records.
+    move in the tests, give the same records.  `split` is not stored
+    either: it is computed from `trace.expansion` each time it is read,
+    which only the human report does.
     """
 
     knot: TorusKnot
@@ -117,7 +125,12 @@ class GenusReport:
     gap_lower_bound: Fraction
     orientable_genus: int
     trace: PinchTrace
-    split: Optional[OddSplit]
+
+    @property
+    def split(self) -> Optional[OddSplit]:
+        """The `odd_split` of an odd-p knot, from the expansion its trace
+        holds; None for even p."""
+        return _split(self.knot, self.trace.expansion) if self.knot.p % 2 else None
 
 
 def _require_nontrivial(knot: TorusKnot) -> None:
@@ -139,7 +152,13 @@ def terminal_unknot_parameter(knot: TorusKnot) -> int:
     otherwise.
     """
     k, _ = euclidean_division(knot)
-    return k if (knot.p - k) % 2 == 0 else k + 1
+    return _ell(knot.p, k)
+
+
+def _ell(p: int, k: int) -> int:
+    """`terminal_unknot_parameter` of a knot with first parameter p and
+    quotient k = p // q."""
+    return k if (p - k) % 2 == 0 else k + 1
 
 
 def pinches_to_unknot(knot: TorusKnot) -> int:
@@ -162,7 +181,7 @@ def pinches_to_zero(knot: TorusKnot) -> int:
     """
     if knot.p % 2:
         raise OddParity(f"reaching T(0,1) requires even p: {knot}")
-    return cf.steps_to_zero(knot.fraction())
+    return cf.steps_to_zero((knot.p, knot.q))
 
 
 def odd_split(knot: TorusKnot) -> OddSplit:
@@ -177,7 +196,7 @@ def odd_split(knot: TorusKnot) -> OddSplit:
     _require_nontrivial(knot)
     if knot.p % 2 == 0:
         raise EvenParity(f"splitting is defined for odd parameters only: {knot}")
-    return _split(knot, cf.expand(knot.fraction()))
+    return _split(knot, cf.expand((knot.p, knot.q)))
 
 
 def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
@@ -206,11 +225,15 @@ def crosscap_knot(knot: TorusKnot) -> TorusKnot:
     first parameters are even and coprime to the odd square, so the result
     is a normalized knot for every normalized input, trivial ones included.
     """
-    p, q = knot.p, knot.q
-    if p % 2 == 0:
+    if knot.p % 2 == 0:
         return knot
+    return TorusKnot(*_odd_crosscap_pair(knot.p, knot.q))
+
+
+def _odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:
+    """The parameters of `crosscap_knot` of an odd-pq knot T(p,q)."""
     x = (-pow(q, -1, p)) % p
-    return TorusKnot(p * q - 1 if x % 2 == 0 else p * q + 1, p * p)
+    return p * q - 1 if x % 2 == 0 else p * q + 1, p * p
 
 
 def crosscap_number(knot: TorusKnot) -> int:
@@ -260,20 +283,25 @@ def orientable_genus(knot: TorusKnot) -> int:
 
 
 def genus_report(knot: TorusKnot) -> GenusReport:
-    """Assemble the full invariant report for a nontrivial torus knot."""
+    """Assemble the full invariant report for a nontrivial torus knot.
+
+    p/q is expanded once, by the trace.  gamma3 walks that expansion when p
+    is even and the pair of `crosscap_knot` when p is odd: the route of
+    `crosscap_number`, with which the tests compare it.
+    """
     _require_nontrivial(knot)
-    k, a = euclidean_division(knot)
+    p, q = knot.p, knot.q
+    k, a = divmod(p, q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
     return GenusReport(
         knot=knot,
         k=k,
         a=a,
-        ell=terminal_unknot_parameter(knot),
+        ell=_ell(p, k),
         beta1_F=trace.moves,
-        gamma3=crosscap_number(knot),
+        gamma3=cf.steps_to_zero(_odd_crosscap_pair(p, q) if p % 2 else trace.expansion),
         gamma4=_bounds_from_trace(knot, trace),
         gap_lower_bound=Fraction(k, 2),
         orientable_genus=orientable_genus(knot),
         trace=trace,
-        split=_split(knot, trace.expansion) if knot.p % 2 else None,
     )

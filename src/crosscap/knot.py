@@ -314,7 +314,7 @@ class PinchTrace:
                 raise StopUnreachable(f"{knot} has odd parameters; T(0,1) is unreachable")
         else:
             raise ValueError(f"unknown stop rule: {stop!r}")
-        expansion = cf.expand(knot.fraction())
+        expansion = cf.expand((knot.p, knot.q))
         last = expansion.coeffs[-1]
         moves = 0
         positive = True

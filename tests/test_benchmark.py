@@ -3,16 +3,21 @@
 `perfbench/run.py --trace 1` times the public functions of each layer
 module, those in its `__all__`, and fails when a `per_layer` metric of
 BENCHMARK.json gets no value.  So deleting or renaming a function that a
-metric names must fail here, where the cause is plain.
+metric names must fail here, where the cause is plain.  A speed-up that
+routes the table around a public layer function would leave its rows at 0,
+so a short traced run checks that the table still goes through them.
 """
 
 import importlib
 import inspect
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 # `<module>.<function>.<stat>`; names such as `verify.gap-formula.total_s`
 # (a check) or `cf.self_s` (a whole layer) name no function.
@@ -29,3 +34,20 @@ def test_per_layer_metrics_name_public_functions():
         if name not in module.__all__ or not inspect.isfunction(getattr(module, name, None)):
             missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_traced_table_goes_through_the_public_layers():
+    argv = ["--workload", "box_table", "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"]
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    for name in ("cf.expand.calls", "cf.steps_to_zero.total_s", "genus.genus_report.calls"):
+        assert metrics[name] > 0, name

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosscap import cf as cf_module
 from crosscap import (
     ContinuedFraction,
     canonicalize,
@@ -507,3 +508,46 @@ def test_step_lowers_the_coefficient_sum_by_at_least_two():
             continue
         assert sum(after) <= sum(cf) - 2
 
+
+# `expand` reads a pair (a, b) as a/b, reduced or not, and `steps_to_zero`
+# walks a canonical expansion as it is, with the parity check of a/b.
+
+
+def test_expand_reads_pairs_as_their_quotient():
+    for x in coprime_fractions(40, 40):
+        a, b = x.numerator, x.denominator
+        assert expand((a, b)) == expand(x)
+        assert expand((3 * a, 3 * b)) == expand(x)
+    assert expand((10**30 + 1, 7)).coeffs == oracle_expand(Fraction(10**30 + 1, 7))
+    assert_revalidates(expand((34, 49)))
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (3, -4), (-3, 4), (1.5, 2), (3, 2.0), (True, 1)])
+def test_expand_rejects_bad_pairs(pair):
+    with pytest.raises(InvalidParameter):
+        expand(pair)
+
+
+def test_steps_to_zero_walks_a_held_expansion():
+    for x in coprime_fractions(60, 60):
+        if x.numerator % 2:
+            with pytest.raises(InvalidParity, match=f"even: {x}$"):
+                steps_to_zero(expand(x))
+        else:
+            assert steps_to_zero(expand(x)) == steps_to_zero(x) == steps_to_integer_zero(x)
+
+
+def steps_to_integer_zero(x):
+    """Oracle for `steps_to_zero` of an even numerator: steps to an integer
+    2m, then m more steps, each taking 2 from it."""
+    count, last = steps_to_integer(x)
+    return count + last // 2
+
+
+@settings(max_examples=200)
+@given(huge_fractions)
+def test_steps_to_zero_parity_check_reads_the_expansion(x):
+    assert cf_module._numerator_is_odd(expand(x).coeffs) == x.numerator % 2
+    if x.numerator % 2:
+        with pytest.raises(InvalidParity):
+            steps_to_zero(expand(x))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosscap import cf, cli
+from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
 from crosscap.genus import crosscap_number
@@ -260,8 +260,44 @@ def test_streamed_json_report_is_one_dump():
         expected = cli._json_text(cli._report_dict(report))
         assert "".join(cli._report_json(report)) == expected
     for items in ([], [1], [{"a": [1, 2]}, None, "b"]):
-        nested = '{\n  "x": ' + "".join(cli._json_chunks(items, "  ")) + "\n}"
+        texts = [json.dumps(item, indent=2).replace("\n", "\n    ") for item in items]
+        nested = '{\n  "x": ' + "".join(cli._json_list(texts, "  ")) + "\n}"
         assert nested == json.dumps({"x": items}, indent=2)
+
+
+def test_table_json_is_one_dump_of_the_report_oracle(capsys):
+    # each report of a JSON table, trace rows included, reads as the report
+    # oracle does inside one `json.dumps` of the whole list
+    reports = map(cli.genus_report, normalized_knots(30))
+    expected = json.dumps([cli._report_dict(report) for report in reports], indent=2) + "\n"
+    assert run_cli(capsys, "table", "--pmax", "30", "--qmax", "30", "--format", "json") == (
+        0,
+        expected,
+        "",
+    )
+
+
+def assert_trace_rows_match_the_oracle(knot):
+    # the f-string row at each nesting depth is the encoder's text of the
+    # oracle row, unsigned moves of a ZERO walk's unknot tail included
+    stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
+    for stop in stops:
+        trace = PinchTrace(knot, stop)
+        rows = [cli._trace_row(move) for move in trace.walk()]
+        for indent in ("", "  ", "      "):
+            text = "".join(cli._json_list(cli._trace_rows_json(trace, indent), indent))
+            assert text == json.dumps(rows, indent=2).replace("\n", "\n" + indent)
+
+
+def test_trace_rows_json_match_the_oracle_on_the_box():
+    for knot in normalized_knots(40):
+        assert_trace_rows_match_the_oracle(knot)
+
+
+@settings(max_examples=100)
+@given(knots_of_long_expansions())
+def test_trace_rows_json_match_the_oracle_large(knot):
+    assert_trace_rows_match_the_oracle(knot)
 
 
 def record_row(record):
@@ -682,6 +718,27 @@ def test_trace_output_builds_no_per_move_object(monkeypatch, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
+
+
+def test_csv_and_json_never_build_a_split(monkeypatch, capsys):
+    # only the human report prints the odd split, so CSV and JSON outputs
+    # never read `GenusReport.split`; the human `report 12345 7` digest
+    # covers the split line
+    def fail(*_):
+        raise AssertionError("an odd split was built")
+
+    monkeypatch.setattr(genus, "_split", fail)
+    golden = dict(GOLDEN_SHA256)
+    for argv in [
+        ("table", "--pmax", "40", "--qmax", "39"),
+        ("table", "--pmax", "40", "--qmax", "39", "--format", "json"),
+        ("report", "12345", "7", "--format", "json"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
+    with pytest.raises(AssertionError, match="odd split"):
+        main(["report", "12345", "7"])
 
 
 # report and trace refuse, before the first step, a knot whose walks could

@@ -400,3 +400,53 @@ def test_report_internal_consistency_random(knot):
         assert report.split is None
     else:
         assert report.split is not None
+
+
+# `genus_report` shares one expansion between its trace and gamma3, derives
+# ell from its own division, and splits only when `split` is read.  Each
+# field must equal its independent public route.
+
+
+def assert_report_matches_the_routes(knot):
+    report = genus_report(knot)
+    assert report.gamma3 == crosscap_number(knot)
+    assert report.split == (odd_split(knot) if knot.p % 2 else None)
+    assert report.ell == terminal_unknot_parameter(knot)
+    assert report.beta1_F == pinches_to_unknot(knot)
+    assert (report.k, report.a) == euclidean_division(knot)
+
+
+def test_genus_report_matches_the_routes_on_the_box():
+    for knot in normalized_knots(150):
+        assert_report_matches_the_routes(knot)
+
+
+@st.composite
+def knots_below(draw, bound):
+    p = draw(st.integers(min_value=3, max_value=bound - 1))
+    q = draw(st.integers(min_value=2, max_value=p - 1))
+    assume(gcd(p, q) == 1)
+    return normalize(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots_below(10**5))
+def test_genus_report_matches_the_routes_large(knot):
+    assert_report_matches_the_routes(knot)
+
+
+def test_genus_report_expands_once_per_walk(monkeypatch):
+    # the trace expands p/q; gamma3 walks that expansion for even p and
+    # expands `crosscap_knot` for odd p, and the split is not built
+    calls = []
+    expand = cf.expand
+
+    def counting(x):
+        calls.append(x)
+        return expand(x)
+
+    monkeypatch.setattr(cf, "expand", counting)
+    for knot in normalized_knots(40):
+        calls.clear()
+        genus_report(knot)
+        assert len(calls) == (2 if knot.p % 2 else 1), knot
