@@ -1,7 +1,7 @@
 """Census of gamma4 provenance over all normalized knots in a box.
 
 Counts how many knots have their nonorientable four-genus fixed by each
-certificate, tried in the order all positive pinches, Batson, interval
+certificate, tried in the order all positive pinches, then interval
 collapse, and how many are left with no exact value.
 
     python scripts/sign_census.py --max 120
@@ -11,7 +11,6 @@ import argparse
 from collections import Counter
 
 from crosscap import (
-    EXACT_BY_BATSON,
     EXACT_BY_COLLAPSE,
     EXACT_BY_POSITIVE_PINCHES,
     EXACT_UNKNOWN,
@@ -19,7 +18,7 @@ from crosscap import (
     normalized_knots,
 )
 
-PROVENANCES = (EXACT_BY_POSITIVE_PINCHES, EXACT_BY_BATSON, EXACT_BY_COLLAPSE, EXACT_UNKNOWN)
+PROVENANCES = (EXACT_BY_POSITIVE_PINCHES, EXACT_BY_COLLAPSE, EXACT_UNKNOWN)
 
 
 def main() -> None:

@@ -4,12 +4,13 @@ Four subcommands: `report` prints every invariant of one knot, `trace`
 prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
-also exit 2, before any step, on a knot whose step walks could exceed
-MAX_STEPS.  `trace` and a human `report` write each trace line as its move
-is walked, formatted from the plain integer tuple `PinchTrace.walk` yields,
-so no object is built per move; a JSON `report` writes its invariants and
-then each trace row the same way, one f-string per row.  A reader that
-closes the pipe early ends the command quietly, with its own exit code.
+also exit 2, before any step, on a knot with a walk of more than MAX_STEPS
+moves, counted exactly from its `PinchTrace`.  `trace` and a human
+`report` write each trace line as its move is walked, formatted from the
+plain integer tuple `PinchTrace.walk` yields, so no object is built per
+move; a JSON `report` writes its invariants and then each trace row the
+same way, one f-string per row.  A reader that closes the pipe early ends
+the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -24,20 +25,14 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import cf
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, crosscap_knot, genus_report
+from .genus import GenusReport, crosscap_knot, genus_report, pinches_to_unknot
 from .knot import PinchSign, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
 
-# The longest step walk `report` and `trace` take on; a knot that could need
-# more is refused before the first step.  `trace` counts its moves exactly
-# from the runs of its `PinchTrace`.  `report` also walks gamma3 step by
-# step, on `crosscap_knot`: a step lowers the coefficient sum of an
-# expansion by at least 2, so half that sum bounds each of its walks, from
-# one pass of Euclid's algorithm.
+# The longest walk, in pinch moves, that `report` and `trace` take on.
 MAX_STEPS = 10**6
 
 # One row per report field: its CSV column, its path in the JSON report and
@@ -101,26 +96,14 @@ def _csv_lines(rows: Iterable[Iterable[object]]) -> Iterator[str]:
     return map(csv.writer(_Echo, lineterminator="\n").writerow, rows)
 
 
-def _trace_row(move: tuple) -> dict:
-    """The JSON row of one move as `PinchTrace.walk` yields it.
-
-    Only the tests read this: it is the oracle for `_trace_rows_json`."""
-    sp, sq, rp, rq, t, h, sign, _, _ = move
-    return {
-        "from": [sp, sq],
-        "to": [rp, rq],
-        "t": t,
-        "h": h,
-        "sign": None if sign is None else sign.value,
-    }
-
-
 _SIGN_JSON = {sign: json.dumps(sign.value) for sign in PinchSign} | {None: "null"}
 
 
 def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
-    """The text of each `_trace_row` of `trace`, as `_json_list` takes it for
-    a list nested at `indent`: one f-string per row, with no encoder."""
+    """The JSON text of each move of `trace`, as `_json_list` takes it for
+    a list nested at `indent`: one f-string per row, with no encoder.  A row
+    holds the move's "from" and "to" pairs, its witness "t" and "h", and its
+    sign's value or null; `tests/oracles.py` builds the same rows as dicts."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -151,18 +134,11 @@ def _report_fields(report: GenusReport) -> dict:
     return payload
 
 
-def _report_dict(report: GenusReport) -> dict:
-    """The JSON report as one object.  Only the tests read this: it is the
-    oracle for `_report_json`, which writes the same text as it walks."""
-    payload = _report_fields(report)
-    payload["trace"] = [_trace_row(move) for move in report.trace.walk()]
-    return payload
-
-
 def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
-    """The text of `json.dumps(_report_dict(report), indent=2)` nested at
-    `indent`, then `end`: the invariants in one chunk, then one chunk per
-    trace row, so a long trace is written as it is walked."""
+    """The text of `json.dumps(..., indent=2)` of `_report_fields(report)`
+    with the trace rows under "trace", nested at `indent`, then `end`: the
+    invariants in one chunk, then one chunk per trace row, so a long trace
+    is written as it is walked."""
     fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
     yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
     yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
@@ -269,24 +245,22 @@ _FILTERS: dict[str, Callable[[TorusKnot], bool]] = {
 }
 
 
-def _check_work_bound(knot: TorusKnot) -> None:
-    """Raise InvalidParameter, before any step, if a walk of `report` on
-    `knot` could exceed MAX_STEPS.
-
-    Half the coefficient sum of p/q bounds the pinch trace, and that of
-    `crosscap_knot(knot)` the crosscap count; for even p they are one knot.
-    """
-    walked = {knot, crosscap_knot(knot)}
-    bound = max(sum(cf.expand(k.fraction())) for k in walked) // 2
-    if bound > MAX_STEPS:
+def _refuse_long_walks(knot: TorusKnot, *moves: int) -> None:
+    """Raise InvalidParameter, before any step, if a walk a command makes
+    on `knot`, of `moves` pinch moves each, is longer than MAX_STEPS."""
+    longest = max(moves)
+    if longest > MAX_STEPS:
         raise InvalidParameter(
-            f"{knot} may take up to {bound} steps; report and trace stop at {MAX_STEPS}"
+            f"{knot} takes {longest} pinch moves; report and trace stop at {MAX_STEPS}"
         )
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
-    _check_work_bound(knot)
+    # the printed trace, then the walk whose steps count gamma3
+    _refuse_long_walks(
+        knot, pinches_to_unknot(knot), PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves
+    )
     report = genus_report(knot)
     if args.format == "json":
         return 0, _report_json(report)
@@ -299,10 +273,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     stop = StopRule.ZERO if args.stop == "zero" else StopRule.FIRST_UNKNOT
     knot = normalize(args.p, args.q)
     trace = PinchTrace(knot, stop)
-    if trace.moves > MAX_STEPS:
-        raise InvalidParameter(
-            f"{knot} takes {trace.moves} pinch moves; report and trace stop at {MAX_STEPS}"
-        )
+    _refuse_long_walks(knot, trace.moves)
     return 0, (line + "\n" for line in _trace_lines(trace))
 
 

@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
-from crosscap.genus import crosscap_number
+from crosscap.genus import crosscap_knot, crosscap_number, pinches_to_unknot
 from crosscap.knot import (
     PinchTrace,
     StopRule,
@@ -30,6 +29,7 @@ from crosscap.knot import (
     pinch_sequence,
 )
 from crosscap.verify import CheckOutcome, Counterexample
+from oracles import report_dict, trace_row
 
 
 def run_cli(capsys, *argv):
@@ -129,8 +129,8 @@ def test_trace_first_unknot(capsys):
 
 def test_trace_expands_each_knot_once(monkeypatch, capsys):
     calls = []
-    real_expand = cli.cf.expand
-    monkeypatch.setattr(cli.cf, "expand", lambda x: calls.append(x) or real_expand(x))
+    real_expand = cf.expand
+    monkeypatch.setattr(cf, "expand", lambda x: calls.append(x) or real_expand(x))
     code, out, _ = run_cli(capsys, "trace", "200", "199")
     assert code == 0
     records = out.splitlines()
@@ -257,7 +257,7 @@ def test_streamed_json_report_is_one_dump():
     # the whole report, whatever the length of its trace
     for knot in normalized_knots(40):
         report = cli.genus_report(knot)
-        expected = cli._json_text(cli._report_dict(report))
+        expected = cli._json_text(report_dict(report))
         assert "".join(cli._report_json(report)) == expected
     for items in ([], [1], [{"a": [1, 2]}, None, "b"]):
         texts = [json.dumps(item, indent=2).replace("\n", "\n    ") for item in items]
@@ -269,7 +269,7 @@ def test_table_json_is_one_dump_of_the_report_oracle(capsys):
     # each report of a JSON table, trace rows included, reads as the report
     # oracle does inside one `json.dumps` of the whole list
     reports = map(cli.genus_report, normalized_knots(30))
-    expected = json.dumps([cli._report_dict(report) for report in reports], indent=2) + "\n"
+    expected = json.dumps([report_dict(report) for report in reports], indent=2) + "\n"
     assert run_cli(capsys, "table", "--pmax", "30", "--qmax", "30", "--format", "json") == (
         0,
         expected,
@@ -283,7 +283,7 @@ def assert_trace_rows_match_the_oracle(knot):
     stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
     for stop in stops:
         trace = PinchTrace(knot, stop)
-        rows = [cli._trace_row(move) for move in trace.walk()]
+        rows = [trace_row(move) for move in trace.walk()]
         for indent in ("", "  ", "      "):
             text = "".join(cli._json_list(cli._trace_rows_json(trace, indent), indent))
             assert text == json.dumps(rows, indent=2).replace("\n", "\n" + indent)
@@ -302,7 +302,7 @@ def test_trace_rows_json_match_the_oracle_large(knot):
 
 def record_row(record):
     """The JSON trace row of one `PinchRecord`: the oracle for
-    `cli._trace_row`, which reads the integer tuple of its move instead."""
+    `oracles.trace_row`, which reads the integer tuple of its move instead."""
     return {
         "from": [record.source.p, record.source.q],
         "to": [record.result.p, record.result.q],
@@ -316,7 +316,7 @@ def test_trace_rows_match_the_records_on_the_box():
     for knot in normalized_knots(60):
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
         for stop in stops:
-            rows = [cli._trace_row(move) for move in PinchTrace(knot, stop).walk()]
+            rows = [trace_row(move) for move in PinchTrace(knot, stop).walk()]
             assert rows == [record_row(record) for record in pinch_sequence(knot, stop)]
 
 
@@ -741,8 +741,8 @@ def test_csv_and_json_never_build_a_split(monkeypatch, capsys):
         main(["report", "12345", "7"])
 
 
-# report and trace refuse, before the first step, a knot whose walks could
-# exceed MAX_STEPS; half an expansion's coefficient sum bounds each walk.
+# report and trace refuse, before the first step, a knot with a walk of more
+# than MAX_STEPS pinch moves, counted exactly from its `PinchTrace`.
 
 
 def forbid_steps(monkeypatch):
@@ -770,34 +770,65 @@ def test_unbounded_work_is_refused_before_any_step(monkeypatch, capsys, argv):
 
 
 def test_report_bounds_the_odd_crosscap_walk_too(monkeypatch, capsys):
-    # T(23,21): p/q = [1,10,2] bounds the pinch trace by 6, but the crosscap
-    # number walks (pq-1)/p^2 or (pq+1)/p^2, whose bound is larger.
+    # T(23,21): the pinch trace is shorter than the walk of `crosscap_knot`
+    # that counts gamma3, and report refuses by that walk's exact length
     knot = TorusKnot(23, 21)
-    trace_bound = sum(cf.expand(knot.fraction())) // 2
-    assert trace_bound == 6
-    monkeypatch.setattr(cli, "MAX_STEPS", trace_bound)
+    gamma3 = crosscap_number(knot)
+    assert pinches_to_unknot(knot) < gamma3
+    monkeypatch.setattr(cli, "MAX_STEPS", gamma3)
+    code, out, _ = run_cli(capsys, "report", "23", "21")
+    assert code == 0 and out
+    monkeypatch.setattr(cli, "MAX_STEPS", gamma3 - 1)
     code, out, _ = run_cli(capsys, "trace", "23", "21")
     assert code == 0 and out
     forbid_steps(monkeypatch)
     code, out, err = run_cli(capsys, "report", "23", "21")
     assert code == 2 and out == ""
-    assert err.startswith("error: T(23,21) may take up to")
+    assert err == (
+        f"error: T(23,21) takes {gamma3} pinch moves; report and trace stop at {gamma3 - 1}\n"
+    )
 
 
-def test_work_bound_holds_on_the_box():
-    for knot in normalized_knots(60):
-        pq, square = knot.p * knot.q, knot.p * knot.p
-        values = [knot.fraction()]
-        if knot.p % 2:
-            values += [Fraction(pq - 1, square), Fraction(pq + 1, square)]
-        bound = max(sum(cf.expand(v)) for v in values) // 2
-        assert len(pinch_sequence(knot, StopRule.FIRST_UNKNOT)) <= bound
-        assert crosscap_number(knot) <= bound
-        if knot.p % 2 == 0:
-            assert len(pinch_sequence(knot, StopRule.ZERO)) <= bound
+@pytest.mark.parametrize(
+    "argv, gamma3",
+    [
+        (("report", "2", "5000001"), 1),
+        (("report", "4", "8000001", "--format", "csv"), 2),
+        (("report", "6", "12000001", "--format", "json"), 3),
+    ],
+)
+def test_report_runs_a_short_walk_of_a_long_quotient(capsys, argv, gamma3):
+    # p/q = [0, q // p, p] has a coefficient of millions, but both walks
+    # that report makes are a few moves long
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if "json" in argv:
+        assert json.loads(out)["gamma3"] == gamma3
+    elif "csv" in argv:
+        assert int(next(csv.DictReader(io.StringIO(out)))["gamma3"]) == gamma3
+    else:
+        assert re.search(r"^  gamma3: +(\d+) ", out, re.M).group(1) == str(gamma3)
+
+
+def test_report_refuses_by_the_walks_it_makes_on_the_box(monkeypatch):
+    # the two counts report refuses by are beta1_F and gamma3 as the stepwise
+    # oracles count them, and gamma3 is as many `cf.step` calls as
+    # `genus_report` makes
+    steps = []
+    real_step = cf.step
+    monkeypatch.setattr(cf, "step", lambda x: steps.append(None) or real_step(x))
+    for knot in normalized_knots(150):
+        trace_moves = pinches_to_unknot(knot)
+        walk_moves = PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves
+        assert trace_moves == cf.steps_to_integer((knot.p, knot.q))[0]
+        assert walk_moves == crosscap_number(knot)
+        steps.clear()
+        assert cli.genus_report(knot).gamma3 == len(steps) == walk_moves
 
 
 def test_limit_accepts_every_benchmark_size():
     # the largest knots the benchmark and the tests run through the CLI
     for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
-        cli._check_work_bound(TorusKnot(p, q))
+        knot = TorusKnot(p, q)
+        walk_moves = PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves
+        cli._refuse_long_walks(knot, pinches_to_unknot(knot), walk_moves)

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosscap import (
-    EXACT_BY_BATSON,
     EXACT_BY_COLLAPSE,
     EXACT_BY_POSITIVE_PINCHES,
     EXACT_UNKNOWN,
@@ -246,7 +245,7 @@ def test_four_genus_batson_provenance():
     # where the trace is longer than one move
     bounds = four_genus_bounds(TorusKnot(8, 7))
     assert bounds.exact == 3
-    assert bounds.provenance in (EXACT_BY_POSITIVE_PINCHES, EXACT_BY_BATSON)
+    assert bounds.provenance == EXACT_BY_POSITIVE_PINCHES
 
 
 @pytest.mark.parametrize(
