@@ -288,6 +288,11 @@ def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -
     which is walked as it is: a caller that holds it (a `PinchTrace` does)
     need not expand a/b again.  The walk is one `step` per count either way.
 
+    The fast route is `genus.pinches_to_zero`, which counts the same walk
+    by runs; this walk is its test oracle.  It is also the interim gamma3
+    route of `genus.genus_report`, which steps until the benchmark harness
+    keeps constant memory per call.
+
     Coprimality makes b odd automatically once a is even.  Each step
     preserves the parities of numerator and denominator, so the walk can
     never strand on [1] or on a denominator-2 value, and the strictly

@@ -10,8 +10,11 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               Teragaito's step-count formula: N(p,q) when pq is even, and
               N(pq-+1, p^2) when pq is odd, the sign picked by the parity
               of x with xq = -1 mod p.  N(a,b) counts reduction steps from
-              a/b to 0 and is computed by cf.steps_to_zero; `crosscap_knot`
-              names the knot T(a,b) it walks.
+              a/b to 0; `crosscap_knot` names the knot T(a,b) it walks, and
+              `pinches_to_zero` counts that walk as the `moves` of its ZERO
+              `PinchTrace`, run by run, in O(len(expansion)) integer
+              operations.  `genus_report` still counts it one cf.step per
+              move.
 * gamma4    - bounds for the nonorientable four-genus: lower 1, upper
               beta1_F, marked exact by the first certificate that applies:
               all positive pinches, then interval collapse.
@@ -172,13 +175,16 @@ def pinches_to_unknot(knot: TorusKnot) -> int:
 def pinches_to_zero(knot: TorusKnot) -> int:
     """Number of pinch moves from T(p,q), p even, all the way to T(0,1).
 
-    This is N(p,q) in step-count terms.  Unknots with even p are accepted:
-    T(2,1) needs one move and T(0,1) none, and both show up as split pieces
-    of odd-parameter knots.
+    This is N(p,q) in step-count terms, the `moves` of the knot's ZERO
+    `PinchTrace`: the walk is counted run by run, in O(len(expansion))
+    integer operations, with no `cf.step`.  `cf.steps_to_zero`, one step
+    per move, is its test oracle.  Unknots with even p are accepted: T(2,1)
+    needs one move and T(0,1) none, and both show up as split pieces of
+    odd-parameter knots.
     """
     if knot.p % 2:
         raise OddParity(f"reaching T(0,1) requires even p: {knot}")
-    return cf.steps_to_zero((knot.p, knot.q))
+    return PinchTrace(knot, StopRule.ZERO).moves
 
 
 def odd_split(knot: TorusKnot) -> OddSplit:
@@ -280,9 +286,10 @@ def orientable_genus(knot: TorusKnot) -> int:
 def genus_report(knot: TorusKnot) -> GenusReport:
     """Assemble the full invariant report for a nontrivial torus knot.
 
-    p/q is expanded once, by the trace.  gamma3 walks that expansion when p
-    is even and the pair of `crosscap_knot` when p is odd: the route of
-    `crosscap_number`, with which the tests compare it.
+    p/q is expanded once, by the trace.  gamma3 steps that expansion when p
+    is even and the pair of `crosscap_knot` when p is odd, one `cf.step` per
+    move; the tests compare it with `crosscap_number`, which counts the same
+    walk by runs.
     """
     _require_nontrivial(knot)
     p, q = knot.p, knot.q
@@ -294,11 +301,12 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         a=a,
         ell=_ell(p, k),
         beta1_F=trace.moves,
-        # `PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves` equals this
-        # count in O(len(expansion)), and `report` refuses by it, but gamma3
-        # keeps its stepped route until the benchmark harness keeps constant
-        # memory per call: the faster walk makes many more calls per run,
-        # which raised deep_quotient's peak RSS from 22.6 to 40.7 MiB.
+        # `pinches_to_zero(crosscap_knot(knot))` equals this count in
+        # O(len(expansion)), and `crosscap_number` and verify read it, but
+        # gamma3 keeps its stepped route here until the benchmark harness
+        # keeps constant memory per call (ROADMAP item 1): the faster walk
+        # makes many more calls per run, which raised deep_quotient's peak
+        # RSS from 22.6 to 40.7 MiB.  Then this reads `pinches_to_zero`.
         gamma3=cf.steps_to_zero(_odd_crosscap_pair(p, q) if p % 2 else trace.expansion),
         gamma4=_bounds_from_trace(knot, trace),
         gap_lower_bound=Fraction(k, 2),

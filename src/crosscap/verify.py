@@ -87,6 +87,11 @@ class _Knot:
     expands and splits p/q itself, for gamma3.  gamma3 is not shared:
     crosscap-odd-consistency (odd p) and gap-formula (even p) run on
     disjoint parities, so each calls `crosscap_number` itself.
+
+    `crosscap_number` counts its walk by runs, as `pinches_to_zero` does,
+    so gap-formula compares two counts from the same `knot._runs` loop:
+    gamma3 to T(0,1) and `trace.moves` to the first unknot.  The tier-1
+    tests pin gamma3 to the stepwise count, `cf.steps_to_zero`.
     """
 
     __slots__ = ("knot", "first", "trace")

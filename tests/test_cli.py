@@ -321,7 +321,7 @@ def test_trace_rows_match_the_records_on_the_box():
 
 
 def test_trace_is_bounded_by_its_exact_length(monkeypatch, capsys):
-    # T(16,15) = [1,15] pinches 7 times; half its coefficient sum is 8
+    # T(16,15) = [1,15] pinches 7 times, counted by its trace before any step
     monkeypatch.setattr(cli, "MAX_STEPS", 7)
     code, out, _ = run_cli(capsys, "trace", "16", "15")
     assert code == 0 and len(out.splitlines()) == 7

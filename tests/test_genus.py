@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosscap import (
@@ -193,7 +193,8 @@ def test_crosscap_knot_matches_the_formula_on_the_box():
 
 
 def test_crosscap_knot_is_a_knot_on_the_unknots():
-    # `report` bounds the crosscap walk before it rejects a trivial knot
+    # `report` rejects a trivial knot before it builds the `crosscap_knot`
+    # trace, but `crosscap_knot` itself is defined on the unknots too
     for knot in [TorusKnot(0, 1), TorusKnot(1, 1)] + [TorusKnot(l, 1) for l in range(2, 51)]:
         walked = crosscap_knot(knot)
         assert walked == TorusKnot(walked.p, walked.q)
@@ -449,3 +450,98 @@ def test_genus_report_expands_once_per_walk(monkeypatch):
         calls.clear()
         genus_report(knot)
         assert len(calls) == (2 if knot.p % 2 else 1), knot
+
+
+# `pinches_to_zero` counts the ZERO walk by runs; `cf.steps_to_zero`, one
+# `cf.step` per move, is its oracle.  Every gamma3 route but `genus_report`
+# reads it.
+
+
+def assert_runs_count_the_steps(knot):
+    assert pinches_to_zero(knot) == cf.steps_to_zero((knot.p, knot.q)), knot
+
+
+def test_pinches_to_zero_matches_the_steps_on_the_box():
+    # the `crosscap_knot` of every knot of the box, every even-p knot among
+    # them, is walked in test_crosscap_knot_matches_the_formula_on_the_box
+    for knot in normalized_knots(300):
+        if knot.p % 2:
+            split = odd_split(knot)
+            assert_runs_count_the_steps(split.first)
+            assert_runs_count_the_steps(split.second)
+    for ell in range(0, 301, 2):
+        assert_runs_count_the_steps(TorusKnot(ell, 1))
+
+
+@st.composite
+def expansions(draw, max_coeff=8, max_len=160):
+    """A canonical expansion [c0, ..., cm] as its coefficient list.  The
+    coefficient sum stays below max_coeff * (max_len + 2), which bounds the
+    stepwise walk, while runs of small coefficients take p past 10^30."""
+    head = draw(st.integers(min_value=0, max_value=max_coeff))
+    size = draw(st.integers(min_value=0, max_value=max_len))  # long ones as often as short
+    coeff = st.integers(min_value=1, max_value=max_coeff)
+    body = draw(st.lists(coeff, min_size=size, max_size=size))
+    if body or head < 2:
+        body.append(draw(st.integers(min_value=2, max_value=max_coeff)))
+    return [head] + body
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions())
+@example([0] + [1] * 150 + [2])  # p, q > 10^30
+def test_pinches_to_zero_matches_the_steps_large(coeffs):
+    value = cf.evaluate(coeffs)
+    assume(value.numerator % 2 == 0)
+    assert_runs_count_the_steps(TorusKnot(value.numerator, value.denominator))
+
+
+# The fast route never steps, so it returns at sizes where a stepwise walk
+# would not finish.
+
+
+def forbid_steps(monkeypatch):
+    def step(_):
+        raise AssertionError("cf.step was called")
+
+    monkeypatch.setattr(cf, "step", step)
+
+
+BIG = 10**30
+
+
+def test_gamma3_routes_do_not_step(monkeypatch):
+    forbid_steps(monkeypatch)
+    assert crosscap_number(TorusKnot(10**6, 3)) == 166668
+    even, k = TorusKnot(2 * BIG, 3), 2 * BIG // 3
+    assert gap_report(even) == ((k + 1) // 2, Fraction(k, 2))
+    odd = TorusKnot(BIG + 1, BIG - 1)
+    assert crosscap_number(odd) == crosscap_by_splitting(odd)
+
+
+def test_closed_forms_at_large_k(monkeypatch):
+    forbid_steps(monkeypatch)
+    for k in (BIG, BIG + 1, 3 * BIG + 7):
+        assert crosscap_number(TorusKnot(2 * k, 2 * k - 1)) == k
+    for k in (BIG + 1, BIG + 3, 7 * BIG + 1):
+        for m in (3, 5, 7, 99):
+            knot = TorusKnot(k * m + 1, m)
+            assert crosscap_number(knot) == (m - 1) // 2 + (k + 1) // 2
+            assert gap_report(knot)[0] == (k + 1) // 2
+
+
+@st.composite
+def large_odd_knots(draw):
+    a = draw(st.integers(min_value=BIG, max_value=BIG * 10**6))
+    b = draw(st.integers(min_value=1, max_value=a - 1))
+    p, q = 2 * a + 1, 2 * b + 1
+    assume(gcd(p, q) == 1)
+    return TorusKnot(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_odd_knots())
+@example(TorusKnot(BIG + 1, BIG - 1))
+@example(TorusKnot(2 * BIG + 1, 7))
+def test_crosscap_routes_agree_on_large_odd_knots(knot):
+    assert crosscap_number(knot) == crosscap_by_splitting(knot)
