@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import (
-    InvalidParameter,
-    InvalidParity,
-    NotCanonicalizable,
-    StepUndefined,
-    ZeroDenominator,
-)
+from .errors import InvalidParameter, NotCanonicalizable, OddParity, StepUndefined, ZeroDenominator
 
 __all__ = [
     "ContinuedFraction",
@@ -282,7 +276,8 @@ def _numerator_is_odd(coeffs: tuple[int, ...]) -> int:
 
 
 def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -> int:
-    """Count reduction steps from a/b down to [0], for even a and odd b.
+    """Count reduction steps from a/b down to [0], for even a and odd b;
+    an odd a raises OddParity.
 
     x is read as `expand` reads it, or it is the canonical expansion of a/b,
     which is walked as it is: a caller that holds it (a `PinchTrace` does)
@@ -300,7 +295,7 @@ def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -
     """
     cf = x if isinstance(x, ContinuedFraction) else expand(x)
     if _numerator_is_odd(cf.coeffs):
-        raise InvalidParity(f"numerator must be even: {evaluate(cf)}")
+        raise OddParity(f"numerator must be even: {evaluate(cf)}")
     n = 0
     while cf.coeffs != (0,):
         cf = step(cf)

@@ -26,7 +26,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, crosscap_knot, genus_report, pinches_to_unknot
+from .genus import GenusReport, crosscap_number, genus_report, pinches_to_unknot
 from .knot import PinchSign, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
@@ -192,8 +192,9 @@ def _report_human(report: GenusReport) -> Iterator[str]:
         f"  gap lower bound:   {report.gap_lower_bound}  (k/2)",
         f"  orientable genus:  {report.orientable_genus}",
     ]
-    if report.split is not None:
-        lines.append(f"  split:             {report.split.first} + {report.split.second}")
+    split = report.split
+    if split is not None:
+        lines.append(f"  split:             {split.first} + {split.second}")
     lines.append("  pinch trace:")
     yield "\n".join(lines) + "\n"
     for line in _trace_lines(report.trace):
@@ -257,10 +258,8 @@ def _refuse_long_walks(knot: TorusKnot, *moves: int) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
-    # the printed trace, then the walk whose steps count gamma3
-    _refuse_long_walks(
-        knot, pinches_to_unknot(knot), PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves
-    )
+    # the two walks report makes: the printed trace (beta1_F) and gamma3's
+    _refuse_long_walks(knot, pinches_to_unknot(knot), crosscap_number(knot))
     report = genus_report(knot)
     if args.format == "json":
         return 0, _report_json(report)

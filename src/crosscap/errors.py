@@ -2,7 +2,23 @@
 
 Everything derives from CrosscapError (itself a ValueError), so callers can
 catch domain errors with a single except clause while ordinary ValueError
-semantics still apply.
+semantics still apply.  Each precondition has one class, raised by the
+layer that owns its check; the functions above that layer let it through:
+
+* InvalidParameter: bad type, range or order; `TorusKnot`, `normalize`,
+  `pinch_witness`, `cf.expand`, `run_all` and the CLI's bounds.
+* NotCoprime: a pair with a common factor; `TorusKnot`, `pinch_witness`.
+* ZeroDenominator: a zero denominator; `cf.evaluate`.
+* NotCanonicalizable: no canonical form; `ContinuedFraction`,
+  `cf.canonicalize`, `cf.evaluate`.
+* StepUndefined: no step from [0], [1] or [c0, 2]; `cf.step`.
+* PinchUndefined: no move from T(0,1), T(1,1) or a one-entry expansion;
+  `pinch`, `pinch_by_step`, `pinch_sign_from_expansion`.
+* UnknotInput: a trivial knot; `PinchTrace` under FIRST_UNKNOT,
+  `euclidean_division`, `crosscap_number`, `odd_split`, `gap_report`.
+* OddParity: odd p, or an odd numerator, on a walk to T(0,1) or [0];
+  `PinchTrace` under ZERO, `cf.steps_to_zero`, `gap_report`.
+* EvenParity: even p where both parameters must be odd; `odd_split`.
 """
 
 __all__ = [
@@ -11,11 +27,8 @@ __all__ = [
     "ZeroDenominator",
     "NotCanonicalizable",
     "StepUndefined",
-    "InvalidParity",
     "NotCoprime",
     "PinchUndefined",
-    "StopUnreachable",
-    "DegenerateModulus",
     "OddParity",
     "EvenParity",
     "UnknotInput",
@@ -44,10 +57,6 @@ class StepUndefined(CrosscapError):
     """The reduction step is not defined for this expansion."""
 
 
-class InvalidParity(CrosscapError):
-    """A numerator parity precondition was violated."""
-
-
 class NotCoprime(CrosscapError):
     """Torus-knot parameters must be coprime."""
 
@@ -56,16 +65,8 @@ class PinchUndefined(CrosscapError):
     """No pinch move is available for this knot."""
 
 
-class StopUnreachable(CrosscapError):
-    """The requested stopping condition can never be met."""
-
-
-class DegenerateModulus(CrosscapError):
-    """Division by q requires q > 1."""
-
-
 class OddParity(CrosscapError):
-    """Operation requires an even-parameter torus knot."""
+    """Operation requires an even first parameter or numerator."""
 
 
 class EvenParity(CrosscapError):

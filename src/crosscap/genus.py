@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cf
-from .errors import DegenerateModulus, EvenParity, OddParity, UnknotInput
+from .errors import EvenParity, OddParity, UnknotInput
 from .knot import PinchTrace, StopRule, TorusKnot, is_unknot, normalize
 
 __all__ = [
@@ -139,9 +139,11 @@ def _require_nontrivial(knot: TorusKnot) -> None:
 
 
 def euclidean_division(knot: TorusKnot) -> tuple[int, int]:
-    """Write p = q*k + a with 0 < a < q and return (k, a)."""
-    if knot.q <= 1:
-        raise DegenerateModulus(f"division by q requires q > 1: {knot}")
+    """Write p = q*k + a with 0 < a < q and return (k, a).
+
+    A normalized knot has q <= 1 exactly when it is trivial, so the one
+    check is that it is not."""
+    _require_nontrivial(knot)
     return divmod(knot.p, knot.q)
 
 
@@ -168,7 +170,6 @@ def pinches_to_unknot(knot: TorusKnot) -> int:
     reports.  The stepwise count of cf.steps_to_integer(p/q) is its test
     oracle, and module verify checks one pinch per step.
     """
-    _require_nontrivial(knot)
     return PinchTrace(knot, StopRule.FIRST_UNKNOT).moves
 
 
@@ -182,8 +183,6 @@ def pinches_to_zero(knot: TorusKnot) -> int:
     needs one move and T(0,1) none, and both show up as split pieces of
     odd-parameter knots.
     """
-    if knot.p % 2:
-        raise OddParity(f"reaching T(0,1) requires even p: {knot}")
     return PinchTrace(knot, StopRule.ZERO).moves
 
 
@@ -226,11 +225,12 @@ def crosscap_knot(knot: TorusKnot) -> TorusKnot:
     Even pq: T(p,q) itself.  Odd pq: T(pq-1, p^2) or T(pq+1, p^2) according
     to whether the residue x with xq = -1 (mod p) is even or odd.  Both
     first parameters are even and coprime to the odd square, so the result
-    is a normalized knot for every normalized input, trivial ones included.
+    is a normalized knot for every normalized input, trivial ones included,
+    and it is built without re-validation; the tests re-validate it.
     """
     if knot.p % 2 == 0:
         return knot
-    return TorusKnot(*_odd_crosscap_pair(knot.p, knot.q))
+    return TorusKnot._trusted(*_odd_crosscap_pair(knot.p, knot.q))
 
 
 def _odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:
@@ -242,7 +242,7 @@ def _odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:
 def crosscap_number(knot: TorusKnot) -> int:
     """Crosscap number gamma3 of a nontrivial torus knot: N of its
     `crosscap_knot` (Teragaito's formula)."""
-    _require_nontrivial(knot)
+    _require_nontrivial(knot)  # `crosscap_knot` is a knot on the unknots too
     return pinches_to_zero(crosscap_knot(knot))
 
 
@@ -259,7 +259,6 @@ def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:
 def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
     """Bounds (and, when known, the exact value) of the nonorientable
     four-genus of a nontrivial torus knot."""
-    _require_nontrivial(knot)
     return _bounds_from_trace(knot, PinchTrace(knot, StopRule.FIRST_UNKNOT))
 
 
@@ -269,13 +268,13 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     The first component measures how far the crosscap number exceeds the
     four-genus upper bound; it equals ceil(k/2) = ell/2, an identity that
     module verify checks over its box.  The second component is the exact
-    rational lower bound k/2.
+    rational lower bound k/2.  A trivial knot is refused before an odd one,
+    by the division; an even-p knot is its own `crosscap_knot`.
     """
-    _require_nontrivial(knot)
+    k, _ = euclidean_division(knot)
     if knot.p % 2:
         raise OddParity(f"gap formula requires even p: {knot}")
-    k, _ = euclidean_division(knot)
-    return crosscap_number(knot) - pinches_to_unknot(knot), Fraction(k, 2)
+    return pinches_to_zero(knot) - pinches_to_unknot(knot), Fraction(k, 2)
 
 
 def orientable_genus(knot: TorusKnot) -> int:
@@ -291,7 +290,6 @@ def genus_report(knot: TorusKnot) -> GenusReport:
     move; the tests compare it with `crosscap_number`, which counts the same
     walk by runs.
     """
-    _require_nontrivial(knot)
     p, q = knot.p, knot.q
     k, a = divmod(p, q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)

@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import cf
-from .errors import InvalidParameter, NotCoprime, PinchUndefined, StopUnreachable
+from .errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
 
 __all__ = [
     "TorusKnot",
@@ -85,7 +84,8 @@ class TorusKnot:
     results through `_trusted` instead: a pinch result is a nonnegative,
     coprime pair of ints by construction, and `pinch` puts it in order
     itself.  `normalized_knots` does the same with the pairs its loop
-    admits.  The tests re-validate both through the constructor.
+    admits, and `genus.crosscap_knot` with the pair (pq+-1, p^2).  The tests
+    re-validate all three through the constructor.
     """
 
     p: int
@@ -111,9 +111,6 @@ class TorusKnot:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         return self
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
     def __str__(self) -> str:
         return f"T({self.p},{self.q})"
@@ -294,7 +291,9 @@ class PinchTrace:
     move is the test oracle for the moves, and one `cf.step` per move for
     the expansions.
 
-    Preconditions and their errors are those of `pinch_sequence`.
+    The trace owns the preconditions of a walk: FIRST_UNKNOT needs a
+    nontrivial knot (UnknotInput) and ZERO an even p (OddParity).  The
+    functions that build a trace let its error through.
     """
 
     knot: TorusKnot
@@ -308,10 +307,10 @@ class PinchTrace:
         knot, stop = self.knot, self.stop
         if stop is StopRule.FIRST_UNKNOT:
             if is_unknot(knot):
-                raise PinchUndefined(f"{knot} is already trivial")
+                raise UnknotInput(f"{knot} is trivial")
         elif stop is StopRule.ZERO:
             if knot.p % 2:
-                raise StopUnreachable(f"{knot} has odd parameters; T(0,1) is unreachable")
+                raise OddParity(f"reaching T(0,1) requires even p: {knot}")
         else:
             raise ValueError(f"unknown stop rule: {stop!r}")
         expansion = cf.expand((knot.p, knot.q))
@@ -389,11 +388,11 @@ class PinchTrace:
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     """Pinch repeatedly until the stop rule is met and return the records.
 
-    FIRST_UNKNOT requires a nontrivial starting knot and stops as soon as
-    the result is trivial.  ZERO requires even p (odd p never reaches 0,
-    since pinching preserves parameter parities) and continues through the
-    unknots T(l,1) until T(0,1).  Each move strictly decreases max(p,q), so
-    both walks terminate.
+    FIRST_UNKNOT requires a nontrivial starting knot (UnknotInput) and stops
+    as soon as the result is trivial.  ZERO requires even p (OddParity: odd
+    p never reaches 0, since pinching preserves parameter parities) and
+    continues through the unknots T(l,1) until T(0,1).  Each move strictly
+    decreases max(p,q), so both walks terminate.
 
     This is `list(PinchTrace(knot, stop))`, the records of the fast route;
     a caller that needs only the length, the signs or the last knot reads

@@ -27,8 +27,8 @@ from crosscap import (
 )
 from crosscap.errors import (
     InvalidParameter,
-    InvalidParity,
     NotCanonicalizable,
+    OddParity,
     StepUndefined,
     ZeroDenominator,
 )
@@ -254,7 +254,7 @@ def test_steps_to_zero_examples(value, count):
 
 @pytest.mark.parametrize("value", [Fraction(3, 5), Fraction(1), Fraction(7, 4), 3, "3/4"])
 def test_steps_to_zero_rejects_odd_numerators(value):
-    with pytest.raises(InvalidParity):
+    with pytest.raises(OddParity):
         steps_to_zero(value)
 
 
@@ -531,7 +531,7 @@ def test_expand_rejects_bad_pairs(pair):
 def test_steps_to_zero_walks_a_held_expansion():
     for x in coprime_fractions(60, 60):
         if x.numerator % 2:
-            with pytest.raises(InvalidParity, match=f"even: {x}$"):
+            with pytest.raises(OddParity, match=f"even: {x}$"):
                 steps_to_zero(expand(x))
         else:
             assert steps_to_zero(expand(x)) == steps_to_zero(x) == steps_to_integer_zero(x)
@@ -549,5 +549,5 @@ def steps_to_integer_zero(x):
 def test_steps_to_zero_parity_check_reads_the_expansion(x):
     assert cf_module._numerator_is_odd(expand(x).coeffs) == x.numerator % 2
     if x.numerator % 2:
-        with pytest.raises(InvalidParity):
+        with pytest.raises(OddParity):
             steps_to_zero(expand(x))

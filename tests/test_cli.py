@@ -149,7 +149,7 @@ def test_trace_lines_step_as_euclid_expands():
             lines = list(cli._trace_lines(trace))
             assert len(lines) == trace.moves
             for line, record in zip(lines, trace):
-                before, after = (cf.expand(x.fraction()) for x in (record.source, record.result))
+                before, after = (cf.expand((x.p, x.q)) for x in (record.source, record.result))
                 assert line.endswith(f"   {before} -> {after}")
 
 

@@ -32,7 +32,6 @@ from crosscap import (
     terminal_unknot_parameter,
 )
 from crosscap.errors import (
-    DegenerateModulus,
     EvenParity,
     OddParity,
     UnknotInput,
@@ -64,7 +63,7 @@ def test_euclidean_division_examples(knot, expected):
 
 
 def test_euclidean_division_requires_q_above_one():
-    with pytest.raises(DegenerateModulus):
+    with pytest.raises(UnknotInput):
         euclidean_division(TorusKnot(5, 1))
 
 
@@ -193,13 +192,24 @@ def test_crosscap_knot_matches_the_formula_on_the_box():
 
 
 def test_crosscap_knot_is_a_knot_on_the_unknots():
-    # `report` rejects a trivial knot before it builds the `crosscap_knot`
-    # trace, but `crosscap_knot` itself is defined on the unknots too
+    # `crosscap_number`, and so `report`, rejects a trivial knot, but
+    # `crosscap_knot` itself is defined on the unknots too
     for knot in [TorusKnot(0, 1), TorusKnot(1, 1)] + [TorusKnot(l, 1) for l in range(2, 51)]:
         walked = crosscap_knot(knot)
+        expected = crosscap_fraction(knot)
         assert walked == TorusKnot(walked.p, walked.q)
-        assert walked.fraction() == crosscap_fraction(knot)
+        assert (walked.p, walked.q) == (expected.numerator, expected.denominator)
         assert pinches_to_zero(walked) >= 0
+
+
+def test_crosscap_knot_revalidates_on_the_box():
+    # `crosscap_knot` builds its knot without checks; every one of the
+    # p,q <= 150 box, trivial knots included, passes the constructor's
+    unknots = [TorusKnot(0, 1), TorusKnot(1, 1)] + [TorusKnot(l, 1) for l in range(2, 151)]
+    for knot in unknots + list(normalized_knots(150)):
+        walked = crosscap_knot(knot)
+        assert type(walked.p) is int and type(walked.q) is int
+        assert walked == TorusKnot(walked.p, walked.q)
 
 
 def test_batson_family_small():

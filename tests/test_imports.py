@@ -1,10 +1,14 @@
-"""The library imports only the standard library and itself."""
+"""Static checks of the library sources: they import only the standard
+library and the package, parse as the oldest supported Python, and raise
+every error class the package exports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+from crosscap import errors
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "crosscap").glob("*.py"))
 
@@ -27,3 +31,23 @@ def test_sources_are_found():
 def test_library_imports_only_the_standard_library(path):
     allowed = sys.stdlib_module_names | {"crosscap"}
     assert sorted(set(absolute_imports(path)) - allowed) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_sources_parse_as_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def raised_names(path):
+    """Names of the classes a source file raises, as `raise X` or `raise X(...)`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    raised = {name for path in SOURCES for name in raised_names(path)}
+    assert sorted(set(errors.__all__) - {"CrosscapError"} - raised) == []

@@ -95,7 +95,7 @@ def test_run_all_matches_checks_run_alone():
 def test_failure_stays_inside_its_check(monkeypatch):
     clean = run_all(40)
     bad_knot, wrong = TorusKnot(5, 3), TorusKnot(0, 1)
-    bad_expansion = cf.expand(bad_knot.fraction())
+    bad_expansion = cf.expand((bad_knot.p, bad_knot.q))
     by_step = verify.pinch_by_step
     monkeypatch.setattr(
         verify,
