@@ -285,8 +285,9 @@ def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -
 
     The fast route is `genus.pinches_to_zero`, which counts the same walk
     by runs; this walk is its test oracle.  It is also the interim gamma3
-    route of `genus.genus_report`, which steps until the benchmark harness
-    keeps constant memory per call.
+    route of `genus.genus_report` for even p, which steps until the
+    benchmark harness keeps constant memory per call; odd p counts runs
+    there already, from p/q's own expansion.
 
     Coprimality makes b odd automatically once a is even.  Each step
     preserves the parities of numerator and denominator, so the walk can

@@ -10,11 +10,17 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               Teragaito's step-count formula: N(p,q) when pq is even, and
               N(pq-+1, p^2) when pq is odd, the sign picked by the parity
               of x with xq = -1 mod p.  N(a,b) counts reduction steps from
-              a/b to 0; `crosscap_knot` names the knot T(a,b) it walks, and
-              `pinches_to_zero` counts that walk as the `moves` of its ZERO
-              `PinchTrace`, run by run, in O(len(expansion)) integer
-              operations.  `genus_report` still counts it one cf.step per
-              move.
+              a/b to 0, and `pinches_to_zero` counts that walk as the
+              `moves` of the ZERO `PinchTrace` of T(a,b), run by run, in
+              O(len(expansion)) integer operations.  For odd pq the
+              expansion of (pq-+1)/p^2 is p/q's own expansion rearranged
+              into a near-palindrome (`_odd_crosscap_form`), whose runs are
+              counted as they stand: no p^2, no residue, no second
+              expansion.  Only `genus_report` on even p still counts one
+              cf.step per move: the run count makes each report so short
+              that the benchmark harness, which keeps memory per call,
+              breaks its peak-RSS bound, until it keeps constant memory
+              per call (ROADMAP item 1).
 * gamma4    - bounds for the nonorientable four-genus: lower 1, upper
               beta1_F, marked exact by the first certificate that applies:
               all positive pinches, then interval collapse.
@@ -29,10 +35,10 @@ pieces (Teragaito again).  `crosscap_by_splitting` implements that route so
 the verification module can cross-check the closed formula against it.
 
 `genus_report` computes each value once per knot: it divides p by q once,
-its `PinchTrace` expands p/q once, and gamma3 walks that same expansion
-when p is even (the knot is its own `crosscap_knot`) and expands
-`crosscap_knot` once when p is odd.  The only Fraction it builds is the gap
-bound k/2, and the odd split is computed only when `split` is read.
+its `PinchTrace` expands p/q once, and gamma3 reads that same expansion:
+stepped when p is even, rearranged into the near-palindrome when p is odd.
+The only Fraction it builds is the gap bound k/2, and the odd split is
+computed only when `split` is read.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Optional
 
 from . import cf
 from .errors import EvenParity, OddParity, UnknotInput
-from .knot import PinchTrace, StopRule, TorusKnot, is_unknot, normalize
+from .knot import PinchTrace, StopRule, TorusKnot, _runs, is_unknot, normalize
 
 __all__ = [
     "OddSplit",
@@ -58,7 +64,6 @@ __all__ = [
     "pinches_to_zero",
     "odd_split",
     "crosscap_by_splitting",
-    "crosscap_knot",
     "crosscap_number",
     "four_genus_bounds",
     "gap_report",
@@ -219,31 +224,65 @@ def crosscap_by_splitting(knot: TorusKnot) -> int:
     return pinches_to_zero(split.first) + pinches_to_zero(split.second)
 
 
-def crosscap_knot(knot: TorusKnot) -> TorusKnot:
-    """The knot whose pinch count to T(0,1) is the crosscap number of `knot`.
+def _odd_crosscap_form(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical expansion of (pq-+1)/p^2, Teragaito's rational for an
+    odd-pq knot T(p,q), read off the expansion [c0, ..., cm] of p/q.
 
-    Even pq: T(p,q) itself.  Odd pq: T(pq-1, p^2) or T(pq+1, p^2) according
-    to whether the residue x with xq = -1 (mod p) is even or odd.  Both
-    first parameters are even and coprime to the odd square, so the result
-    is a normalized knot for every normalized input, trivial ones included,
-    and it is built without re-validation; the tests re-validate it.
+    With C = [c0, ..., c_{m-1}] and p_{m-1} the numerator of C's last
+    convergent, the form is
+
+        [0, *C, c_m - 1, c_m + 1, *reversed(C)]   when p_{m-1} is even,
+        [0, *C, c_m + 1, c_m - 1, *reversed(C)]   when p_{m-1} is odd,
+
+    with a trailing 1 (c0 = 1) folded into the entry before it, as `cf.step`
+    folds it.  It costs O(m) integer operations: no `pow`, no second
+    expansion and no `cf.step`.
+
+    Proof.  Let A(x) = [[x,1],[1,0]]; an expansion's matrix, the product
+    of A over its entries, has its value's numerator and denominator as
+    first column, and its transpose is the matrix of the reversed
+    expansion.  Let M_C = [[a,b],[c,d]] be C's matrix, so a = p_{m-1},
+    M_C A(c_m) has first column (p, q), and ad - bc = (-1)^m.  Since
+    A(c_m - 1) A(c_m + 1) = A(c_m)^2 + [[-1,-1],[1,0]], the matrix
+    M_C A(c_m - 1) A(c_m + 1) M_C^T of [*C, c_m - 1, c_m + 1, *reversed(C)]
+    has first column (p^2 + a^2, pq + ac) + (-a^2, ad - bc - ac) =
+    (p^2, pq + (-1)^m).  Swapping the middle pair transposes the middle
+    factor and gives (p^2, pq - (-1)^m); the leading 0 inverts either.
+    Teragaito takes pq - 1 when x = -q^(-1) mod p is even and pq + 1 when
+    it is odd, and x is the witness t of the first pinch: by
+    `PinchTrace.walk`, t = p_{m-1} when m is odd and t = p - p_{m-1}, of
+    the other parity since p is odd, when m is even.  So x is even exactly
+    when p_{m-1} and m differ in parity, and the first order gives pq - 1
+    exactly when m is odd: the first order is Teragaito's iff p_{m-1} is
+    even, whatever the parity of m.  The form is canonical: p > q
+    makes c0 >= 1, c_m - 1 >= 1, and once a trailing 1 is folded the last
+    entry is at least 2.
     """
-    if knot.p % 2 == 0:
-        return knot
-    return TorusKnot._trusted(*_odd_crosscap_pair(knot.p, knot.q))
+    head, last = coeffs[:-1], coeffs[-1]
+    if cf._numerator_is_odd(head):
+        middle = (last + 1, last - 1)
+    else:
+        middle = (last - 1, last + 1)
+    form = (0,) + head + middle + head[::-1]
+    if form[-1] == 1:  # [..., b, 1] == [..., b+1]
+        form = form[:-2] + (form[-2] + 1,)
+    return form
 
 
-def _odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:
-    """The parameters of `crosscap_knot` of an odd-pq knot T(p,q)."""
-    x = (-pow(q, -1, p)) % p
-    return p * q - 1 if x % 2 == 0 else p * q + 1, p * p
+def _odd_crosscap(coeffs: tuple[int, ...]) -> int:
+    """gamma3 of a nontrivial odd-pq knot whose p/q expands to `coeffs`:
+    the moves of the ZERO walk of `_odd_crosscap_form`, counted by runs."""
+    return sum(moves for moves, *_ in _runs(_odd_crosscap_form(coeffs), StopRule.ZERO))
 
 
 def crosscap_number(knot: TorusKnot) -> int:
-    """Crosscap number gamma3 of a nontrivial torus knot: N of its
-    `crosscap_knot` (Teragaito's formula)."""
-    _require_nontrivial(knot)  # `crosscap_knot` is a knot on the unknots too
-    return pinches_to_zero(crosscap_knot(knot))
+    """Crosscap number gamma3 of a nontrivial torus knot (Teragaito's
+    formula): `pinches_to_zero` of the knot for even p, and for odd p the
+    ZERO walk of (pq-+1)/p^2, read off p/q's expansion."""
+    _require_nontrivial(knot)
+    if knot.p % 2:
+        return _odd_crosscap(cf.expand((knot.p, knot.q)).coeffs)
+    return pinches_to_zero(knot)
 
 
 def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:
@@ -269,7 +308,7 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     four-genus upper bound; it equals ceil(k/2) = ell/2, an identity that
     module verify checks over its box.  The second component is the exact
     rational lower bound k/2.  A trivial knot is refused before an odd one,
-    by the division; an even-p knot is its own `crosscap_knot`.
+    by the division, and gamma3 of an even-p knot is `pinches_to_zero`.
     """
     k, _ = euclidean_division(knot)
     if knot.p % 2:
@@ -285,27 +324,31 @@ def orientable_genus(knot: TorusKnot) -> int:
 def genus_report(knot: TorusKnot) -> GenusReport:
     """Assemble the full invariant report for a nontrivial torus knot.
 
-    p/q is expanded once, by the trace.  gamma3 steps that expansion when p
-    is even and the pair of `crosscap_knot` when p is odd, one `cf.step` per
-    move; the tests compare it with `crosscap_number`, which counts the same
-    walk by runs.
+    p/q is expanded once, by the trace, and gamma3 reads that expansion:
+    by the runs of its near-palindrome form when p is odd, and one
+    `cf.step` per move when p is even; the tests compare it with
+    `crosscap_number`.
     """
     p, q = knot.p, knot.q
     k, a = divmod(p, q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
+    if p % 2:
+        gamma3 = _odd_crosscap(trace.expansion.coeffs)
+    else:
+        # Even p still steps.  `pinches_to_zero(knot)` equals the count in
+        # O(len(expansion)), but then every report is short, and the
+        # benchmark harness keeps about 210 B per call until it keeps
+        # constant memory per call (ROADMAP item 1): counting even p by runs
+        # too made 20x more calls per deep_quotient run and raised its peak
+        # RSS from 22.6 to 40.7 MiB.  The odd route alone doubles the calls.
+        gamma3 = cf.steps_to_zero(trace.expansion)
     return GenusReport(
         knot=knot,
         k=k,
         a=a,
         ell=_ell(p, k),
         beta1_F=trace.moves,
-        # `pinches_to_zero(crosscap_knot(knot))` equals this count in
-        # O(len(expansion)), and `crosscap_number` and verify read it, but
-        # gamma3 keeps its stepped route here until the benchmark harness
-        # keeps constant memory per call (ROADMAP item 1): the faster walk
-        # makes many more calls per run, which raised deep_quotient's peak
-        # RSS from 22.6 to 40.7 MiB.  Then this reads `pinches_to_zero`.
-        gamma3=cf.steps_to_zero(_odd_crosscap_pair(p, q) if p % 2 else trace.expansion),
+        gamma3=gamma3,
         gamma4=_bounds_from_trace(knot, trace),
         gap_lower_bound=Fraction(k, 2),
         orientable_genus=orientable_genus(knot),

@@ -84,8 +84,7 @@ class TorusKnot:
     results through `_trusted` instead: a pinch result is a nonnegative,
     coprime pair of ints by construction, and `pinch` puts it in order
     itself.  `normalized_knots` does the same with the pairs its loop
-    admits, and `genus.crosscap_knot` with the pair (pq+-1, p^2).  The tests
-    re-validate all three through the constructor.
+    admits.  The tests re-validate both through the constructor.
     """
 
     p: int

@@ -88,10 +88,15 @@ class _Knot:
     crosscap-odd-consistency (odd p) and gap-formula (even p) run on
     disjoint parities, so each calls `crosscap_number` itself.
 
-    `crosscap_number` counts its walk by runs, as `pinches_to_zero` does,
-    so gap-formula compares two counts from the same `knot._runs` loop:
+    For odd p, `crosscap_number` counts the runs of (pq-+1)/p^2, whose
+    expansion it reads off p/q's own as a near-palindrome, with no residue;
+    crosscap-odd-consistency keeps an independent route against it,
+    `crosscap_by_splitting`, which sums the walks of the two split pieces.
+    For even p it counts its walk by runs, as `pinches_to_zero` does, so
+    gap-formula compares two counts from the same `knot._runs` loop:
     gamma3 to T(0,1) and `trace.moves` to the first unknot.  The tier-1
-    tests pin gamma3 to the stepwise count, `cf.steps_to_zero`.
+    tests pin gamma3 to the stepwise count, `cf.steps_to_zero`, and the
+    odd form to Teragaito's residue pair.
     """
 
     __slots__ = ("knot", "first", "trace")

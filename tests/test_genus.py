@@ -16,11 +16,11 @@ from crosscap import (
     TorusKnot,
     cf,
     crosscap_by_splitting,
-    crosscap_knot,
     crosscap_number,
     euclidean_division,
     four_genus_bounds,
     gap_report,
+    genus,
     genus_report,
     normalize,
     normalized_knots,
@@ -31,6 +31,7 @@ from crosscap import (
     pinches_to_zero,
     terminal_unknot_parameter,
 )
+from crosscap import knot as knot_module
 from crosscap.errors import (
     EvenParity,
     OddParity,
@@ -38,6 +39,8 @@ from crosscap.errors import (
 )
 
 from math import gcd
+
+from oracles import crosscap_knot, odd_crosscap_pair
 
 
 @st.composite
@@ -203,8 +206,8 @@ def test_crosscap_knot_is_a_knot_on_the_unknots():
 
 
 def test_crosscap_knot_revalidates_on_the_box():
-    # `crosscap_knot` builds its knot without checks; every one of the
-    # p,q <= 150 box, trivial knots included, passes the constructor's
+    # the oracle builds its knot through the constructor; every one of the
+    # p,q <= 150 box, trivial knots included, passes its checks
     unknots = [TorusKnot(0, 1), TorusKnot(1, 1)] + [TorusKnot(l, 1) for l in range(2, 151)]
     for knot in unknots + list(normalized_knots(150)):
         walked = crosscap_knot(knot)
@@ -446,8 +449,8 @@ def test_genus_report_matches_the_routes_large(knot):
 
 
 def test_genus_report_expands_once_per_walk(monkeypatch):
-    # the trace expands p/q; gamma3 walks that expansion for even p and
-    # expands `crosscap_knot` for odd p, and the split is not built
+    # the trace expands p/q; gamma3 reads that expansion for every p, and
+    # the split is not built
     calls = []
     expand = cf.expand
 
@@ -459,12 +462,12 @@ def test_genus_report_expands_once_per_walk(monkeypatch):
     for knot in normalized_knots(40):
         calls.clear()
         genus_report(knot)
-        assert len(calls) == (2 if knot.p % 2 else 1), knot
+        assert len(calls) == 1, knot
 
 
 # `pinches_to_zero` counts the ZERO walk by runs; `cf.steps_to_zero`, one
-# `cf.step` per move, is its oracle.  Every gamma3 route but `genus_report`
-# reads it.
+# `cf.step` per move, is its oracle.  Every even-p gamma3 route but
+# `genus_report` reads it.
 
 
 def assert_runs_count_the_steps(knot):
@@ -555,3 +558,79 @@ def large_odd_knots(draw):
 @example(TorusKnot(2 * BIG + 1, 7))
 def test_crosscap_routes_agree_on_large_odd_knots(knot):
     assert crosscap_number(knot) == crosscap_by_splitting(knot)
+
+
+# Odd p: gamma3 walks (pq-+1)/p^2, whose expansion `genus._odd_crosscap_form`
+# reads off p/q's own expansion as a near-palindrome; Teragaito's residue
+# pair, `oracles.odd_crosscap_pair`, expanded, is its oracle.
+
+
+def odd_knots(pmax):
+    return (knot for knot in normalized_knots(pmax) if knot.p % 2)
+
+
+def assert_form_is_the_oracle_expansion(knot):
+    form = genus._odd_crosscap_form(cf.expand((knot.p, knot.q)).coeffs)
+    assert form == cf.expand(odd_crosscap_pair(knot.p, knot.q)).coeffs, knot
+
+
+def test_odd_crosscap_form_matches_the_oracle_on_the_box():
+    for knot in odd_knots(300):
+        assert_form_is_the_oracle_expansion(knot)
+
+
+@st.composite
+def odd_knots_below(draw, bound):
+    a = draw(st.integers(min_value=2, max_value=bound // 2))
+    b = draw(st.integers(min_value=1, max_value=a - 1))
+    p, q = 2 * a + 1, 2 * b + 1
+    assume(gcd(p, q) == 1)
+    return TorusKnot(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_knots_below(10**36))
+@example(TorusKnot(5, 3))  # c0 = 1: the trailing 1 is folded
+@example(TorusKnot(BIG + 1, 3))
+def test_odd_crosscap_form_matches_the_oracle_large(knot):
+    assert_form_is_the_oracle_expansion(knot)
+
+
+def test_odd_crosscap_form_parity_rule_is_teragaitos_residue():
+    # x = -q^(-1) mod p is the first pinch's witness t: p_{m-1} for odd m
+    # and p - p_{m-1} for even m.  The middle pair is (c_m - 1, c_m + 1)
+    # exactly when p_{m-1} is even, and that picks pq - 1 exactly when x is
+    # even, whatever the parity of m
+    both_orders = set()
+    for knot in odd_knots(200):
+        p, q = knot.p, knot.q
+        coeffs = cf.expand((p, q)).coeffs
+        m, last = len(coeffs) - 1, coeffs[-1]
+        ps, _ = cf.convergent_terms(coeffs[:-1])
+        x = (-pow(q, -1, p)) % p
+        assert x == (ps[-1] if m % 2 else p - ps[-1]), knot
+        first_order = genus._odd_crosscap_form(coeffs)[m + 1 : m + 3] == (last - 1, last + 1)
+        assert first_order == (ps[-1] % 2 == 0), knot
+        assert first_order == ((x % 2 == 0) == (m % 2 == 1)), knot
+        both_orders.add((first_order, m % 2))
+    assert both_orders == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def test_odd_genus_report_computes_no_residue(monkeypatch):
+    # Teragaito's sign is read off p/q's expansion: no `pow`, and no step
+    forbid_steps(monkeypatch)
+
+    def no_pow(*args):
+        raise AssertionError("pow was called")
+
+    for module in (cf, genus, knot_module):
+        monkeypatch.setattr(module, "pow", no_pow, raising=False)
+    for knot in odd_knots(60):
+        assert genus_report(knot).gamma3 == crosscap_by_splitting(knot), knot
+
+
+def test_odd_genus_report_counts_a_walk_no_stepping_could_finish(monkeypatch):
+    # the ZERO walk of T(10^30 + 1, 3)'s crosscap knot is about 10^29 moves
+    forbid_steps(monkeypatch)
+    knot = TorusKnot(BIG + 1, 3)
+    assert genus_report(knot).gamma3 == crosscap_by_splitting(knot)

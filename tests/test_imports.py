@@ -1,6 +1,7 @@
 """Static checks of the library sources: they import only the standard
-library and the package, parse as the oldest supported Python, and raise
-every error class the package exports."""
+library and the package, parse as the oldest supported Python, raise every
+error class the package exports, and step a walk to [0] only for the
+gamma3 of an even-p knot."""
 
 import ast
 import sys
@@ -51,3 +52,33 @@ def raised_names(path):
 def test_every_error_class_is_raised():
     raised = {name for path in SOURCES for name in raised_names(path)}
     assert sorted(set(errors.__all__) - {"CrosscapError"} - raised) == []
+
+
+def call_lines(nodes, name):
+    """Lines of the calls of `name`, as `name(...)` or `module.name(...)`,
+    in the given syntax trees."""
+    for node in (inner for tree in nodes for inner in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                yield node.lineno
+
+
+def test_only_even_p_gamma3_steps_to_zero():
+    # the library's one stepwise walk to [0] is gamma3 of an even-p knot in
+    # `genus_report`; odd p counts the runs of its near-palindrome form
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    calls = {name: list(call_lines([tree], "steps_to_zero")) for name, tree in trees.items()}
+    assert {name: len(lines) for name, lines in calls.items() if lines} == {"genus.py": 1}
+    (report,) = (
+        node
+        for node in ast.walk(trees["genus.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "genus_report"
+    )
+    even_branches = [
+        statement
+        for node in ast.walk(report)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "p % 2"
+        for statement in node.orelse
+    ]
+    assert list(call_lines(even_branches, "steps_to_zero")) == calls["genus.py"]
