@@ -5,7 +5,12 @@ prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot with a walk of more than MAX_STEPS
-moves, counted exactly from its `PinchTrace`.  `trace` and a human
+moves, counted exactly from one `PinchTrace`: `trace` by the walk it
+prints, `report` by the longest walk it runs: its printed trace, or for
+even p the walk to T(0,1) that `genus_report` steps for gamma3.  A CSV
+`report` of an odd-p knot prints no trace and steps nothing, yet is still
+refused by its trace's length; refusing after `genus_report`, by the lines
+a report prints, makes that exact (ROADMAP item 2).  `trace` and a human
 `report` write each trace line as its move is walked, formatted from the
 plain integer tuple `PinchTrace.walk` yields, so no object is built per
 move; a JSON `report` writes its invariants and then each trace row the
@@ -26,7 +31,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, crosscap_number, genus_report, pinches_to_unknot
+from .genus import GenusReport, genus_report
 from .knot import PinchSign, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
 from .verify import CheckOutcome, run_all
 
@@ -246,20 +251,28 @@ _FILTERS: dict[str, Callable[[TorusKnot], bool]] = {
 }
 
 
-def _refuse_long_walks(knot: TorusKnot, *moves: int) -> None:
-    """Raise InvalidParameter, before any step, if a walk a command makes
-    on `knot`, of `moves` pinch moves each, is longer than MAX_STEPS."""
-    longest = max(moves)
-    if longest > MAX_STEPS:
+def _refuse_long_walks(knot: TorusKnot, moves: int) -> None:
+    """Raise InvalidParameter, before any step, if the longest walk a
+    command makes on `knot`, `moves` pinch moves, is longer than MAX_STEPS."""
+    if moves > MAX_STEPS:
         raise InvalidParameter(
-            f"{knot} takes {longest} pinch moves; report and trace stop at {MAX_STEPS}"
+            f"{knot} takes {moves} pinch moves; report and trace stop at {MAX_STEPS}"
         )
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
-    # the two walks report makes: the printed trace (beta1_F) and gamma3's
-    _refuse_long_walks(knot, pinches_to_unknot(knot), crosscap_number(knot))
+    trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)  # raises UnknotInput first
+    # The longest walk the report runs.  For odd p that is the printed
+    # trace: gamma3 is counted from runs.  For even p, `genus_report` steps
+    # gamma3 along the ZERO walk, which is the printed trace followed by the
+    # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves.  A
+    # CSV report of an odd knot runs neither walk, yet is refused by the
+    # unprinted trace until ROADMAP item 2 refuses after `genus_report`.
+    moves = trace.moves
+    if knot.p % 2 == 0:
+        moves += trace.final.p // 2
+    _refuse_long_walks(knot, moves)
     report = genus_report(knot)
     if args.format == "json":
         return 0, _report_json(report)

@@ -1,5 +1,6 @@
 """CLI behaviour: output schemas, filters, exit codes, round-trips."""
 
+import argparse
 import csv
 import functools
 import hashlib
@@ -18,7 +19,12 @@ from hypothesis import strategies as st
 from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
-from crosscap.genus import crosscap_number, pinches_to_unknot
+from crosscap.genus import (
+    crosscap_by_splitting,
+    crosscap_number,
+    pinches_to_unknot,
+    pinches_to_zero,
+)
 from crosscap.knot import (
     PinchTrace,
     StopRule,
@@ -742,7 +748,8 @@ def test_csv_and_json_never_build_a_split(monkeypatch, capsys):
 
 
 # report and trace refuse, before the first step, a knot with a walk of more
-# than MAX_STEPS pinch moves, counted exactly from its `PinchTrace`.
+# than MAX_STEPS pinch moves, counted exactly from its `PinchTrace`: trace by
+# the walk it prints, report by the longest walk it runs.
 
 
 def forbid_steps(monkeypatch):
@@ -752,11 +759,25 @@ def forbid_steps(monkeypatch):
     monkeypatch.setattr(cf, "step", step)
 
 
+def record_refusals(monkeypatch):
+    """The list of counts `_refuse_long_walks` is called with, which still
+    refuses by each."""
+    refusals = []
+    real_refuse = cli._refuse_long_walks
+
+    def refuse(knot, moves):
+        refusals.append(moves)
+        real_refuse(knot, moves)
+
+    monkeypatch.setattr(cli, "_refuse_long_walks", refuse)
+    return refusals
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("report", "100000000000000000000", "3"),
-        ("report", "100000000000000000001", "3", "--format", "json"),
+        ("report", "100000000000000000000", "3", "--format", "csv"),
         ("trace", "2000000000", "1999999999"),
         ("trace", "100000000000000000000", "1", "--stop", "zero"),
     ],
@@ -769,24 +790,57 @@ def test_unbounded_work_is_refused_before_any_step(monkeypatch, capsys, argv):
     assert err.startswith("error: T(") and f"stop at {MAX_STEPS}" in err
 
 
-def test_report_bounds_the_odd_crosscap_walk_too(monkeypatch, capsys):
-    # T(23,21): the pinch trace is shorter than the walk of `crosscap_knot`
-    # that counts gamma3, and report refuses by that walk's exact length
-    knot = TorusKnot(23, 21)
-    gamma3 = crosscap_number(knot)
-    assert pinches_to_unknot(knot) < gamma3
-    monkeypatch.setattr(cli, "MAX_STEPS", gamma3)
-    code, out, _ = run_cli(capsys, "report", "23", "21")
+@pytest.mark.parametrize("p, q", [(23, 21), (22, 3)])
+def test_report_refuses_by_the_longest_walk_it_runs(monkeypatch, capsys, p, q):
+    # gamma3 > beta1_F on both knots.  Odd T(23,21) counts gamma3 from runs,
+    # so report runs only the printed trace, beta1_F moves long.  Even
+    # T(22,3) steps gamma3 along its walk to T(0,1), gamma3 moves long.
+    knot = TorusKnot(p, q)
+    beta1_F, gamma3 = pinches_to_unknot(knot), crosscap_number(knot)
+    assert beta1_F < gamma3
+    longest = gamma3 if p % 2 == 0 else beta1_F
+    monkeypatch.setattr(cli, "MAX_STEPS", longest)
+    code, out, _ = run_cli(capsys, "report", str(p), str(q))
     assert code == 0 and out
-    monkeypatch.setattr(cli, "MAX_STEPS", gamma3 - 1)
-    code, out, _ = run_cli(capsys, "trace", "23", "21")
-    assert code == 0 and out
+    monkeypatch.setattr(cli, "MAX_STEPS", longest - 1)
     forbid_steps(monkeypatch)
-    code, out, err = run_cli(capsys, "report", "23", "21")
+    code, out, err = run_cli(capsys, "report", str(p), str(q))
     assert code == 2 and out == ""
     assert err == (
-        f"error: T(23,21) takes {gamma3} pinch moves; report and trace stop at {gamma3 - 1}\n"
+        f"error: T({p},{q}) takes {longest} pinch moves; report and trace stop at {longest - 1}\n"
     )
+
+
+def reported_gamma3(out, fmt):
+    if fmt == "json":
+        return json.loads(out)["gamma3"]
+    if fmt == "csv":
+        return int(next(csv.DictReader(io.StringIO(out)))["gamma3"])
+    return int(re.search(r"^  gamma3: +(\d+) ", out, re.M).group(1))
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("p", ["12000001", "100000000000000000001"])
+def test_odd_report_runs_no_gamma3_walk(monkeypatch, capsys, p, fmt):
+    # the gamma3 walks of T(12000001,3) and T(10^20+1,3) are millions and
+    # ~10^19 moves long, but report counts odd-p gamma3 from runs and runs
+    # only the short printed trace
+    forbid_steps(monkeypatch)
+    code, out, err = run_cli(capsys, "report", p, "3", "--format", fmt)
+    assert code == 0 and err == ""
+    assert reported_gamma3(out, fmt) == crosscap_by_splitting(TorusKnot(int(p), 3))
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("p, q", [(12345, 7), (12346, 7)])
+def test_report_expands_twice(monkeypatch, capsys, p, q, fmt):
+    # once for the trace that the refusal counts, once in `genus_report`
+    expansions = []
+    real_expand = cf.expand
+    monkeypatch.setattr(cf, "expand", lambda x: expansions.append(x) or real_expand(x))
+    code, out, err = run_cli(capsys, "report", str(p), str(q), "--format", fmt)
+    assert code == 0 and out and err == ""
+    assert expansions == [(p, q), (p, q)]
 
 
 @pytest.mark.parametrize(
@@ -811,10 +865,11 @@ def test_report_runs_a_short_walk_of_a_long_quotient(capsys, argv, gamma3):
 
 
 def test_report_refuses_by_the_walks_it_makes_on_the_box(monkeypatch):
-    # the two counts report refuses by are beta1_F and gamma3 as the stepwise
-    # oracles count them; `genus_report` makes gamma3 `cf.step` calls for
-    # even p and none for odd p, where it counts runs
-    steps = []
+    # beta1_F and gamma3 are the stepwise oracles' counts; `genus_report`
+    # makes gamma3 `cf.step` calls for even p and none for odd p, where it
+    # counts runs.  report refuses by the longer of the walks it runs: those
+    # steps and the printed trace.
+    steps, refusals = [], record_refusals(monkeypatch)
     real_step = cf.step
     monkeypatch.setattr(cf, "step", lambda x: steps.append(None) or real_step(x))
     for knot in normalized_knots(150):
@@ -825,11 +880,20 @@ def test_report_refuses_by_the_walks_it_makes_on_the_box(monkeypatch):
         steps.clear()
         assert cli.genus_report(knot).gamma3 == walk_moves
         assert len(steps) == (0 if knot.p % 2 else walk_moves), knot
+        steps.clear()
+        refusals.clear()
+        cli._cmd_report(argparse.Namespace(p=knot.p, q=knot.q, format="csv"))
+        assert refusals == [max(len(steps), trace_moves)], knot
 
 
-def test_limit_accepts_every_benchmark_size():
-    # the largest knots the benchmark and the tests run through the CLI
+def test_limit_accepts_every_benchmark_size(monkeypatch, capsys):
+    # the largest knots the benchmark and the tests run through the CLI: the
+    # one count report refuses by is gamma3's walk for even p and the
+    # printed trace for odd p
+    refusals = record_refusals(monkeypatch)
     for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
         knot = TorusKnot(p, q)
-        walk_moves = PinchTrace(crosscap_knot(knot), StopRule.ZERO).moves
-        cli._refuse_long_walks(knot, pinches_to_unknot(knot), walk_moves)
+        longest = pinches_to_unknot(knot) if p % 2 else pinches_to_zero(knot)
+        refusals.clear()
+        assert run_cli(capsys, "report", str(p), str(q), "--format", "csv")[0] == 0
+        assert refusals == [longest]

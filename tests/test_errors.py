@@ -95,6 +95,10 @@ def test_each_precondition_raises_its_one_class(entry, value, expected):
         (["trace", "4", "1"], "T(4,1) is trivial"),
         (["trace", "5", "3", "--stop", "zero"], "reaching T(0,1) requires even p: T(5,3)"),
         (["report", "5", "1"], "T(5,1) is trivial"),
+    ]
+    + [
+        (["report", str(10**20), "1", "--format", fmt], f"T({10**20},1) is trivial")
+        for fmt in ["human", "json", "csv"]
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else "",
 )
