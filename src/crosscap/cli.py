@@ -6,16 +6,15 @@ and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot with a walk of more than MAX_STEPS
 moves, counted exactly from one `PinchTrace`: `trace` by the walk it
-prints, `report` by the longest walk it runs: its printed trace, or for
-even p the walk to T(0,1) that `genus_report` steps for gamma3.  A CSV
-`report` of an odd-p knot prints no trace and steps nothing, yet is still
-refused by its trace's length; refusing after `genus_report`, by the lines
-a report prints, makes that exact (ROADMAP item 2).  `trace` and a human
-`report` write each trace line as its move is walked, formatted from the
-plain integer tuple `PinchTrace.walk` yields, so no object is built per
-move; a JSON `report` writes its invariants and then each trace row the
-same way, one f-string per row.  A reader that closes the pipe early ends
-the command quietly, with its own exit code.
+prints, `report` by the longest walk it runs: for even p the walk to
+T(0,1) that `genus_report` steps for gamma3, and for odd p its printed
+trace.  A CSV `report` of an odd-p knot prints no trace and steps nothing,
+so it is never refused by a walk.  `trace` and a human `report` write
+each trace line as its move is walked, formatted from the plain integer
+tuple `PinchTrace.walk` yields, so no object is built per move; a JSON
+`report` writes its invariants and then each trace row the same way, one
+f-string per row.  A reader that closes the pipe early ends the command
+quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -263,16 +262,15 @@ def _refuse_long_walks(knot: TorusKnot, moves: int) -> None:
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)  # raises UnknotInput first
-    # The longest walk the report runs.  For odd p that is the printed
-    # trace: gamma3 is counted from runs.  For even p, `genus_report` steps
+    # The longest walk the report runs.  For even p, `genus_report` steps
     # gamma3 along the ZERO walk, which is the printed trace followed by the
-    # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves.  A
-    # CSV report of an odd knot runs neither walk, yet is refused by the
-    # unprinted trace until ROADMAP item 2 refuses after `genus_report`.
-    moves = trace.moves
+    # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves, in
+    # every format.  For odd p gamma3 is counted from runs, so the only walk
+    # is the printed trace, which a CSV report does not print.
     if knot.p % 2 == 0:
-        moves += trace.final.p // 2
-    _refuse_long_walks(knot, moves)
+        _refuse_long_walks(knot, trace.moves + trace.final.p // 2)
+    elif args.format != "csv":
+        _refuse_long_walks(knot, trace.moves)
     report = genus_report(knot)
     if args.format == "json":
         return 0, _report_json(report)

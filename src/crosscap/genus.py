@@ -10,14 +10,17 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               Teragaito's step-count formula: N(p,q) when pq is even, and
               N(pq-+1, p^2) when pq is odd, the sign picked by the parity
               of x with xq = -1 mod p.  N(a,b) counts reduction steps from
-              a/b to 0, and `pinches_to_zero` counts that walk as the
-              `moves` of the ZERO `PinchTrace` of T(a,b), run by run, in
-              O(len(expansion)) integer operations.  For odd pq the
+              a/b to 0, and `pinches_to_zero` counts that walk run by run
+              with `knot._walk_sums`, in O(len(expansion)) integer
+              operations, without building a `PinchTrace`.  For odd pq the
               expansion of (pq-+1)/p^2 is p/q's own expansion rearranged
               into a near-palindrome (`_odd_crosscap_form`), whose runs are
               counted as they stand: no p^2, no residue, no second
-              expansion.  Only `genus_report` on even p still counts one
-              cf.step per move: the run count makes each report so short
+              expansion.  `_gamma3` counts either walk from an expansion of
+              p/q the caller already has; `crosscap_number` expands p/q
+              once and calls it, and so does module verify.  Only
+              `genus_report` on even p still counts one cf.step per
+              move: the run count makes each report so short
               that the benchmark harness, which keeps memory per call,
               breaks its peak-RSS bound, until it keeps constant memory
               per call (ROADMAP item 1).
@@ -49,7 +52,7 @@ from typing import Optional
 
 from . import cf
 from .errors import EvenParity, OddParity, UnknotInput
-from .knot import PinchTrace, StopRule, TorusKnot, _runs, is_unknot, normalize
+from .knot import PinchTrace, StopRule, TorusKnot, _walk_start, _walk_sums, is_unknot, normalize
 
 __all__ = [
     "OddSplit",
@@ -168,14 +171,21 @@ def _ell(p: int, k: int) -> int:
     return k if (p - k) % 2 == 0 else k + 1
 
 
+def _walk_counts(knot: TorusKnot, stop: StopRule) -> tuple[int, bool, int]:
+    """(moves, all_positive, l) of the walk from `knot` under `stop`: the
+    sums a `PinchTrace` holds, with its preconditions, and no trace built."""
+    return _walk_sums(_walk_start(knot, stop).coeffs, stop)
+
+
 def pinches_to_unknot(knot: TorusKnot) -> int:
     """Number of pinch moves from a nontrivial knot to the first unknot.
 
     This is the `moves` of its `PinchTrace`, the beta1_F that `genus_report`
-    reports.  The stepwise count of cf.steps_to_integer(p/q) is its test
-    oracle, and module verify checks one pinch per step.
+    reports, counted by runs without building the trace.  The stepwise count
+    of cf.steps_to_integer(p/q) is its test oracle, and module verify checks
+    one pinch per step.
     """
-    return PinchTrace(knot, StopRule.FIRST_UNKNOT).moves
+    return _walk_counts(knot, StopRule.FIRST_UNKNOT)[0]
 
 
 def pinches_to_zero(knot: TorusKnot) -> int:
@@ -183,12 +193,12 @@ def pinches_to_zero(knot: TorusKnot) -> int:
 
     This is N(p,q) in step-count terms, the `moves` of the knot's ZERO
     `PinchTrace`: the walk is counted run by run, in O(len(expansion))
-    integer operations, with no `cf.step`.  `cf.steps_to_zero`, one step
-    per move, is its test oracle.  Unknots with even p are accepted: T(2,1)
-    needs one move and T(0,1) none, and both show up as split pieces of
-    odd-parameter knots.
+    integer operations, with no `cf.step` and no trace built.
+    `cf.steps_to_zero`, one step per move, is its test oracle.  Unknots
+    with even p are accepted: T(2,1) needs one move and T(0,1) none, and
+    both show up as split pieces of odd-parameter knots.
     """
-    return PinchTrace(knot, StopRule.ZERO).moves
+    return _walk_counts(knot, StopRule.ZERO)[0]
 
 
 def odd_split(knot: TorusKnot) -> OddSplit:
@@ -269,10 +279,15 @@ def _odd_crosscap_form(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return form
 
 
-def _odd_crosscap(coeffs: tuple[int, ...]) -> int:
-    """gamma3 of a nontrivial odd-pq knot whose p/q expands to `coeffs`:
-    the moves of the ZERO walk of `_odd_crosscap_form`, counted by runs."""
-    return sum(moves for moves, *_ in _runs(_odd_crosscap_form(coeffs), StopRule.ZERO))
+def _gamma3(p: int, coeffs: tuple[int, ...]) -> int:
+    """gamma3 of a nontrivial T(p,q) whose p/q expands to `coeffs`, which
+    the caller already has: the moves of a ZERO walk, counted by runs.  For
+    even p it is the walk of p/q itself, `pinches_to_zero`; for odd p the
+    walk of (pq-+1)/p^2, whose expansion `_odd_crosscap_form` reads off
+    `coeffs`."""
+    if p % 2:
+        coeffs = _odd_crosscap_form(coeffs)
+    return _walk_sums(coeffs, StopRule.ZERO)[0]
 
 
 def crosscap_number(knot: TorusKnot) -> int:
@@ -280,15 +295,15 @@ def crosscap_number(knot: TorusKnot) -> int:
     formula): `pinches_to_zero` of the knot for even p, and for odd p the
     ZERO walk of (pq-+1)/p^2, read off p/q's expansion."""
     _require_nontrivial(knot)
-    if knot.p % 2:
-        return _odd_crosscap(cf.expand((knot.p, knot.q)).coeffs)
-    return pinches_to_zero(knot)
+    return _gamma3(knot.p, cf.expand((knot.p, knot.q)).coeffs)
 
 
-def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:
-    upper = trace.moves
+def _bounds(p: int, moves: int, all_positive: bool) -> FourGenusBounds:
+    """The bounds of a knot with first parameter p whose walk to the first
+    unknot is `moves` long, with all its pinches positive or not."""
+    upper = moves
     lower = 1
-    if knot.p % 2 == 0 and trace.all_positive:
+    if p % 2 == 0 and all_positive:
         return FourGenusBounds(lower, upper, upper, EXACT_BY_POSITIVE_PINCHES)
     if lower == upper:
         return FourGenusBounds(lower, upper, upper, EXACT_BY_COLLAPSE)
@@ -298,7 +313,8 @@ def _bounds_from_trace(knot: TorusKnot, trace: PinchTrace) -> FourGenusBounds:
 def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
     """Bounds (and, when known, the exact value) of the nonorientable
     four-genus of a nontrivial torus knot."""
-    return _bounds_from_trace(knot, PinchTrace(knot, StopRule.FIRST_UNKNOT))
+    moves, all_positive, _ = _walk_counts(knot, StopRule.FIRST_UNKNOT)
+    return _bounds(knot.p, moves, all_positive)
 
 
 def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
@@ -333,7 +349,7 @@ def genus_report(knot: TorusKnot) -> GenusReport:
     k, a = divmod(p, q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
     if p % 2:
-        gamma3 = _odd_crosscap(trace.expansion.coeffs)
+        gamma3 = _gamma3(p, trace.expansion.coeffs)
     else:
         # Even p still steps.  `pinches_to_zero(knot)` equals the count in
         # O(len(expansion)), but then every report is short, and the
@@ -349,7 +365,7 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         ell=_ell(p, k),
         beta1_F=trace.moves,
         gamma3=gamma3,
-        gamma4=_bounds_from_trace(knot, trace),
+        gamma4=_bounds(p, trace.moves, trace.all_positive),
         gap_lower_bound=Fraction(k, 2),
         orientable_genus=orientable_genus(knot),
         trace=trace,

@@ -19,9 +19,11 @@ p/q, and that equivalence is what the verification module stress-tests.
 The two expansion routes, `pinch_by_step` and `pinch_sign_from_expansion`,
 take that expansion from the caller rather than expanding p/q again.
 
-A whole walk is a `PinchTrace`: it reads the walk off the expansion as runs
-of moves over which the expansion keeps its length, so its length, its signs
-and the knot it ends at cost O(len(expansion)) integer operations.  Its
+A whole walk is read off the expansion as runs of moves over which the
+expansion keeps its length, so its length, its signs and the knot it ends
+at cost O(len(expansion)) integer operations: `_walk_start` checks the
+walk's precondition and expands p/q, and `_walk_sums` sums the runs.  A
+`PinchTrace` holds those sums for a walk that is printed or iterated.  Its
 `walk` reads the runs again to compute the moves one at a time, each a tuple
 of ints with the expansion after the move; iterating it builds `PinchRecord`s.
 """
@@ -269,6 +271,40 @@ def _runs(coeffs: tuple[int, ...], stop: StopRule) -> Iterator[tuple[int, int, i
         k, c = k_end, c_end
 
 
+def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
+    """Check the precondition of the walk from `knot` under `stop` and
+    return the expansion of p/q it starts from.
+
+    FIRST_UNKNOT needs a nontrivial knot (UnknotInput) and ZERO an even p
+    (OddParity).  Every walk, a `PinchTrace` or a bare count, starts here,
+    so each precondition has one class and one message.
+    """
+    if stop is StopRule.FIRST_UNKNOT:
+        if is_unknot(knot):
+            raise UnknotInput(f"{knot} is trivial")
+    elif stop is StopRule.ZERO:
+        if knot.p % 2:
+            raise OddParity(f"reaching T(0,1) requires even p: {knot}")
+    else:
+        raise ValueError(f"unknown stop rule: {stop!r}")
+    return cf.expand((knot.p, knot.q))
+
+
+def _walk_sums(coeffs: tuple[int, ...], stop: StopRule) -> tuple[int, bool, int]:
+    """(moves, all_positive, l) of the walk from `coeffs` under `stop`, with
+    T(l,1) the knot it ends at, summed over its `_runs` in O(len(coeffs))
+    integer operations."""
+    last = coeffs[-1]
+    moves = 0
+    positive = True
+    for n, k, c, _, last in _runs(coeffs, stop):
+        moves += n
+        # a negative run, or an unknot tail with unsigned moves before T(2,1)
+        if k % 2 == 0 and (k or c != 2):
+            positive = False
+    return moves, positive, last
+
+
 @dataclass(frozen=True, slots=True)
 class PinchTrace:
     """The pinch moves from `knot` until `stop` is met, read as runs.
@@ -290,9 +326,11 @@ class PinchTrace:
     move is the test oracle for the moves, and one `cf.step` per move for
     the expansions.
 
-    The trace owns the preconditions of a walk: FIRST_UNKNOT needs a
-    nontrivial knot (UnknotInput) and ZERO an even p (OddParity).  The
-    functions that build a trace let its error through.
+    Building a trace is `_walk_start`, which checks the walk's precondition
+    and expands p/q, then `_walk_sums` over that expansion.  A caller that
+    needs only the counts (`genus.pinches_to_unknot`, `pinches_to_zero`,
+    `four_genus_bounds`, gamma3 and verify) calls those two itself and
+    builds no trace; a trace is for a walk that is printed or iterated.
     """
 
     knot: TorusKnot
@@ -303,24 +341,8 @@ class PinchTrace:
     _last: int = field(init=False, repr=False, compare=False)  # l of the final T(l,1)
 
     def __post_init__(self) -> None:
-        knot, stop = self.knot, self.stop
-        if stop is StopRule.FIRST_UNKNOT:
-            if is_unknot(knot):
-                raise UnknotInput(f"{knot} is trivial")
-        elif stop is StopRule.ZERO:
-            if knot.p % 2:
-                raise OddParity(f"reaching T(0,1) requires even p: {knot}")
-        else:
-            raise ValueError(f"unknown stop rule: {stop!r}")
-        expansion = cf.expand((knot.p, knot.q))
-        last = expansion.coeffs[-1]
-        moves = 0
-        positive = True
-        for n, k, c, _, last in _runs(expansion.coeffs, stop):
-            moves += n
-            # a negative run, or an unknot tail with unsigned moves before T(2,1)
-            if k % 2 == 0 and (k or c != 2):
-                positive = False
+        expansion = _walk_start(self.knot, self.stop)
+        moves, positive, last = _walk_sums(expansion.coeffs, self.stop)
         put = object.__setattr__
         put(self, "expansion", expansion)
         put(self, "moves", moves)

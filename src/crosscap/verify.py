@@ -15,16 +15,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .errors import InvalidParameter
-from .genus import (
-    crosscap_by_splitting,
-    crosscap_number,
-    euclidean_division,
-    terminal_unknot_parameter,
-)
+from .genus import _gamma3, crosscap_by_splitting, euclidean_division, terminal_unknot_parameter
 from .knot import (
-    PinchTrace,
     StopRule,
     TorusKnot,
+    _walk_start,
+    _walk_sums,
     normalized_knots,
     pinch,
     pinch_by_step,
@@ -72,39 +68,42 @@ class CheckOutcome:
 
 class _Knot:
     """One knot of the box and the values its checks share, each computed
-    once, when the record is built, since a pass of every check reads both
+    once, when the record is built, since a pass of every check reads them
     on every knot:
 
     * `first`, the residue `pinch`, read by pinch-equivalence, sign-lemma,
       magnitude-order and sign-parity;
-    * `trace`, the `PinchTrace` to the first unknot, whose `expansion` is
-      the one expansion of p/q that the expansion routes read, and whose
-      `final` and `moves` terminal-unknot and gap-formula read.
+    * `expansion`, the one expansion of p/q, read by pinch-equivalence and
+      sign-parity, and by gamma3 in crosscap-odd-consistency (odd p) and
+      gap-formula (even p), which run on disjoint parities;
+    * `moves` and `ell`, the length of the walk to the first unknot T(l,1)
+      and its l, summed over the runs of `expansion` with no `PinchTrace`
+      built, read by gap-formula and terminal-unknot.
 
-    Each check still computes the route it compares against: one `cf.step`
-    for the residues, the expansion length for the residue sign, the
-    division formula for `trace.final`, and `crosscap_by_splitting`, which
-    expands and splits p/q itself, for gamma3.  gamma3 is not shared:
-    crosscap-odd-consistency (odd p) and gap-formula (even p) run on
-    disjoint parities, so each calls `crosscap_number` itself.
+    Each check still computes the route it compares against: `pinch_by_step`
+    (one `cf.step`, `evaluate` and the validating `normalize`) for the
+    residues, the expansion length for the residue sign, the division
+    formula for `ell`, and `crosscap_by_splitting`, which expands and splits
+    p/q itself, for gamma3.
 
-    For odd p, `crosscap_number` counts the runs of (pq-+1)/p^2, whose
+    For odd p, `genus._gamma3` counts the runs of (pq-+1)/p^2, whose
     expansion it reads off p/q's own as a near-palindrome, with no residue;
     crosscap-odd-consistency keeps an independent route against it,
     `crosscap_by_splitting`, which sums the walks of the two split pieces.
-    For even p it counts its walk by runs, as `pinches_to_zero` does, so
-    gap-formula compares two counts from the same `knot._runs` loop:
-    gamma3 to T(0,1) and `trace.moves` to the first unknot.  The tier-1
-    tests pin gamma3 to the stepwise count, `cf.steps_to_zero`, and the
-    odd form to Teragaito's residue pair.
+    For even p it counts the walk of p/q to T(0,1) by runs, so gap-formula
+    compares two counts from the same `knot._runs` loop: gamma3 to T(0,1)
+    and `moves` to the first unknot.  The tier-1 tests pin gamma3 to the
+    stepwise count, `cf.steps_to_zero`, and the odd form to Teragaito's
+    residue pair.
     """
 
-    __slots__ = ("knot", "first", "trace")
+    __slots__ = ("knot", "first", "expansion", "moves", "ell")
 
     def __init__(self, knot: TorusKnot):
         self.knot = knot
         self.first = pinch(knot)
-        self.trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
+        self.expansion = _walk_start(knot, StopRule.FIRST_UNKNOT)
+        self.moves, _, self.ell = _walk_sums(self.expansion.coeffs, StopRule.FIRST_UNKNOT)
 
 
 # A predicate yields one claim (holds, expected, actual) per identity it checks.
@@ -153,7 +152,7 @@ def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
 @_check("pinch-equivalence")
 def check_pinch_equivalence(rec: _Knot) -> _Claims:
     """Pinch via modular residues lands on the same knot as one cf step."""
-    via_step = pinch_by_step(rec.trace.expansion)
+    via_step = pinch_by_step(rec.expansion)
     yield rec.first.result == via_step, rec.first.result, via_step
 
 
@@ -182,7 +181,7 @@ def check_magnitude(rec: _Knot) -> _Claims:
 @_check("sign-parity")
 def check_sign_parity(rec: _Knot) -> _Claims:
     """Residue-based pinch sign matches the expansion-length parity rule."""
-    predicted = pinch_sign_from_expansion(rec.trace.expansion)
+    predicted = pinch_sign_from_expansion(rec.expansion)
     yield rec.first.sign is predicted, predicted, rec.first.sign
 
 
@@ -190,14 +189,15 @@ def check_sign_parity(rec: _Knot) -> _Claims:
 def check_terminal_unknot(rec: _Knot) -> _Claims:
     """The division formula predicts the first unknot a pinch walk reaches."""
     predicted = terminal_unknot_parameter(rec.knot)
-    observed = rec.trace.final.p
+    observed = rec.ell
     yield predicted == observed, predicted, observed
 
 
 @_check("crosscap-odd-consistency", "odd coprime 3 <= q < p <= {}", parity=1)
 def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
     """Closed-formula crosscap number agrees with the splitting construction."""
-    gamma3, geometric = crosscap_number(rec.knot), crosscap_by_splitting(rec.knot)
+    gamma3 = _gamma3(rec.knot.p, rec.expansion.coeffs)
+    geometric = crosscap_by_splitting(rec.knot)
     yield gamma3 == geometric, geometric, gamma3
 
 
@@ -205,7 +205,7 @@ def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
 def check_gap_formula(rec: _Knot) -> _Claims:
     """gamma3 - beta1_F equals ceil(k/2) and stays >= k/2 for even p."""
     quotient, _ = euclidean_division(rec.knot)
-    gap = crosscap_number(rec.knot) - rec.trace.moves
+    gap = _gamma3(rec.knot.p, rec.expansion.coeffs) - rec.moves
     yield gap == (quotient + 1) // 2, (quotient + 1) // 2, gap
     holds = 2 * gap >= quotient  # gap >= k/2, in integers; the text only on failure
     yield holds, "" if holds else f"gap >= {Fraction(quotient, 2)}", gap

@@ -5,7 +5,9 @@ module, those in its `__all__`, and fails when a `per_layer` metric of
 BENCHMARK.json gets no value.  So deleting or renaming a function that a
 metric names must fail here, where the cause is plain.  A speed-up that
 routes the table around a public layer function would leave its rows at 0,
-so a short traced run checks that the table still goes through them.
+so a short traced run checks that the table still goes through them.  The
+same holds for verify: its checks share one expansion per knot, and a short
+traced run checks that each still calls the public route it compares with.
 """
 
 import importlib
@@ -36,8 +38,9 @@ def test_per_layer_metrics_name_public_functions():
     assert missing == []
 
 
-def test_traced_table_goes_through_the_public_layers():
-    argv = ["--workload", "box_table", "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"]
+def traced_metrics(workload):
+    """The per-layer metrics of a tiny traced run of `workload`, seed 1."""
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT,
@@ -48,6 +51,23 @@ def test_traced_table_goes_through_the_public_layers():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"]
-    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def test_traced_table_goes_through_the_public_layers():
+    metrics = traced_metrics("box_table")
     for name in ("cf.expand.calls", "cf.steps_to_zero.total_s", "genus.genus_report.calls"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_verify_goes_through_its_comparison_routes():
+    metrics = traced_metrics("box_verify")
+    for name in (
+        "knot.pinch.calls",
+        "knot.pinch_by_step.total_s",
+        "knot.pinch_sign_from_expansion.total_s",
+        "genus.odd_split.total_s",
+        "genus.crosscap_by_splitting.total_s",
+        "cf.expand.calls",
+    ):
         assert metrics[name] > 0, name

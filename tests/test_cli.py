@@ -868,7 +868,8 @@ def test_report_refuses_by_the_walks_it_makes_on_the_box(monkeypatch):
     # beta1_F and gamma3 are the stepwise oracles' counts; `genus_report`
     # makes gamma3 `cf.step` calls for even p and none for odd p, where it
     # counts runs.  report refuses by the longer of the walks it runs: those
-    # steps and the printed trace.
+    # steps and the printed trace, which a CSV report does not print, so an
+    # odd-p CSV report is refused by no count.
     steps, refusals = [], record_refusals(monkeypatch)
     real_step = cf.step
     monkeypatch.setattr(cf, "step", lambda x: steps.append(None) or real_step(x))
@@ -883,17 +884,33 @@ def test_report_refuses_by_the_walks_it_makes_on_the_box(monkeypatch):
         steps.clear()
         refusals.clear()
         cli._cmd_report(argparse.Namespace(p=knot.p, q=knot.q, format="csv"))
-        assert refusals == [max(len(steps), trace_moves)], knot
+        assert refusals == ([] if knot.p % 2 else [max(len(steps), trace_moves)]), knot
 
 
 def test_limit_accepts_every_benchmark_size(monkeypatch, capsys):
     # the largest knots the benchmark and the tests run through the CLI: the
-    # one count report refuses by is gamma3's walk for even p and the
-    # printed trace for odd p
+    # one count a CSV report refuses by is gamma3's walk for even p, and an
+    # odd-p CSV report prints no trace, so it is refused by none
     refusals = record_refusals(monkeypatch)
     for p, q in [(100000, 3), (99999, 5), (10000, 9999)]:
         knot = TorusKnot(p, q)
-        longest = pinches_to_unknot(knot) if p % 2 else pinches_to_zero(knot)
+        counted = [] if p % 2 else [pinches_to_zero(knot)]
         refusals.clear()
         assert run_cli(capsys, "report", str(p), str(q), "--format", "csv")[0] == 0
-        assert refusals == [longest]
+        assert refusals == counted
+
+
+def test_odd_csv_report_is_not_refused_by_the_trace_it_does_not_print(monkeypatch, capsys):
+    # T(4000005,2000003) expands to [1, 1, 2000002]: its trace to the first
+    # unknot is 1000001 moves long, past MAX_STEPS, and its gamma3 of 1000002
+    # is counted from runs.  Only the formats that print the trace refuse it.
+    forbid_steps(monkeypatch)
+    knot = TorusKnot(4000005, 2000003)
+    assert pinches_to_unknot(knot) > MAX_STEPS
+    code, out, err = run_cli(capsys, "report", "4000005", "2000003", "--format", "csv")
+    assert code == 0 and err == ""
+    assert reported_gamma3(out, "csv") == crosscap_by_splitting(knot) == 1000002
+    refusal = f"error: {knot} takes 1000001 pinch moves; report and trace stop at {MAX_STEPS}\n"
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(capsys, "report", "4000005", "2000003", "--format", fmt)
+        assert (code, out, err) == (2, "", refusal)

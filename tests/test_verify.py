@@ -3,6 +3,7 @@
 import pytest
 
 from crosscap import cf, verify
+from crosscap import knot as knot_module
 from crosscap.errors import InvalidParameter
 from crosscap.knot import TorusKnot, normalize, normalized_knots, pinch
 from crosscap.verify import (
@@ -126,11 +127,10 @@ def test_run_all_enumerates_the_box_once(monkeypatch):
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
-    # One record per knot: its trace expands p/q once, and both expansion
-    # routes read that expansion.  Besides, gamma3 expands the knot its walk
-    # starts from, and for odd p crosscap_by_splitting expands p/q and its
-    # two split pieces, as a route of its own: 2 calls per even-p knot and
-    # 5 per odd-p knot.
+    # One record per knot expands p/q once, and both expansion routes, the
+    # walk counts and gamma3 read that expansion.  Besides, for odd p
+    # crosscap_by_splitting expands p/q and its two split pieces, as a route
+    # of its own: 1 call per even-p knot and 4 per odd-p knot.
     calls = []
     expand = cf.expand
 
@@ -141,7 +141,17 @@ def test_run_all_expands_each_rational_once(monkeypatch):
     monkeypatch.setattr(cf, "expand", counting)
     run_all(40)
     parities = [knot.p % 2 for knot in normalized_knots(40)]
-    assert len(calls) == 2 * parities.count(0) + 5 * parities.count(1)
+    assert len(calls) == parities.count(0) + 4 * parities.count(1)
+
+
+def test_run_all_builds_no_pinch_trace(monkeypatch):
+    # verify reads the walk counts off the one expansion; a `PinchTrace` is
+    # for walks that are printed or iterated
+    def build(trace):
+        raise AssertionError(f"PinchTrace built for {trace.knot}")
+
+    monkeypatch.setattr(knot_module.PinchTrace, "__post_init__", build)
+    assert all(outcome.passed for outcome in run_all(40))
 
 
 # The knots on which each entry point computes gamma3: only
@@ -160,13 +170,18 @@ GAMMA3_KNOTS = {
 
 @pytest.mark.parametrize("name", list(GAMMA3_KNOTS))
 def test_gamma3_is_computed_only_where_it_is_read(monkeypatch, name):
+    # verify counts gamma3 from the expansion its record holds
     calls = []
-    crosscap_number = verify.crosscap_number
+    gamma3 = verify._gamma3
 
-    def counting(knot):
-        calls.append(knot)
-        return crosscap_number(knot)
+    def counting(p, coeffs):
+        calls.append((p, coeffs))
+        return gamma3(p, coeffs)
 
-    monkeypatch.setattr(verify, "crosscap_number", counting)
+    monkeypatch.setattr(verify, "_gamma3", counting)
     getattr(verify, name)(40)
-    assert calls == [knot for knot in normalized_knots(40) if GAMMA3_KNOTS[name](knot)]
+    assert calls == [
+        (knot.p, cf.expand((knot.p, knot.q)).coeffs)
+        for knot in normalized_knots(40)
+        if GAMMA3_KNOTS[name](knot)
+    ]
