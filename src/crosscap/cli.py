@@ -9,10 +9,11 @@ moves, counted exactly from one `PinchTrace`: `trace` by the walk it
 prints, `report` by the longest walk it runs: for even p the walk to
 T(0,1) that `genus_report` steps for gamma3, and for odd p its printed
 trace.  A CSV `report` of an odd-p knot prints no trace and steps nothing,
-so it is never refused by a walk.  `trace` and a human `report` write
-each trace line as its move is walked, formatted from the plain integer
-tuple `PinchTrace.walk` yields, so no object is built per move; a JSON
-`report` writes its invariants and then each trace row the same way, one
+so it is never refused by a walk.  `trace` and a human `report` format
+their trace lines a segment at a time from the plain integers
+`PinchTrace.segments` yields, so no object is built per move, and write
+them in blocks of at most `_BLOCK` lines as the walk goes on; a JSON
+`report` writes its invariants and then its trace rows the same way, one
 f-string per row.  A reader that closes the pipe early ends the command
 quietly, with its own exit code.
 """
@@ -31,7 +32,15 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, genus_report
-from .knot import PinchSign, PinchTrace, StopRule, TorusKnot, normalize, normalized_knots
+from .knot import (
+    PinchSign,
+    PinchTrace,
+    StopRule,
+    TorusKnot,
+    _Segment,
+    normalize,
+    normalized_knots,
+)
 from .verify import CheckOutcome, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
@@ -101,13 +110,44 @@ def _csv_lines(rows: Iterable[Iterable[object]]) -> Iterator[str]:
 
 
 _SIGN_JSON = {sign: json.dumps(sign.value) for sign in PinchSign} | {None: "null"}
+_SIGN_WORD = {sign: sign.value for sign in PinchSign} | {None: "n/a"}
+
+# Trace lines and JSON trace rows go out in blocks of at most this many, so a
+# long walk is written as it is walked and its text never held whole.
+_BLOCK = 256
+
+
+def _blocks(
+    trace: PinchTrace, texts: Callable[[_Segment, int, int], list[str]]
+) -> Iterator[list[str]]:
+    """The texts of the moves of `trace` in blocks of at most _BLOCK.
+
+    `texts(segment, j, n)` is the list of the texts of moves j, ..., j+n-1
+    of one of `trace.segments()`; a segment longer than a block is cut
+    between blocks, and short ones share a block."""
+    block: list[str] = []
+    for segment in trace.segments():
+        moves = segment[0]
+        j = 0
+        while j < moves:
+            n = min(moves - j, _BLOCK - len(block))
+            block += texts(segment, j, n)
+            j += n
+            if len(block) == _BLOCK:
+                yield block
+                block = []
+    if block:
+        yield block
 
 
 def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
-    """The JSON text of each move of `trace`, as `_json_list` takes it for
-    a list nested at `indent`: one f-string per row, with no encoder.  A row
-    holds the move's "from" and "to" pairs, its witness "t" and "h", and its
-    sign's value or null; `tests/oracles.py` builds the same rows as dicts."""
+    """The JSON text of the moves of `trace`, as `_json_list` takes it for
+    a list nested at `indent`: one chunk per block of rows, joined by the
+    list's separator, with no encoder.  A row holds the move's "from" and
+    "to" pairs, its witness "t" and "h", and its sign's value or null;
+    `tests/oracles.py` builds the same rows as dicts.  Each pair is
+    formatted once, for the "to" of one row and the "from" of the next, and
+    a positive segment's witness and sign once for the whole segment."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -118,12 +158,21 @@ def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
     key_h = f',\n{i2}"h": '
     key_sign = f',\n{i2}"sign": '
     close = f"\n{i1}}}"
-    signs = _SIGN_JSON
-    for sp, sq, rp, rq, t, h, sign, _, _ in trace.walk():
-        yield (
-            f"{open_from}{sp}{item}{sq}{open_to}{rp}{item}{rq}"
-            f"{key_t}{t}{key_h}{h}{key_sign}{signs[sign]}{close}"
-        )
+
+    def rows(segment: _Segment, j: int, n: int) -> list[str]:
+        _, sp, sq, dp, dq, t, h, dt, dh, sign, _, _, _, _ = segment
+        signed = f"{key_sign}{_SIGN_JSON[sign]}{close}"
+        pairs = [f"{sp - i * dp}{item}{sq - i * dq}" for i in range(j, j + n + 1)]
+        if dt:
+            witnesses = [f"{key_t}{t - i * dt}{key_h}{h - i * dh}{signed}" for i in range(j, j + n)]
+        else:
+            witnesses = itertools.repeat(f"{key_t}{t}{key_h}{h}{signed}", n)
+        return [
+            f"{open_from}{a}{open_to}{b}{w}"
+            for a, b, w in zip(pairs, itertools.islice(pairs, 1, None), witnesses)
+        ]
+
+    return map(f",\n{i1}".join, _blocks(trace, rows))
 
 
 def _report_fields(report: GenusReport) -> dict:
@@ -141,8 +190,8 @@ def _report_fields(report: GenusReport) -> dict:
 def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(..., indent=2)` of `_report_fields(report)`
     with the trace rows under "trace", nested at `indent`, then `end`: the
-    invariants in one chunk, then one chunk per trace row, so a long trace
-    is written as it is walked."""
+    invariants in one chunk, then one chunk per block of trace rows, so a
+    long trace is written as it is walked."""
     fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
     yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
     yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
@@ -156,33 +205,50 @@ def _report_cells(report: GenusReport) -> list[str]:
     return ["" if value is None else str(value) for value in _field_values(report)]
 
 
-def _trace_lines(trace: PinchTrace) -> Iterator[str]:
-    """One line per pinch move, with the expansions before and after.
+def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
+    """One line per pinch move, with the expansions before and after, each
+    line led by `indent` and ended by a newline, in chunks of a block of
+    lines each.
 
-    The lines read the integer tuples of `PinchTrace.walk`, whose expansion
-    after a move is a pair (k, c): its text is that of the prefix
-    [c0, ..., c_{k-1}] and then c.  k never rises along a walk, so the
-    prefix text is rebuilt only when k changes, and a line costs O(1) work
-    besides its text, with no object built per move.  Each expansion is
-    formatted once: a line's after is the next line's before.
+    The lines read `PinchTrace.segments`, whose expansions are pairs
+    (k, c): the text of one is that of the prefix [c0, ..., c_{k-1}] and
+    then c.  k never rises along a walk, so the prefix text is built once
+    per k and only the last two are kept.  Each knot and each expansion is formatted once, for the
+    after of one line and the before of the next, and a positive segment's
+    witness and sign once for the whole segment, so a line costs O(1) work
+    besides its text, with no object built per move.
     """
     coeffs = trace.expansion.coeffs
-    prefix_k, prefix = None, ""
-    before = str(trace.expansion)
-    for sp, sq, rp, rq, t, h, sign, k, c in trace.walk():
-        if k != prefix_k:
-            prefix_k, prefix = k, "[" + "".join(f"{x}," for x in coeffs[:k])
-        after = f"{prefix}{c}]"
-        yield (
-            f"T({sp},{sq}) -> T({rp},{rq})   t={t} h={h}"
-            f" sign={'n/a' if sign is None else sign.value}   {before} -> {after}"
-        )
-        before = after
+
+    @functools.lru_cache(maxsize=2)  # a segment's k and k_end, the next one's k
+    def prefix(k: int) -> str:
+        return "[" + "".join(f"{x}," for x in coeffs[:k])
+
+    def lines(segment: _Segment, j: int, n: int) -> list[str]:
+        moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end = segment
+        signed = f" sign={_SIGN_WORD[sign]}   "
+        knots = [f"T({sp - i * dp},{sq - i * dq})" for i in range(j, j + n + 1)]
+        head = prefix(k)
+        expansions = [f"{head}{c - 2 * i}]" for i in range(j, j + n + 1)]
+        if j + n == moves:
+            expansions[-1] = f"{prefix(k_end)}{c_end}]"
+        if dt:
+            witnesses = [f"   t={t - i * dt} h={h - i * dh}{signed}" for i in range(j, j + n)]
+        else:
+            witnesses = itertools.repeat(f"   t={t} h={h}{signed}", n)
+        after = itertools.islice(expansions, 1, None)
+        results = itertools.islice(knots, 1, None)
+        return [
+            f"{indent}{a} -> {b}{w}{x} -> {y}\n"
+            for a, b, w, x, y in zip(knots, results, witnesses, expansions, after)
+        ]
+
+    return map("".join, _blocks(trace, lines))
 
 
 def _report_human(report: GenusReport) -> Iterator[str]:
-    """The human report: one chunk for the invariants, then one per trace
-    line, so a long trace is written as it is walked."""
+    """The human report: one chunk for the invariants, then one per block
+    of trace lines, so a long trace is written as it is walked."""
     knot = report.knot
     g4 = report.gamma4
     exact = "-" if g4.exact is None else str(g4.exact)
@@ -201,8 +267,7 @@ def _report_human(report: GenusReport) -> Iterator[str]:
         lines.append(f"  split:             {split.first} + {split.second}")
     lines.append("  pinch trace:")
     yield "\n".join(lines) + "\n"
-    for line in _trace_lines(report.trace):
-        yield f"    {line}\n"
+    yield from _trace_lines(report.trace, "    ")
 
 
 def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -284,7 +349,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
     trace = PinchTrace(knot, stop)
     _refuse_long_walks(knot, trace.moves)
-    return 0, (line + "\n" for line in _trace_lines(trace))
+    return 0, _trace_lines(trace, "")
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

@@ -18,7 +18,7 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               counted as they stand: no p^2, no residue, no second
               expansion.  `_gamma3` counts either walk from an expansion of
               p/q the caller already has; `crosscap_number` expands p/q
-              once and calls it, and so does module verify.  Only
+              once and calls it, and so do `gap_report` and module verify.  Only
               `genus_report` on even p still counts one cf.step per
               move: the run count makes each report so short
               that the benchmark harness, which keeps memory per call,
@@ -324,12 +324,15 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     four-genus upper bound; it equals ceil(k/2) = ell/2, an identity that
     module verify checks over its box.  The second component is the exact
     rational lower bound k/2.  A trivial knot is refused before an odd one,
-    by the division, and gamma3 of an even-p knot is `pinches_to_zero`.
+    by the division.  p/q is expanded once, and both walks are counted from
+    that expansion: gamma3 by `_gamma3` and beta1_F by the runs to the
+    first unknot.
     """
     k, _ = euclidean_division(knot)
     if knot.p % 2:
         raise OddParity(f"gap formula requires even p: {knot}")
-    return pinches_to_zero(knot) - pinches_to_unknot(knot), Fraction(k, 2)
+    coeffs = _walk_start(knot, StopRule.ZERO).coeffs
+    return _gamma3(knot.p, coeffs) - _walk_sums(coeffs, StopRule.FIRST_UNKNOT)[0], Fraction(k, 2)
 
 
 def orientable_genus(knot: TorusKnot) -> int:
@@ -357,6 +360,8 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         # constant memory per call (ROADMAP item 1): counting even p by runs
         # too made 20x more calls per deep_quotient run and raised its peak
         # RSS from 22.6 to 40.7 MiB.  The odd route alone doubles the calls.
+        # Speeding up the trace printing leaves this alone for the same
+        # reason: `deep_quotient`'s peak-RSS bound.
         gamma3 = cf.steps_to_zero(trace.expansion)
     return GenusReport(
         knot=knot,

@@ -24,8 +24,11 @@ expansion keeps its length, so its length, its signs and the knot it ends
 at cost O(len(expansion)) integer operations: `_walk_start` checks the
 walk's precondition and expands p/q, and `_walk_sums` sums the runs.  A
 `PinchTrace` holds those sums for a walk that is printed or iterated.  Its
-`walk` reads the runs again to compute the moves one at a time, each a tuple
-of ints with the expansion after the move; iterating it builds `PinchRecord`s.
+`segments` reads the runs again as segments, stretches of moves with one
+sign over which the knots and witnesses change by a fixed step: the printers
+format a segment at a time.  Its `walk` expands the segments into the moves,
+each a tuple of ints with the expansion after the move; iterating it builds
+`PinchRecord`s.
 """
 
 from __future__ import annotations
@@ -240,6 +243,12 @@ def pinch_sign_from_expansion(expansion: cf.ContinuedFraction) -> PinchSign:
 # One pinch move as `PinchTrace.walk` yields it: (sp, sq, rp, rq, t, h, sign, k, c).
 _Move = tuple[int, int, int, int, int, int, Optional[PinchSign], int, int]
 
+# One segment as `PinchTrace.segments` yields it:
+# (moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end).
+_Segment = tuple[
+    int, int, int, int, int, int, int, int, int, Optional[PinchSign], int, int, int, int
+]
+
 
 def _runs(coeffs: tuple[int, ...], stop: StopRule) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield the runs of the walk from `coeffs` as (moves, k, c, k_end, c_end).
@@ -319,12 +328,13 @@ class PinchTrace:
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
-    knot is linear in the last coefficient; see `_runs`.  `walk` is the one
-    loop over the moves: it yields each move as a plain tuple of ints (its
-    knots, witness, sign and the expansion after it), and iteration builds a
-    chained `PinchRecord` from each.  The residue walk of one `pinch` per
-    move is the test oracle for the moves, and one `cf.step` per move for
-    the expansions.
+    knot is linear in the last coefficient; see `_runs`.  `segments` yields
+    the walk a run at a time, as the step each move takes, and the printers
+    format a whole segment at once.  `walk` expands the segments into the
+    moves, each a plain tuple of ints (its knots, witness, sign and the
+    expansion after it), and iteration builds a chained `PinchRecord` from
+    each.  The residue walk of one `pinch` per move is the test oracle for
+    the moves, and one `cf.step` per move for the expansions.
 
     Building a trace is `_walk_start`, which checks the walk's precondition
     and expands p/q, then `_walk_sums` over that expansion.  A caller that
@@ -364,24 +374,29 @@ class PinchTrace:
             yield PinchRecord(source, result, PinchWitness(t, h), sign)
             source = result
 
-    def walk(self) -> Iterator[_Move]:
-        """Yield each move as a plain tuple `(sp, sq, rp, rq, t, h, sign, k, c)`.
+    def segments(self) -> Iterator[_Segment]:
+        """Yield the walk as segments, each a tuple
+        `(moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end)`.
 
-        T(sp,sq) -> T(rp,rq) is the move, (t, h) its witness and `sign` its
-        `PinchSign` or None, as in its `PinchRecord`.  (k, c) is the
-        expansion after the move, which stands for
-        `expansion.coeffs[:k] + (c,)`: inside a run a move takes (k, c) to
-        (k, c-2), and a run's last move ends at the pair (k_end, c_end) that
-        `_runs` gives it: the next run's first pair, or (0, l) for the final
-        T(l,1).  So each move is yielded as soon as it
-        is computed, with nothing read ahead, and k never rises along a walk.
+        A segment is `moves` >= 1 moves with one sign.  Its move j (from 0)
+        takes T(sp - j*dp, sq - j*dq) to T(sp - (j+1)*dp, sq - (j+1)*dq),
+        with witness (t - j*dt, h - j*dh) and `sign`, a `PinchSign` or None.
+        (k, c) is the expansion before the first move, standing for
+        `expansion.coeffs[:k] + (c,)`; move j ends at (k, c - 2*(j+1)),
+        except the last, which ends at (k_end, c_end): the next segment's
+        (k, c), or (0, l) for the final T(l,1).  k never rises along a walk.
 
-        With P/Q the run's convergent, the result is the source minus
-        (2P, 2Q).  The residues are t = (sp - sigma*rp)/2 and
-        h = (sq - sigma*rq)/2 for the sign sigma = +1 or -1: (P, Q) for a
-        positive move (k odd) and (sp - P, sq - Q) for a negative one.  On
-        the unknot tail (k = 0), T(l,1) -> T(l-2,1) has t = l-1 and h = 0,
-        and only its last move, from T(2,1), has a sign: positive.
+        A segment is a run of `_runs`, with P/Q its prefix's last
+        convergent: each move subtracts (dp, dq) = (2P, 2Q).  The residues
+        of a move T(sp,sq) -> T(rp,rq) of sign sigma = +1 or -1 are
+        t = (sp - sigma*rp)/2 and h = (sq - sigma*rq)/2, so a positive run
+        (k odd) has the constant witness (P, Q), with dt = dh = 0, and a
+        negative run (k even) has witness (sp - P, sq - Q), which drops with
+        the knot.  The unknot tail (k = 0, P/Q = 1/0) T(l,1) -> T(l-2,1) -> ...
+        has t = l-1 and h = 0, and only its move from T(2,1) has a sign,
+        positive, so it is split in two: its unsigned moves, then that one
+        move.  This is the one place that decides a move's knots, witness
+        and sign; `walk` and the printers read them from here.
         """
         coeffs = self.expansion.coeffs
         ps, qs = cf.convergent_terms(coeffs[:-1])
@@ -389,21 +404,37 @@ class PinchTrace:
         positive, negative = PinchSign.POSITIVE, PinchSign.NEGATIVE
         for moves, k, c, k_end, c_end in _runs(coeffs, self.stop):
             P, Q = ps[k + 1], qs[k + 1]
-            P2, Q2 = 2 * P, 2 * Q
-            odd = k % 2
+            dp, dq = 2 * P, 2 * Q
+            if k % 2:
+                yield moves, sp, sq, dp, dq, P, Q, 0, 0, positive, k, c, k_end, c_end
+            elif k:
+                yield moves, sp, sq, dp, dq, sp - P, sq - Q, dp, dq, negative, k, c, k_end, c_end
+            else:
+                unsigned = moves - 1
+                if unsigned:
+                    yield unsigned, sp, 1, 2, 0, sp - 1, 0, 2, 0, None, 0, c, 0, 2
+                yield 1, 2, 1, 2, 0, 1, 0, 2, 0, positive, 0, 2, 0, 0
+            sp -= moves * dp
+            sq -= moves * dq
+
+    def walk(self) -> Iterator[_Move]:
+        """Yield each move as a plain tuple `(sp, sq, rp, rq, t, h, sign, k, c)`.
+
+        T(sp,sq) -> T(rp,rq) is the move, (t, h) its witness and `sign` its
+        `PinchSign` or None, as in its `PinchRecord`.  (k, c) is the
+        expansion after the move, which stands for
+        `expansion.coeffs[:k] + (c,)`.  This is `segments` expanded one move
+        at a time, with nothing read ahead: the printers read the segments,
+        and iteration and the tests read the moves.
+        """
+        for moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in self.segments():
             last = c - 2 * moves
             for c in range(c - 2, last - 1, -2):
-                rp, rq = sp - P2, sq - Q2
-                if odd:
-                    t, h, sign = P, Q, positive
-                elif k:
-                    t, h, sign = sp - P, sq - Q, negative
-                else:
-                    t, h, sign = sp - 1, 0, positive if sp == 2 else None
+                rp, rq = sp - dp, sq - dq
                 if c == last:
                     k, c = k_end, c_end
                 yield sp, sq, rp, rq, t, h, sign, k, c
-                sp, sq = rp, rq
+                sp, sq, t, h = rp, rq, t - dt, h - dh
 
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
@@ -29,13 +28,12 @@ from crosscap.knot import (
     PinchTrace,
     StopRule,
     TorusKnot,
-    is_unknot,
-    normalize,
     normalized_knots,
     pinch_sequence,
 )
 from crosscap.verify import CheckOutcome, Counterexample
 from oracles import crosscap_knot, report_dict, trace_row
+from strategies import knots_of_long_expansions
 
 
 def run_cli(capsys, *argv):
@@ -152,7 +150,7 @@ def test_trace_lines_step_as_euclid_expands():
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
         for stop in stops:
             trace = PinchTrace(knot, stop)
-            lines = list(cli._trace_lines(trace))
+            lines = "".join(cli._trace_lines(trace, "")).splitlines()
             assert len(lines) == trace.moves
             for line, record in zip(lines, trace):
                 before, after = (cf.expand((x.p, x.q)) for x in (record.source, record.result))
@@ -176,26 +174,19 @@ def oracle_trace_lines(trace):
 
 
 def assert_trace_lines_match_oracle(knot):
+    # the chunks of `_trace_lines` join to the oracle's lines, each led by
+    # the indent and ended by a newline
     stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
     for stop in stops:
         trace = PinchTrace(knot, stop)
-        assert list(cli._trace_lines(trace)) == list(oracle_trace_lines(trace))
+        for indent in ("", "    "):
+            expected = "".join(f"{indent}{line}\n" for line in oracle_trace_lines(trace))
+            assert "".join(cli._trace_lines(trace, indent)) == expected
 
 
 def test_trace_lines_match_the_step_oracle_on_the_box():
     for knot in normalized_knots(60):
         assert_trace_lines_match_oracle(knot)
-
-
-@st.composite
-def knots_of_long_expansions(draw):
-    """Knots whose p/q expands to up to 30 coefficients, each 1 to 9 and the
-    last at least 2, so that p and q reach about 10^30."""
-    coeffs = draw(st.lists(st.integers(1, 9), max_size=29)) + [draw(st.integers(2, 9))]
-    value = cf.evaluate(coeffs)
-    knot = normalize(value.numerator, value.denominator)
-    assume(not is_unknot(knot))
-    return knot
 
 
 @settings(max_examples=300)
@@ -225,37 +216,85 @@ class LoggingSink:
             self.write(chunk)
 
 
+# T(7804,6003) = [1,3,3,600] pinches 300 times and then once more, two
+# segments, to its first unknot; its walk to T(0,1) ends on the one move from
+# T(2,1).  So on each walk the last segment is one move, and the trace is
+# more than one block long.
 @pytest.mark.parametrize(
     "argv",
     [
-        ("trace", "40", "13"),
-        ("trace", "40", "13", "--stop", "zero"),
-        ("report", "40", "13"),
-        ("report", "40", "13", "--format", "json"),
+        ("trace", "7804", "6003"),
+        ("trace", "7804", "6003", "--stop", "zero"),
+        ("report", "7804", "6003"),
+        ("report", "7804", "6003", "--format", "json"),
     ],
 )
 def test_trace_writes_before_the_last_record(monkeypatch, argv):
     events = []
-    walk = PinchTrace.walk
+    moves = []
+    segments = PinchTrace.segments
 
     def logged(self):
-        for move in walk(self):
-            events.append("move")
-            yield move
+        for segment in segments(self):
+            events.append("segment")
+            moves.append(segment[0])
+            yield segment
 
-    monkeypatch.setattr(PinchTrace, "walk", logged)
+    monkeypatch.setattr(PinchTrace, "segments", logged)
     monkeypatch.setattr(sys, "stdout", LoggingSink(events))
     assert main(list(argv)) == 0
-    # a line (a JSON trace row) per move, after the report's invariants, and
-    # in JSON the closing brackets of the trace and of the report last; every
-    # line but the last is on its way out before the last move is walked
-    moves = events.count("move")
-    lines = moves + (argv[0] == "report")
+    # a write per block of trace lines (JSON trace rows), after the report's
+    # invariants, and in JSON the closing brackets of the trace and of the
+    # report last; every block but the last is on its way out before the
+    # last segment is walked
+    blocks = -(-sum(moves) // cli._BLOCK)
+    head = argv[0] == "report"
     closing = 2 if "json" in argv else 0
-    last = len(events) - 1 - events[::-1].index("move")
-    assert moves > 2
-    assert events.count("write") == lines + closing
-    assert events[:last].count("write") == lines - 1
+    last = len(events) - 1 - events[::-1].index("segment")
+    assert blocks > 1 and moves[-1] == 1
+    assert events.count("write") == head + blocks + closing
+    assert events[:last].count("write") == head + blocks - 1
+
+
+class ChunkSink:
+    """A stdout that keeps each chunk written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "2000", "1999"),
+        ("report", "2000", "1999"),
+        ("report", "2000", "1999", "--format", "json"),
+    ],
+)
+def test_trace_text_goes_out_in_blocks(monkeypatch, capsys, argv):
+    # T(2000,1999) = [1,1999] pinches 999 times in one segment, which goes
+    # out in four chunks of at most 256 trace lines (JSON trace rows); a
+    # report's invariants and closing brackets are chunks of their own
+    code, expected, _ = run_cli(capsys, *argv)
+    sink = ChunkSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(list(argv)) == code == 0
+    assert "".join(sink.chunks) == expected
+    marker = '"from"' if "json" in argv else " -> T("  # once per move
+    moves = [chunk.count(marker) for chunk in sink.chunks]
+    assert cli._BLOCK == 256
+    if "json" not in argv:
+        assert max(chunk.count("\n") for chunk in sink.chunks) <= 256
+    assert max(moves) <= 256
+    assert len([n for n in moves if n]) >= 4
+    assert sum(moves) == 999
 
 
 def test_streamed_json_report_is_one_dump():
@@ -701,8 +740,8 @@ def test_golden_output(capsys, argv, digest):
 
 
 def test_trace_output_builds_no_per_move_object(monkeypatch, capsys):
-    # trace lines and JSON trace rows are formatted from the integer moves
-    # of `PinchTrace.walk`: no record, witness or knot text per move
+    # trace lines and JSON trace rows are formatted from the integers of
+    # `PinchTrace.segments`: no record, witness or knot text per move
     trace = PinchTrace(TorusKnot(2000, 1999), StopRule.FIRST_UNKNOT)
     expected = "".join(line + "\n" for line in oracle_trace_lines(trace))
 

@@ -283,6 +283,22 @@ def test_gap_report_errors():
         gap_report(TorusKnot(2, 1))
 
 
+def test_gap_report_expands_once(monkeypatch):
+    # both walks are counted from one expansion of p/q; a trivial knot is
+    # refused by the division before an odd one by its parity, with no
+    # expansion
+    calls = []
+    expand = cf.expand
+    monkeypatch.setattr(cf, "expand", lambda x: calls.append(x) or expand(x))
+    assert gap_report(TorusKnot(16, 5)) == (2, Fraction(3, 2))
+    assert calls == [(16, 5)]
+    with pytest.raises(UnknotInput):
+        gap_report(TorusKnot(3, 1))
+    with pytest.raises(OddParity):
+        gap_report(TorusKnot(5, 3))
+    assert calls == [(16, 5)]
+
+
 @pytest.mark.parametrize(
     "knot, genus",
     [

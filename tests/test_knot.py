@@ -35,6 +35,7 @@ from crosscap import (
 )
 from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
+from strategies import knots_of_long_expansions
 
 
 def oracle_witness(p, q):
@@ -518,6 +519,62 @@ def test_walk_matches_steps_on_the_box():
             assert_walk_matches_steps(knot, StopRule.ZERO)
     for l in range(0, 61, 2):
         assert_walk_matches_steps(TorusKnot(l, 1), StopRule.ZERO)
+
+
+def expand_segments(segments):
+    """The moves of `segments`, move j of each computed from the segment's
+    first by j steps: the oracle for `PinchTrace.walk`, which expands them
+    one move at a time."""
+    moves = []
+    for n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in segments:
+        for j in range(n):
+            after = (k_end, c_end) if j == n - 1 else (k, c - 2 * (j + 1))
+            source = (sp - j * dp, sq - j * dq)
+            result = (sp - (j + 1) * dp, sq - (j + 1) * dq)
+            moves.append((*source, *result, t - j * dt, h - j * dh, sign, *after))
+    return moves
+
+
+def assert_segments_expand_to_the_walk(knot, stop):
+    # `walk` is exactly the moves of `segments`; each segment starts where
+    # the one before ends and keeps its sign, a positive one its witness;
+    # each unknot tail ends with its one signed move, from T(2,1)
+    trace = PinchTrace(knot, stop)
+    segments = list(trace.segments())
+    assert list(trace.walk()) == expand_segments(segments)
+    start = (len(trace.expansion) - 1, trace.expansion.coeffs[-1])
+    for n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in segments:
+        assert n >= 1 and (k, c) == start
+        start = (k_end, c_end)
+        if sign is PinchSign.POSITIVE and k:
+            assert (dt, dh) == (0, 0) and k % 2
+        else:
+            assert (dt, dh) == (dp, dq)
+    assert start == (0, trace.final.p)
+    tail = [segment for segment in segments if segment[10] == 0]
+    if stop is StopRule.FIRST_UNKNOT:
+        assert tail == []
+    elif tail:  # T(2,3) = [0,1,2] pinches to T(0,1) with no tail
+        *unsigned, last = tail
+        assert last == segments[-1] == (1, 2, 1, 2, 0, 1, 0, 2, 0, PinchSign.POSITIVE, 0, 2, 0, 0)
+        assert [segment[9] for segment in unsigned] == [None] * len(unsigned)
+
+
+def test_segments_expand_to_the_walk_on_the_box():
+    for knot in normalized_knots(60):
+        assert_segments_expand_to_the_walk(knot, StopRule.FIRST_UNKNOT)
+        if knot.p % 2 == 0:
+            assert_segments_expand_to_the_walk(knot, StopRule.ZERO)
+    for l in range(0, 61, 2):
+        assert_segments_expand_to_the_walk(TorusKnot(l, 1), StopRule.ZERO)
+
+
+@settings(max_examples=200)
+@given(knots_of_long_expansions())
+def test_segments_expand_to_the_walk_large(knot):
+    assert_segments_expand_to_the_walk(knot, StopRule.FIRST_UNKNOT)
+    if knot.p % 2 == 0:
+        assert_segments_expand_to_the_walk(knot, StopRule.ZERO)
 
 
 def test_trace_records_need_no_expansion(monkeypatch):
