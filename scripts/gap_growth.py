@@ -1,8 +1,8 @@
 """Tabulate how far the crosscap number outruns the four-ball bound.
 
-For a fixed odd q, walk even p through a residue class mod 2q so the
-division quotient k grows one notch per row; the gap column then grows
-linearly while beta1_F stays put.  Run as
+For a fixed odd q, walk even p through a residue class mod 2q: each row
+adds 2q to p, so the division quotient k grows by 2 and the gap
+gamma3 - beta1_F by 1 per row, while beta1_F stays put.  Run as
 
     python scripts/gap_growth.py --q 3 --residue 4 --rows 12
 """
@@ -17,7 +17,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--q", type=int, default=3, help="odd parameter, fixed per table")
     parser.add_argument(
-        "--residue", type=int, default=4, help="starting even p; subsequent rows add 2q"
+        "--residue",
+        type=int,
+        default=4,
+        help="starting p, even and coprime to q; each later row adds 2q",
     )
     parser.add_argument("--rows", type=int, default=12)
     args = parser.parse_args()

@@ -116,11 +116,10 @@ class GenusReport:
     """Everything this package knows about one nontrivial torus knot.
 
     `trace` is the lazy `PinchTrace` to the first unknot: `beta1_F` and the
-    gamma4 certificate are read from its runs, and its records are built
-    only when a caller iterates it.  `pinch_sequence`, and one `pinch` per
-    move in the tests, give the same records.  `split` is not stored
-    either: it is computed from `trace.expansion` each time it is read,
-    which only the human report does.
+    gamma4 certificate are read from its runs, and only the printers read
+    its moves, from its segments; `pinch_sequence` lists them as records.
+    `split` is not stored either: it is computed from `trace.expansion`
+    each time it is read, which only the human report does.
     """
 
     knot: TorusKnot
@@ -259,14 +258,17 @@ def _odd_crosscap_form(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     (p^2, pq + (-1)^m).  Swapping the middle pair transposes the middle
     factor and gives (p^2, pq - (-1)^m); the leading 0 inverts either.
     Teragaito takes pq - 1 when x = -q^(-1) mod p is even and pq + 1 when
-    it is odd, and x is the witness t of the first pinch: by
-    `PinchTrace.walk`, t = p_{m-1} when m is odd and t = p - p_{m-1}, of
-    the other parity since p is odd, when m is even.  So x is even exactly
-    when p_{m-1} and m differ in parity, and the first order gives pq - 1
-    exactly when m is odd: the first order is Teragaito's iff p_{m-1} is
-    even, whatever the parity of m.  The form is canonical: p > q
-    makes c0 >= 1, c_m - 1 >= 1, and once a trailing 1 is folded the last
-    entry is at least 2.
+    it is odd, and x is the witness t of the first pinch.  By
+    `PinchTrace.segments`, a positive run from T(sp,sq) has witness (P, Q)
+    and a negative one (sp - P, sq - Q), with P/Q the last convergent of
+    the run's prefix.  The first run starts at T(p,q) with prefix C and is
+    positive exactly when m is odd, so t = p_{m-1} when m is odd and
+    t = p - p_{m-1}, of the other parity since p is odd, when m is even.
+    So x is even exactly when p_{m-1} and m differ in parity, and the
+    first order gives pq - 1 exactly when m is odd: the first order is
+    Teragaito's iff p_{m-1} is even, whatever the parity of m.  The form
+    is canonical: p > q makes c0 >= 1, c_m - 1 >= 1, and once a trailing
+    1 is folded the last entry is at least 2.
     """
     head, last = coeffs[:-1], coeffs[-1]
     if cf._numerator_is_odd(head):

@@ -23,12 +23,11 @@ A whole walk is read off the expansion as runs of moves over which the
 expansion keeps its length, so its length, its signs and the knot it ends
 at cost O(len(expansion)) integer operations: `_walk_start` checks the
 walk's precondition and expands p/q, and `_walk_sums` sums the runs.  A
-`PinchTrace` holds those sums for a walk that is printed or iterated.  Its
-`segments` reads the runs again as segments, stretches of moves with one
-sign over which the knots and witnesses change by a fixed step: the printers
-format a segment at a time.  Its `walk` expands the segments into the moves,
-each a tuple of ints with the expansion after the move; iterating it builds
-`PinchRecord`s.
+`PinchTrace` holds those sums for a walk that is printed.  Its `segments`
+reads the runs again as segments, stretches of moves with one sign over
+which the knots and witnesses change by a fixed step: the printers format
+a segment at a time, and `pinch_sequence`, the one loop over single moves,
+builds a chained `PinchRecord` for each move of each segment.
 """
 
 from __future__ import annotations
@@ -240,9 +239,6 @@ def pinch_sign_from_expansion(expansion: cf.ContinuedFraction) -> PinchSign:
     return PinchSign.POSITIVE if m % 2 else PinchSign.NEGATIVE
 
 
-# One pinch move as `PinchTrace.walk` yields it: (sp, sq, rp, rq, t, h, sign, k, c).
-_Move = tuple[int, int, int, int, int, int, Optional[PinchSign], int, int]
-
 # One segment as `PinchTrace.segments` yields it:
 # (moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end).
 _Segment = tuple[
@@ -319,28 +315,26 @@ class PinchTrace:
     """The pinch moves from `knot` until `stop` is met, read as runs.
 
     This is the fast route to a pinch walk.  Building it expands p/q once
-    and walks the coefficients right to left, so `moves` (which `len()`
-    returns), `all_positive` and `final`, the knot the walk ends at, cost
-    O(len(expansion)) integer operations however long the walk is.  Runs
-    and moves are not kept: `walk` reads the runs again and computes each
-    move from its run and the expansion's convergents, with no `pow` and no
-    `expand`.  Two traces are equal when their knot and stop rule are.
+    and walks the coefficients right to left, so `moves`, `all_positive`
+    and `final`, the knot the walk ends at, cost O(len(expansion)) integer
+    operations however long the walk is.  Runs and moves are not kept:
+    `segments` reads the runs again, with no `pow` and no `expand`.  Two
+    traces are equal when their knot and stop rule are.
 
     Within a run the expansion length, and so the sign, is fixed (the
     sign-parity lemma: positive exactly when the length is even), and the
     knot is linear in the last coefficient; see `_runs`.  `segments` yields
-    the walk a run at a time, as the step each move takes, and the printers
-    format a whole segment at once.  `walk` expands the segments into the
-    moves, each a plain tuple of ints (its knots, witness, sign and the
-    expansion after it), and iteration builds a chained `PinchRecord` from
-    each.  The residue walk of one `pinch` per move is the test oracle for
-    the moves, and one `cf.step` per move for the expansions.
+    the walk a run at a time, as the step each move takes: the printers
+    format a whole segment at once, and `pinch_sequence` builds a
+    `PinchRecord` for each move.  The residue walk of one `pinch` per move
+    is the test oracle for the moves, and one `cf.step` per move for the
+    expansions.
 
     Building a trace is `_walk_start`, which checks the walk's precondition
     and expands p/q, then `_walk_sums` over that expansion.  A caller that
     needs only the counts (`genus.pinches_to_unknot`, `pinches_to_zero`,
     `four_genus_bounds`, gamma3 and verify) calls those two itself and
-    builds no trace; a trace is for a walk that is printed or iterated.
+    builds no trace; a trace is for a walk that is printed or listed.
     """
 
     knot: TorusKnot
@@ -364,16 +358,6 @@ class PinchTrace:
         """The knot the walk ends at: the first unknot T(l,1), or T(0,1)."""
         return TorusKnot._trusted(self._last, 1)
 
-    def __len__(self) -> int:
-        return self.moves
-
-    def __iter__(self) -> Iterator[PinchRecord]:
-        source = self.knot
-        for _, _, rp, rq, t, h, sign, _, _ in self.walk():
-            result = TorusKnot._trusted(rp, rq)
-            yield PinchRecord(source, result, PinchWitness(t, h), sign)
-            source = result
-
     def segments(self) -> Iterator[_Segment]:
         """Yield the walk as segments, each a tuple
         `(moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end)`.
@@ -396,7 +380,7 @@ class PinchTrace:
         has t = l-1 and h = 0, and only its move from T(2,1) has a sign,
         positive, so it is split in two: its unsigned moves, then that one
         move.  This is the one place that decides a move's knots, witness
-        and sign; `walk` and the printers read them from here.
+        and sign; `pinch_sequence` and the printers read them from here.
         """
         coeffs = self.expansion.coeffs
         ps, qs = cf.convergent_terms(coeffs[:-1])
@@ -417,25 +401,6 @@ class PinchTrace:
             sp -= moves * dp
             sq -= moves * dq
 
-    def walk(self) -> Iterator[_Move]:
-        """Yield each move as a plain tuple `(sp, sq, rp, rq, t, h, sign, k, c)`.
-
-        T(sp,sq) -> T(rp,rq) is the move, (t, h) its witness and `sign` its
-        `PinchSign` or None, as in its `PinchRecord`.  (k, c) is the
-        expansion after the move, which stands for
-        `expansion.coeffs[:k] + (c,)`.  This is `segments` expanded one move
-        at a time, with nothing read ahead: the printers read the segments,
-        and iteration and the tests read the moves.
-        """
-        for moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in self.segments():
-            last = c - 2 * moves
-            for c in range(c - 2, last - 1, -2):
-                rp, rq = sp - dp, sq - dq
-                if c == last:
-                    k, c = k_end, c_end
-                yield sp, sq, rp, rq, t, h, sign, k, c
-                sp, sq, t, h = rp, rq, t - dt, h - dh
-
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     """Pinch repeatedly until the stop rule is met and return the records.
@@ -446,12 +411,20 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     continues through the unknots T(l,1) until T(0,1).  Each move strictly
     decreases max(p,q), so both walks terminate.
 
-    This is `list(PinchTrace(knot, stop))`, the records of the fast route;
-    a caller that needs only the length, the signs or the last knot reads
+    This is the library's one loop over single moves: move j of each of
+    the trace's `segments` is built from the segment's first move and step.
+    A caller that needs only the length, the signs or the last knot reads
     them from the `PinchTrace` instead.  One `pinch` per move, residues and
     all, is the test oracle.
     """
-    return list(PinchTrace(knot, stop))
+    records = []
+    source = knot
+    for moves, sp, sq, dp, dq, t, h, dt, dh, sign, *_ in PinchTrace(knot, stop).segments():
+        for j in range(1, moves + 1):
+            result = TorusKnot._trusted(sp - j * dp, sq - j * dq)
+            records.append(PinchRecord(source, result, PinchWitness(t, h), sign))
+            source, t, h = result, t - dt, h - dh
+    return records
 
 
 def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKnot]:

@@ -5,27 +5,61 @@ counts another way; no library code calls this module.
 """
 
 from crosscap import cli
-from crosscap.knot import TorusKnot
+from crosscap.knot import StopRule, TorusKnot, is_unknot, pinch
 
 
-def trace_row(move: tuple) -> dict:
-    """The JSON row of one move as `PinchTrace.walk` yields it: the oracle
-    for `cli._trace_rows_json`."""
-    sp, sq, rp, rq, t, h, sign, _, _ = move
+def oracle_sequence(knot, stop):
+    """The residue walk: apply `pinch` (modular residues, two `pow` calls)
+    until the stop rule is met.  The oracle for `pinch_sequence`, which
+    reads the records off the walk's segments.
+
+    Checks no preconditions; call it only where the walk is defined.
+    """
+    records = []
+    current = knot
+    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
+        record = pinch(current)
+        records.append(record)
+        current = record.result
+    return records
+
+
+def expand_segments(segments):
+    """Yield the moves of `segments` as plain tuples
+    `(sp, sq, rp, rq, t, h, sign, k, c)`, move j of each segment computed
+    from its first by j steps: the move T(sp,sq) -> T(rp,rq), its witness
+    (t, h), its sign, and the expansion after it as (k, c), which stands
+    for `expansion.coeffs[:k] + (c,)`.  The oracle for `pinch_sequence`,
+    which steps from one move to the next, and lazy, so a walk too long to
+    list can be read from its start."""
+    for n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in segments:
+        for j in range(n):
+            after = (k_end, c_end) if j == n - 1 else (k, c - 2 * (j + 1))
+            source = (sp - j * dp, sq - j * dq)
+            result = (sp - (j + 1) * dp, sq - (j + 1) * dq)
+            yield (*source, *result, t - j * dt, h - j * dh, sign, *after)
+
+
+def trace_row(record) -> dict:
+    """The JSON row of one `PinchRecord`: the oracle for
+    `cli._trace_rows_json`."""
     return {
-        "from": [sp, sq],
-        "to": [rp, rq],
-        "t": t,
-        "h": h,
-        "sign": None if sign is None else sign.value,
+        "from": [record.source.p, record.source.q],
+        "to": [record.result.p, record.result.q],
+        "t": record.witness.t,
+        "h": record.witness.h,
+        "sign": None if record.sign is None else record.sign.name.lower(),
     }
 
 
 def report_dict(report) -> dict:
     """The JSON report as one object: the oracle for `cli._report_json`,
-    which writes the same text as it walks."""
+    which writes the same text as it walks.  Its trace rows come from the
+    residue walk, not from the segments that the report's text is read
+    from."""
     payload = cli._report_fields(report)
-    payload["trace"] = [trace_row(move) for move in report.trace.walk()]
+    trace = oracle_sequence(report.knot, StopRule.FIRST_UNKNOT)
+    payload["trace"] = [trace_row(record) for record in trace]
     return payload
 
 

@@ -32,7 +32,7 @@ from crosscap.knot import (
     pinch_sequence,
 )
 from crosscap.verify import CheckOutcome, Counterexample
-from oracles import crosscap_knot, report_dict, trace_row
+from oracles import crosscap_knot, oracle_sequence, report_dict, trace_row
 from strategies import knots_of_long_expansions
 
 
@@ -152,7 +152,7 @@ def test_trace_lines_step_as_euclid_expands():
             trace = PinchTrace(knot, stop)
             lines = "".join(cli._trace_lines(trace, "")).splitlines()
             assert len(lines) == trace.moves
-            for line, record in zip(lines, trace):
+            for line, record in zip(lines, pinch_sequence(knot, stop)):
                 before, after = (cf.expand((x.p, x.q)) for x in (record.source, record.result))
                 assert line.endswith(f"   {before} -> {after}")
 
@@ -163,7 +163,7 @@ def oracle_trace_lines(trace):
     the expansions come from the stepwise walk, not from the trace's runs.
     """
     after = trace.expansion
-    for record in trace:
+    for record in pinch_sequence(trace.knot, trace.stop):
         before, after = after, cf.step(after)
         sign = record.sign.name.lower() if record.sign is not None else "n/a"
         yield (
@@ -328,7 +328,7 @@ def assert_trace_rows_match_the_oracle(knot):
     stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
     for stop in stops:
         trace = PinchTrace(knot, stop)
-        rows = [trace_row(move) for move in trace.walk()]
+        rows = [trace_row(record) for record in pinch_sequence(knot, stop)]
         for indent in ("", "  ", "      "):
             text = "".join(cli._json_list(cli._trace_rows_json(trace, indent), indent))
             assert text == json.dumps(rows, indent=2).replace("\n", "\n" + indent)
@@ -345,24 +345,12 @@ def test_trace_rows_json_match_the_oracle_large(knot):
     assert_trace_rows_match_the_oracle(knot)
 
 
-def record_row(record):
-    """The JSON trace row of one `PinchRecord`: the oracle for
-    `oracles.trace_row`, which reads the integer tuple of its move instead."""
-    return {
-        "from": [record.source.p, record.source.q],
-        "to": [record.result.p, record.result.q],
-        "t": record.witness.t,
-        "h": record.witness.h,
-        "sign": None if record.sign is None else record.sign.name.lower(),
-    }
-
-
 def test_trace_rows_match_the_records_on_the_box():
     for knot in normalized_knots(60):
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
         for stop in stops:
-            rows = [trace_row(move) for move in PinchTrace(knot, stop).walk()]
-            assert rows == [record_row(record) for record in pinch_sequence(knot, stop)]
+            rows = [trace_row(record) for record in pinch_sequence(knot, stop)]
+            assert rows == [trace_row(record) for record in oracle_sequence(knot, stop)]
 
 
 def test_trace_is_bounded_by_its_exact_length(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Static checks of the library sources: they import only the standard
 library and the package, parse as the oldest supported Python, raise every
-error class the package exports, and step a walk to [0] only for the
-gamma3 of an even-p knot."""
+error class the package exports, step a walk to [0] only for the gamma3 of
+an even-p knot, and loop over single pinch moves only in `pinch_sequence`."""
 
 import ast
 import sys
@@ -82,3 +82,29 @@ def test_only_even_p_gamma3_steps_to_zero():
         for statement in node.orelse
     ]
     assert list(call_lines(even_branches, "steps_to_zero")) == calls["genus.py"]
+
+
+def test_only_pinch_and_pinch_sequence_build_records():
+    # `pinch_sequence` is the library's one loop over single moves: besides
+    # `pinch`, no code builds a `PinchRecord`, and a trace has no per-move
+    # reading of its own
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    calls = {
+        (name, line) for name, tree in trees.items() for line in call_lines([tree], "PinchRecord")
+    }
+    builders = {
+        (name, line): f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for line in call_lines([node], "PinchRecord")
+    }
+    assert set(builders) == calls
+    assert sorted(set(builders.values())) == ["knot.pinch", "knot.pinch_sequence"]
+    (trace,) = (
+        node
+        for node in ast.walk(trees["knot.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "PinchTrace"
+    )
+    methods = {node.name for node in trace.body if isinstance(node, ast.FunctionDef)}
+    assert sorted(methods & {"walk", "__iter__", "__len__"}) == []

@@ -2,7 +2,8 @@
 
 The modular residues (t, h) are cross-checked against a brute-force linear
 search, the residue-based pinch against the continued-fraction route, and
-the run-length `PinchTrace` against one residue pinch per move.
+the records `pinch_sequence` reads off the run-length `PinchTrace` against
+one residue pinch per move.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from crosscap import (
 )
 from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
+from oracles import expand_segments, oracle_sequence
 from strategies import knots_of_long_expansions
 
 
@@ -416,39 +418,25 @@ def test_pinch_results_revalidate_large(a, b):
     assert_pinch_result_is_valid(knot)
 
 
-# `PinchTrace` walks the expansion as runs; its oracle is the residue walk,
-# one `pinch` per move, which is how `pinch_sequence` ran before the runs.
-
-
-def oracle_sequence(knot, stop):
-    """Test oracle for `PinchTrace` and `pinch_sequence`: apply `pinch`
-    (modular residues, two `pow` calls) until the stop rule is met.
-
-    Checks no preconditions; call it only where the trace is defined.
-    """
-    records = []
-    current = knot
-    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
-        record = pinch(current)
-        records.append(record)
-        current = record.result
-    return records
+# `PinchTrace` walks the expansion as runs, and `pinch_sequence` reads its
+# records off the segments; the oracle is the residue walk, one `pinch` per
+# move.
 
 
 def assert_trace_matches_oracle(knot, stop):
     trace = PinchTrace(knot, stop)
     expected = oracle_sequence(knot, stop)
-    records = list(trace)
+    records = pinch_sequence(knot, stop)
     # PinchRecord equality compares source, result, witness and sign
     assert records == expected
-    assert len(trace) == trace.moves == len(expected)
+    assert trace.moves == len(expected)
     assert trace.all_positive == all(r.sign is PinchSign.POSITIVE for r in expected)
     assert trace.final == (expected[-1].result if expected else knot)
     if stop is StopRule.FIRST_UNKNOT:
         assert (trace.moves, trace.final.p) == steps_to_integer((knot.p, knot.q))
     else:
         assert trace.moves == steps_to_zero((knot.p, knot.q))
-    # iteration chains: each source is the previous result, the first is the knot
+    # the records chain: each source is the previous result, the first is the knot
     assert all(a.result is b.source for a, b in zip(records, records[1:]))
     if expected:
         assert records[0].source is knot
@@ -491,13 +479,13 @@ def test_trace_matches_oracle_large(knot):
 
 
 def assert_walk_matches_steps(knot, stop):
-    # `walk` yields each move as ints: source, result, witness, sign and the
-    # expansion (k, c) after the move.  The residue walk of one `pinch` per
-    # move is the oracle for the move, and one `cf.step` per move, from the
-    # trace's expansion, for the expansions.
+    # the segments, expanded into moves of ints: source, result, witness,
+    # sign and the expansion (k, c) after the move.  The residue walk of one
+    # `pinch` per move is the oracle for the move, and one `cf.step` per
+    # move, from the trace's expansion, for the expansions.
     trace = PinchTrace(knot, stop)
     coeffs = trace.expansion.coeffs
-    moves = list(trace.walk())
+    moves = list(expand_segments(trace.segments()))
     expected = oracle_sequence(knot, stop)
     assert len(moves) == len(expected)
     expansion = trace.expansion
@@ -521,27 +509,17 @@ def test_walk_matches_steps_on_the_box():
         assert_walk_matches_steps(TorusKnot(l, 1), StopRule.ZERO)
 
 
-def expand_segments(segments):
-    """The moves of `segments`, move j of each computed from the segment's
-    first by j steps: the oracle for `PinchTrace.walk`, which expands them
-    one move at a time."""
-    moves = []
-    for n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in segments:
-        for j in range(n):
-            after = (k_end, c_end) if j == n - 1 else (k, c - 2 * (j + 1))
-            source = (sp - j * dp, sq - j * dq)
-            result = (sp - (j + 1) * dp, sq - (j + 1) * dq)
-            moves.append((*source, *result, t - j * dt, h - j * dh, sign, *after))
-    return moves
-
-
 def assert_segments_expand_to_the_walk(knot, stop):
-    # `walk` is exactly the moves of `segments`; each segment starts where
-    # the one before ends and keeps its sign, a positive one its witness;
-    # each unknot tail ends with its one signed move, from T(2,1)
+    # `pinch_sequence` is exactly the moves of `segments`; each segment
+    # starts where the one before ends and keeps its sign, a positive one
+    # its witness; each unknot tail ends with its one signed move, from T(2,1)
     trace = PinchTrace(knot, stop)
     segments = list(trace.segments())
-    assert list(trace.walk()) == expand_segments(segments)
+    records = [
+        (r.source.p, r.source.q, r.result.p, r.result.q, r.witness.t, r.witness.h, r.sign)
+        for r in pinch_sequence(knot, stop)
+    ]
+    assert records == [move[:7] for move in expand_segments(segments)]
     start = (len(trace.expansion) - 1, trace.expansion.coeffs[-1])
     for n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in segments:
         assert n >= 1 and (k, c) == start
@@ -579,13 +557,13 @@ def test_segments_expand_to_the_walk_large(knot):
 
 def test_trace_records_need_no_expansion(monkeypatch):
     trace = PinchTrace(TorusKnot(2000, 1999), StopRule.FIRST_UNKNOT)
-
-    def expand(_):
-        raise AssertionError("a record was built by expanding")
-
-    monkeypatch.setattr(cf, "expand", expand)
-    records = list(trace)
-    assert len(records) == len(trace) == 999
+    calls = []
+    real_expand = cf.expand
+    monkeypatch.setattr(cf, "expand", lambda x: calls.append(x) or real_expand(x))
+    records = pinch_sequence(trace.knot, trace.stop)
+    # the walk's start expands the knot; no record is built by expanding
+    assert calls == [(2000, 1999)]
+    assert len(records) == trace.moves == 999
     assert records[-1].result == trace.final == TorusKnot(2, 1)
 
 
@@ -598,8 +576,8 @@ def test_trace_of_a_huge_walk_is_cheap():
 
 
 def assert_walk_starts_as_pinches(trace, n):
-    # the first n moves of `walk`, against the chain of residue pinches
-    moves = list(itertools.islice(trace.walk(), n))
+    # the first n moves of the segments, against the chain of residue pinches
+    moves = list(itertools.islice(expand_segments(trace.segments()), n))
     assert len(moves) == n
     record = pinch(trace.knot)
     for sp, sq, rp, rq, t, h, sign, _, _ in moves:
@@ -630,7 +608,8 @@ def test_trace_is_an_immutable_value():
     assert trace != PinchTrace(TorusKnot(16, 5), StopRule.ZERO)
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.moves = 0
-    assert list(PinchTrace(TorusKnot(0, 1), StopRule.ZERO)) == []
+    assert list(PinchTrace(TorusKnot(0, 1), StopRule.ZERO).segments()) == []
+    assert pinch_sequence(TorusKnot(0, 1), StopRule.ZERO) == []
 
 
 def test_trace_preconditions_match_pinch_sequence():

@@ -1,5 +1,7 @@
-"""The command examples of README.md print what the README shows."""
+"""The examples of README.md print what the README shows: each command's
+output, and each value of the Python example that a comment gives."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -24,3 +26,21 @@ def test_readme_has_its_examples():
 def test_readme_example_output(capsys, command, output):
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr() == (output, "")
+
+
+# The Python block under "## Library"; a line `expr  # literal` in it says
+# what `expr` is.
+LIBRARY = re.compile(r"^## Library\n\n```python\n(.*?)^```$", re.M | re.S)
+
+
+def test_readme_library_example():
+    (code,) = LIBRARY.findall(README.read_text(encoding="utf-8"))
+    namespace = {}
+    exec(code, namespace)
+    checked = []
+    for line in code.splitlines():
+        expr, sep, literal = line.partition("  # ")
+        if sep:
+            assert eval(expr, namespace) == ast.literal_eval(literal.strip()), line
+            checked.append(expr.strip())
+    assert len(checked) == 5

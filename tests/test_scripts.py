@@ -32,9 +32,16 @@ def test_gap_growth_gap_is_half_k_rounded_up():
     header, *rows = run_script("gap_growth.py", "--q", "3", "--residue", "4", "--rows", "6")
     assert header.split() == ["p", "q", "k", "beta1_F", "gamma3", "gap"]
     assert len(rows) == 6
-    for row in rows:
-        _, _, k, beta1_f, gamma3, gap = map(int, row.split())
+    table = [tuple(map(int, row.split())) for row in rows]
+    for _, _, k, beta1_f, gamma3, gap in table:
         assert gap == gamma3 - beta1_f == (k + 1) // 2
+    # along the congruence class p = 4 mod 6 each row adds 2q to p: k rises
+    # by 2 and the gap by 1, while beta1_F stays the same
+    assert [row[:3] for row in table] == [(4 + 6 * i, 3, 1 + 2 * i) for i in range(6)]
+    for before, after in zip(table, table[1:]):
+        assert after[2] - before[2] == 2
+        assert after[5] - before[5] == 1
+        assert after[3] == before[3]
 
 
 def test_gap_growth_rejects_a_residue_sharing_a_factor_with_q():
