@@ -9,7 +9,9 @@ moves, counted exactly from one `PinchTrace`: `trace` by the walk it
 prints, `report` by the longest walk it runs: for even p the walk to
 T(0,1) that `genus_report` steps for gamma3, and for odd p its printed
 trace.  A CSV `report` of an odd-p knot prints no trace and steps nothing,
-so it is never refused by a walk.  `trace` and a human `report` format
+so it is never refused by a walk.  `table` and `verify` exit 2, before
+any knot is built, on a box of more than MAX_BOX parameter pairs: pmax*qmax
+for `table`, max*max for `verify`.  `trace` and a human `report` format
 their trace lines a segment at a time from the plain integers
 `PinchTrace.segments` yields, so no object is built per move, and write
 them in blocks of at most `_BLOCK` lines as the walk goes on; a JSON
@@ -43,10 +45,13 @@ from .knot import (
 )
 from .verify import CheckOutcome, run_all
 
-__all__ = ["main", "CSV_COLUMNS", "MAX_STEPS"]
+__all__ = ["main", "CSV_COLUMNS", "MAX_BOX", "MAX_STEPS"]
 
 # The longest walk, in pinch moves, that `report` and `trace` take on.
 MAX_STEPS = 10**6
+
+# The largest box, in parameter pairs (p, q), that `table` and `verify` take on.
+MAX_BOX = 10**6
 
 # One row per report field: its CSV column, its path in the JSON report and
 # its dotted `GenusReport` attribute.  CSV, JSON and the human table all
@@ -324,6 +329,15 @@ def _refuse_long_walks(knot: TorusKnot, moves: int) -> None:
         )
 
 
+def _refuse_large_box(command: str, pairs: int) -> None:
+    """Raise InvalidParameter, before any knot is built, if a box command
+    spans more than MAX_BOX parameter pairs."""
+    if pairs > MAX_BOX:
+        raise InvalidParameter(
+            f"{command} spans {pairs} parameter pairs; table and verify stop at {MAX_BOX}"
+        )
+
+
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
     trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)  # raises UnknotInput first
@@ -355,6 +369,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
+    _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
@@ -366,6 +381,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    # a bound below 3 is left to run_all, which refuses it as such
+    _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
     outcomes = run_all(args.max)
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":

@@ -281,8 +281,10 @@ def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
     return the expansion of p/q it starts from.
 
     FIRST_UNKNOT needs a nontrivial knot (UnknotInput) and ZERO an even p
-    (OddParity).  Every walk, a `PinchTrace` or a bare count, starts here,
-    so each precondition has one class and one message.
+    (OddParity).  Every walk from a knot that may miss its precondition, a
+    `PinchTrace` or a bare count, starts here, so each precondition has one
+    class and one message; verify's records, built only for the nontrivial
+    knots of its box, expand p/q directly.
     """
     if stop is StopRule.FIRST_UNKNOT:
         if is_unknot(knot):

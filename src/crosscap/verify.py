@@ -2,24 +2,30 @@
 
 One pass enumerates the normalized nontrivial torus knots with both
 parameters inside a bound (p ascending, then q ascending), evaluates every
-claimed identity on each, and reports one CheckOutcome per check.  Checks
-never abort on a failure: they keep scanning and collect up to
-MAX_COUNTEREXAMPLES offending cases so a broken identity is visible in bulk,
-not one case at a time.
+claimed identity on each, and reports one CheckOutcome per check.  Each
+knot gets one record, `_Knot`, holding the values its checks share: the
+residue pinch, the expansion of p/q, the quotient k = p // q and the walk
+counts.  Each check is a predicate on that record which returns its claims
+as a tuple of (holds, expected, actual).  The checks are grouped by the
+parity of p they run on once, before the pass; a check's case count is the
+tally of the knots of its parity, set after the pass.  Checks never abort
+on a failure: they keep scanning and collect up to MAX_COUNTEREXAMPLES
+offending cases so a broken identity is visible in bulk, not one case at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
+from . import cf
 from .errors import InvalidParameter
-from .genus import _gamma3, crosscap_by_splitting, euclidean_division, terminal_unknot_parameter
+from .genus import _ell, _gamma3, crosscap_by_splitting
 from .knot import (
     StopRule,
     TorusKnot,
-    _walk_start,
     _walk_sums,
     normalized_knots,
     pinch,
@@ -76,6 +82,8 @@ class _Knot:
     * `expansion`, the one expansion of p/q, read by pinch-equivalence and
       sign-parity, and by gamma3 in crosscap-odd-consistency (odd p) and
       gap-formula (even p), which run on disjoint parities;
+    * `k`, the quotient p // q, the one division of the knot, read by
+      terminal-unknot and gap-formula;
     * `moves` and `ell`, the length of the walk to the first unknot T(l,1)
       and its l, summed over the runs of `expansion` with no `PinchTrace`
       built, read by gap-formula and terminal-unknot.
@@ -83,8 +91,9 @@ class _Knot:
     Each check still computes the route it compares against: `pinch_by_step`
     (one `cf.step`, `evaluate` and the validating `normalize`) for the
     residues, the expansion length for the residue sign, the division
-    formula for `ell`, and `crosscap_by_splitting`, which expands and splits
-    p/q itself, for gamma3.
+    formula `genus._ell` on the record's quotient for `ell`, and
+    `crosscap_by_splitting`, which expands and splits p/q itself, for
+    gamma3.
 
     For odd p, `genus._gamma3` counts the runs of (pq-+1)/p^2, whose
     expansion it reads off p/q's own as a near-palindrome, with no residue;
@@ -97,17 +106,19 @@ class _Knot:
     residue pair.
     """
 
-    __slots__ = ("knot", "first", "expansion", "moves", "ell")
+    __slots__ = ("knot", "first", "expansion", "k", "moves", "ell")
 
     def __init__(self, knot: TorusKnot):
         self.knot = knot
         self.first = pinch(knot)
-        self.expansion = _walk_start(knot, StopRule.FIRST_UNKNOT)
+        self.expansion = cf.expand((knot.p, knot.q))  # the box holds no trivial knot
+        self.k = knot.p // knot.q
         self.moves, _, self.ell = _walk_sums(self.expansion.coeffs, StopRule.FIRST_UNKNOT)
 
 
-# A predicate yields one claim (holds, expected, actual) per identity it checks.
-_Claims = Iterator[tuple[bool, object, object]]
+# A predicate returns a tuple of claims (holds, expected, actual), one per
+# identity it checks.
+_Claims = tuple[tuple[bool, object, object], ...]
 _Predicate = Callable[[_Knot], _Claims]
 _Row = tuple[str, str, Optional[int], _Predicate]  # name, range text, parity filter, predicate
 _CHECKS: list[_Row] = []  # in the order run_all reports them
@@ -133,19 +144,31 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 
 
 def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
-    """Evaluate the given checks on every knot of the box, in a single pass."""
+    """Evaluate the given checks on every knot of the box, in a single pass.
+
+    The checks are grouped by the parity of p they run on before the pass,
+    and the knots of each parity are tallied; each check's case count is
+    its parity's tally, or both tallies, after the pass."""
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
+    by_parity: tuple[list, list] = ([], [])  # (predicate, outcome) for even p, odd p
+    for (_, _, parity, predicate), outcome in zip(rows, outcomes):
+        for p in (0, 1):
+            if parity is None or parity == p:
+                by_parity[p].append((predicate, outcome))
+    tallies = [0, 0]
     for knot in normalized_knots(max_param):
+        parity = knot.p % 2
+        tallies[parity] += 1
         record = _Knot(knot)
-        for (_, _, parity, predicate), outcome in zip(rows, outcomes):
-            if parity is None or knot.p % 2 == parity:
-                outcome.cases_checked += 1
-                for holds, expected, actual in predicate(record):
-                    if not holds:
-                        outcome.failures_total += 1
-                        if outcome.failures_total <= MAX_COUNTEREXAMPLES:
-                            case = Counterexample(str(knot), str(expected), str(actual))
-                            outcome.counterexamples.append(case)
+        for predicate, outcome in by_parity[parity]:
+            for holds, expected, actual in predicate(record):
+                if not holds:
+                    outcome.failures_total += 1
+                    if outcome.failures_total <= MAX_COUNTEREXAMPLES:
+                        case = Counterexample(str(knot), str(expected), str(actual))
+                        outcome.counterexamples.append(case)
+    for (_, _, parity, _), outcome in zip(rows, outcomes):
+        outcome.cases_checked = sum(tallies) if parity is None else tallies[parity]
     return outcomes
 
 
@@ -153,7 +176,7 @@ def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
 def check_pinch_equivalence(rec: _Knot) -> _Claims:
     """Pinch via modular residues lands on the same knot as one cf step."""
     via_step = pinch_by_step(rec.expansion)
-    yield rec.first.result == via_step, rec.first.result, via_step
+    return ((rec.first.result == via_step, rec.first.result, via_step),)
 
 
 @_check("sign-lemma")
@@ -161,8 +184,10 @@ def check_sign_lemma(rec: _Knot) -> _Claims:
     """(p-2t)(q-2h) >= 0, with equality exactly when p = 2."""
     wit = rec.first.witness
     product = (rec.knot.p - 2 * wit.t) * (rec.knot.q - 2 * wit.h)
-    yield product >= 0, "(p-2t)(q-2h) >= 0", product
-    yield (product == 0) == (rec.knot.p == 2), "(p-2t)(q-2h) == 0 iff p == 2", product
+    return (
+        (product >= 0, "(p-2t)(q-2h) >= 0", product),
+        ((product == 0) == (rec.knot.p == 2), "(p-2t)(q-2h) == 0 iff p == 2", product),
+    )
 
 
 @_check("magnitude-order")
@@ -174,23 +199,25 @@ def check_magnitude(rec: _Knot) -> _Claims:
     """
     p, q, wit = rec.knot.p, rec.knot.q, rec.first.witness
     r, s = abs(p - 2 * wit.t), abs(q - 2 * wit.h)
-    yield not (p > q and r < s), "r >= s for p > q", (r, s)
-    yield not (p < q and r >= s), "r < s for p < q", (r, s)
+    return (
+        (not (p > q and r < s), "r >= s for p > q", (r, s)),
+        (not (p < q and r >= s), "r < s for p < q", (r, s)),
+    )
 
 
 @_check("sign-parity")
 def check_sign_parity(rec: _Knot) -> _Claims:
     """Residue-based pinch sign matches the expansion-length parity rule."""
     predicted = pinch_sign_from_expansion(rec.expansion)
-    yield rec.first.sign is predicted, predicted, rec.first.sign
+    return ((rec.first.sign is predicted, predicted, rec.first.sign),)
 
 
 @_check("terminal-unknot")
 def check_terminal_unknot(rec: _Knot) -> _Claims:
-    """The division formula predicts the first unknot a pinch walk reaches."""
-    predicted = terminal_unknot_parameter(rec.knot)
-    observed = rec.ell
-    yield predicted == observed, predicted, observed
+    """The division formula, read on the record's quotient, predicts the
+    first unknot a pinch walk reaches."""
+    predicted = _ell(rec.knot.p, rec.k)
+    return ((predicted == rec.ell, predicted, rec.ell),)
 
 
 @_check("crosscap-odd-consistency", "odd coprime 3 <= q < p <= {}", parity=1)
@@ -198,17 +225,19 @@ def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
     """Closed-formula crosscap number agrees with the splitting construction."""
     gamma3 = _gamma3(rec.knot.p, rec.expansion.coeffs)
     geometric = crosscap_by_splitting(rec.knot)
-    yield gamma3 == geometric, geometric, gamma3
+    return ((gamma3 == geometric, geometric, gamma3),)
 
 
 @_check("gap-formula", "normalized nontrivial T(p,q), p even, p,q <= {}", parity=0)
 def check_gap_formula(rec: _Knot) -> _Claims:
     """gamma3 - beta1_F equals ceil(k/2) and stays >= k/2 for even p."""
-    quotient, _ = euclidean_division(rec.knot)
+    k = rec.k
     gap = _gamma3(rec.knot.p, rec.expansion.coeffs) - rec.moves
-    yield gap == (quotient + 1) // 2, (quotient + 1) // 2, gap
-    holds = 2 * gap >= quotient  # gap >= k/2, in integers; the text only on failure
-    yield holds, "" if holds else f"gap >= {Fraction(quotient, 2)}", gap
+    holds = 2 * gap >= k  # gap >= k/2, in integers; the text only on failure
+    return (
+        (gap == (k + 1) // 2, (k + 1) // 2, gap),
+        (holds, "" if holds else f"gap >= {Fraction(k, 2)}", gap),
+    )
 
 
 def run_all(max_param: int) -> list[CheckOutcome]:

@@ -175,4 +175,4 @@ def test_criterion_7_exhaustive_invariants():
                 assert gcd(r, s) == 1
                 assert max(r, s) < max(record.source.p, record.source.q)
 
-    _run_criterion(7, "exhaustive-invariants", None, body)
+    _run_criterion(7, "exhaustive-invariants", 30.0, body)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 
 from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
-from crosscap.cli import CSV_COLUMNS, MAX_STEPS, main
+from crosscap.cli import CSV_COLUMNS, MAX_BOX, MAX_STEPS, main
 from crosscap.genus import (
     crosscap_by_splitting,
     crosscap_number,
@@ -941,3 +942,63 @@ def test_odd_csv_report_is_not_refused_by_the_trace_it_does_not_print(monkeypatc
     for fmt in ("human", "json"):
         code, out, err = run_cli(capsys, "report", "4000005", "2000003", "--format", fmt)
         assert (code, out, err) == (2, "", refusal)
+
+
+# table and verify refuse, before any knot is built, a box of more than
+# MAX_BOX parameter pairs: pmax*qmax for table, max*max for verify.
+
+OVERSIZE_BOXES = [
+    (("table", "--pmax", "2", "--qmax", "1000000000000"), 2 * 10**12),
+    (("table", "--pmax", "1000000000000", "--qmax", "3", "--format", "human"), 3 * 10**12),
+    (("table", "--pmax", "1001", "--qmax", "1000"), 1001 * 1000),
+    (("verify", "--max", "1001"), 1001 * 1001),
+]
+
+
+def record_boxes(monkeypatch):
+    """The list of bounds the box commands enumerate knots with; they
+    build none."""
+    boxes = []
+
+    def enumerate_box(*bounds):
+        boxes.append(bounds)
+        return iter(())
+
+    def run_all(bound):
+        boxes.append((bound,))
+        return [CheckOutcome("demo", "synthetic")]
+
+    monkeypatch.setattr(cli, "normalized_knots", enumerate_box)
+    monkeypatch.setattr(cli, "run_all", run_all)
+    return boxes
+
+
+@pytest.mark.parametrize("argv, pairs", OVERSIZE_BOXES, ids=[" ".join(a) for a, _ in OVERSIZE_BOXES])
+def test_oversize_box_is_refused_before_any_knot(monkeypatch, capsys, argv, pairs):
+    boxes = record_boxes(monkeypatch)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out, boxes) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"spans {pairs} parameter pairs; table and verify stop at {MAX_BOX}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the benchmark's boxes, the README's example and the largest boxes
+        ("table", "--pmax", "151", "--qmax", "150", "--format", "csv"),
+        ("verify", "--max", "151"),
+        ("verify", "--max", "300"),
+        ("table", "--pmax", "1000", "--qmax", "1000"),
+        ("table", "--pmax", "2", "--qmax", "500000"),
+        ("verify", "--max", "1000"),
+    ],
+    ids=" ".join,
+)
+def test_box_limit_accepts_every_benchmark_box(monkeypatch, capsys, argv):
+    boxes = record_boxes(monkeypatch)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert boxes == [tuple(int(bound) for bound in argv[2:5:2])]

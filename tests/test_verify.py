@@ -2,7 +2,7 @@
 
 import pytest
 
-from crosscap import cf, verify
+from crosscap import cf, genus, verify
 from crosscap import knot as knot_module
 from crosscap.errors import InvalidParameter
 from crosscap.knot import TorusKnot, normalize, normalized_knots, pinch
@@ -91,6 +91,32 @@ def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
 def test_run_all_matches_checks_run_alone():
     alone = [getattr(verify, name) for name in verify.__all__ if name.startswith("check_")]
     assert run_all(40) == [check(40) for check in alone]
+
+
+@pytest.mark.parametrize("bound", [3, 40])
+def test_case_counts_are_the_parity_tallies(bound):
+    # a check's case count is the number of knots of the box of its parity:
+    # all of them, or odd p for crosscap-odd-consistency, even p for gap-formula
+    parities = [knot.p % 2 for knot in normalized_knots(bound)]
+    everyone, odd, even = len(parities), parities.count(1), parities.count(0)
+    expected = [everyone] * 5 + [odd, even]
+    alone = [getattr(verify, name) for name in verify.__all__ if name.startswith("check_")]
+    assert [outcome.cases_checked for outcome in run_all(bound)] == expected
+    assert [check(bound).cases_checked for check in alone] == expected
+    if bound == 3:  # T(2,3) alone: crosscap-odd-consistency has no case
+        assert expected == [1] * 5 + [0, 1]
+
+
+def test_run_all_divides_each_knot_once(monkeypatch):
+    # the record computes k = p // q once, and terminal-unknot and gap-formula
+    # read it: neither divides the knot again
+    def divide(knot):
+        raise AssertionError(f"{knot} divided again")
+
+    for module in (genus, verify):
+        for name in ("euclidean_division", "terminal_unknot_parameter"):
+            monkeypatch.setattr(module, name, divide, raising=False)
+    assert all(outcome.passed for outcome in run_all(40))
 
 
 def test_failure_stays_inside_its_check(monkeypatch):
