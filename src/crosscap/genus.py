@@ -10,17 +10,18 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               Teragaito's step-count formula: N(p,q) when pq is even, and
               N(pq-+1, p^2) when pq is odd, the sign picked by the parity
               of x with xq = -1 mod p.  N(a,b) counts reduction steps from
-              a/b to 0, and `pinches_to_zero` counts that walk run by run
-              with `knot._walk_sums`, in O(len(expansion)) integer
-              operations, without building a `PinchTrace`.  For odd pq the
+              a/b to 0: the walk to the first one-entry expansion [l],
+              summed run by run by `knot._walk_sums`, plus the unknot tail
+              of l/2 steps, in O(len(expansion)) integer operations and
+              with no stop rule and no `PinchTrace`.  For odd pq the
               expansion of (pq-+1)/p^2 is p/q's own expansion rearranged
               into a near-palindrome (`_odd_crosscap_form`), whose runs are
               counted as they stand: no p^2, no residue, no second
               expansion.  `_gamma3` counts either walk from an expansion of
               p/q the caller already has; `crosscap_number` expands p/q
-              once and calls it, and so do `gap_report` and module verify.  Only
-              `genus_report` on even p still counts one cf.step per
-              move: the run count makes each report so short
+              once and calls it, and so do `pinches_to_zero` and module
+              verify.  Only `genus_report` on even p still counts one
+              cf.step per move: the run count makes each report so short
               that the benchmark harness, which keeps memory per call,
               breaks its peak-RSS bound, until it keeps constant memory
               per call (ROADMAP item 1).
@@ -28,9 +29,10 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               beta1_F, marked exact by the first certificate that applies:
               all positive pinches, then interval collapse.
 * the gap   - gamma3 - beta1_F, which for even p equals ell/2 where T(ell,1)
-              is the unknot the pinch sequence first reaches.  The gap grows
-              linearly in p//q, so the three- and four-dimensional invariants
-              diverge along fixed-q families.
+              is the unknot the pinch sequence first reaches: the walk to
+              T(0,1) is the walk to T(ell,1) plus its unknot tail.  The gap
+              grows linearly in p//q, so the three- and four-dimensional
+              invariants diverge along fixed-q families.
 
 The odd-pq crosscap number also has a geometric form: split T(p,q) along
 the second-to-last convergent of p/q and sum the pinch counts of the two
@@ -170,12 +172,6 @@ def _ell(p: int, k: int) -> int:
     return k if (p - k) % 2 == 0 else k + 1
 
 
-def _walk_counts(knot: TorusKnot, stop: StopRule) -> tuple[int, bool, int]:
-    """(moves, all_positive, l) of the walk from `knot` under `stop`: the
-    sums a `PinchTrace` holds, with its preconditions, and no trace built."""
-    return _walk_sums(_walk_start(knot, stop).coeffs, stop)
-
-
 def pinches_to_unknot(knot: TorusKnot) -> int:
     """Number of pinch moves from a nontrivial knot to the first unknot.
 
@@ -184,20 +180,21 @@ def pinches_to_unknot(knot: TorusKnot) -> int:
     of cf.steps_to_integer(p/q) is its test oracle, and module verify checks
     one pinch per step.
     """
-    return _walk_counts(knot, StopRule.FIRST_UNKNOT)[0]
+    return _walk_sums(_walk_start(knot, StopRule.FIRST_UNKNOT).coeffs)[0]
 
 
 def pinches_to_zero(knot: TorusKnot) -> int:
     """Number of pinch moves from T(p,q), p even, all the way to T(0,1).
 
     This is N(p,q) in step-count terms, the `moves` of the knot's ZERO
-    `PinchTrace`: the walk is counted run by run, in O(len(expansion))
+    `PinchTrace`: `_gamma3` counts the walk to the first unknot T(l,1) run
+    by run and adds the unknot tail's l/2 moves, in O(len(expansion))
     integer operations, with no `cf.step` and no trace built.
     `cf.steps_to_zero`, one step per move, is its test oracle.  Unknots
     with even p are accepted: T(2,1) needs one move and T(0,1) none, and
     both show up as split pieces of odd-parameter knots.
     """
-    return _walk_counts(knot, StopRule.ZERO)[0]
+    return _gamma3(knot.p, _walk_start(knot, StopRule.ZERO).coeffs)
 
 
 def odd_split(knot: TorusKnot) -> OddSplit:
@@ -282,14 +279,16 @@ def _odd_crosscap_form(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _gamma3(p: int, coeffs: tuple[int, ...]) -> int:
-    """gamma3 of a nontrivial T(p,q) whose p/q expands to `coeffs`, which
-    the caller already has: the moves of a ZERO walk, counted by runs.  For
-    even p it is the walk of p/q itself, `pinches_to_zero`; for odd p the
-    walk of (pq-+1)/p^2, whose expansion `_odd_crosscap_form` reads off
-    `coeffs`."""
+    """gamma3 of a T(p,q) whose p/q expands to `coeffs`, which the caller
+    already has: the moves of a walk to [0], which is the walk to the first
+    one-entry expansion [l], counted by runs, plus the unknot tail's l // 2
+    moves.  For even p it is the walk of p/q itself, `pinches_to_zero`; for
+    odd p the walk of (pq-+1)/p^2, whose expansion `_odd_crosscap_form`
+    reads off `coeffs`, and whose numerator is even."""
     if p % 2:
         coeffs = _odd_crosscap_form(coeffs)
-    return _walk_sums(coeffs, StopRule.ZERO)[0]
+    moves, _, last = _walk_sums(coeffs)
+    return moves + last // 2
 
 
 def crosscap_number(knot: TorusKnot) -> int:
@@ -315,7 +314,7 @@ def _bounds(p: int, moves: int, all_positive: bool) -> FourGenusBounds:
 def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
     """Bounds (and, when known, the exact value) of the nonorientable
     four-genus of a nontrivial torus knot."""
-    moves, all_positive, _ = _walk_counts(knot, StopRule.FIRST_UNKNOT)
+    moves, all_positive, _ = _walk_sums(_walk_start(knot, StopRule.FIRST_UNKNOT).coeffs)
     return _bounds(knot.p, moves, all_positive)
 
 
@@ -323,18 +322,19 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     """Return (gamma3 - beta1_F, k/2) for an even-parameter knot.
 
     The first component measures how far the crosscap number exceeds the
-    four-genus upper bound; it equals ceil(k/2) = ell/2, an identity that
-    module verify checks over its box.  The second component is the exact
-    rational lower bound k/2.  A trivial knot is refused before an odd one,
-    by the division.  p/q is expanded once, and both walks are counted from
-    that expansion: gamma3 by `_gamma3` and beta1_F by the runs to the
-    first unknot.
+    four-genus upper bound.  It is ell/2, with T(ell,1) the first unknot,
+    by the shape of the walk: gamma3 counts the walk to T(0,1), which is
+    the beta1_F moves to T(ell,1) followed by the unknot tail of ell/2
+    moves, so one pass of `_walk_sums` over p/q's expansion gives it.
+    That ell is k or k+1, whichever is even (the terminal-unknot check of
+    module verify), is what makes it ceil(k/2) >= k/2, the paper's bound;
+    the second component is that exact rational lower bound k/2.  A
+    trivial knot is refused before an odd one, by the division.
     """
     k, _ = euclidean_division(knot)
     if knot.p % 2:
         raise OddParity(f"gap formula requires even p: {knot}")
-    coeffs = _walk_start(knot, StopRule.ZERO).coeffs
-    return _gamma3(knot.p, coeffs) - _walk_sums(coeffs, StopRule.FIRST_UNKNOT)[0], Fraction(k, 2)
+    return _walk_sums(_walk_start(knot, StopRule.ZERO).coeffs)[2] // 2, Fraction(k, 2)
 
 
 def orientable_genus(knot: TorusKnot) -> int:

@@ -22,7 +22,9 @@ take that expansion from the caller rather than expanding p/q again.
 A whole walk is read off the expansion as runs of moves over which the
 expansion keeps its length, so its length, its signs and the knot it ends
 at cost O(len(expansion)) integer operations: `_walk_start` checks the
-walk's precondition and expands p/q, and `_walk_sums` sums the runs.  A
+walk's precondition and expands p/q, and `_walk_sums` sums the runs to the
+first unknot T(l,1).  The walk on to T(0,1) is that walk plus the unknot
+tail, l/2 more moves, so no run depends on where the walk stops.  A
 `PinchTrace` holds those sums for a walk that is printed.  Its `segments`
 reads the runs again as segments, stretches of moves with one sign over
 which the knots and witnesses change by a fixed step: the printers format
@@ -246,8 +248,9 @@ _Segment = tuple[
 ]
 
 
-def _runs(coeffs: tuple[int, ...], stop: StopRule) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield the runs of the walk from `coeffs` as (moves, k, c, k_end, c_end).
+def _runs(coeffs: tuple[int, ...]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield the runs of the walk from `coeffs` to its first unknot as
+    (moves, k, c, k_end, c_end).
 
     A run is the moves over which the expansion [c0, ..., c_{k-1}, c] keeps
     its length k+1, and so its sign.  Its prefix is the first k coefficients
@@ -257,12 +260,13 @@ def _runs(coeffs: tuple[int, ...], stop: StopRule) -> Iterator[tuple[int, int, i
     move subtracts 2P and 2Q.  The run has c // 2 moves; the last leaves a
     last coefficient 0 or 1, which this loop, the only one that folds runs,
     drops or folds as `cf.step` does, to (k_end, c_end): the next run's
-    (k, c), or (0, l) for the final T(l,1).  The empty prefix (k = 0,
-    P/Q = 1/0, P0/Q0 = 0/1) is the unknot tail T(c,1) -> ... -> T(0,1).
+    (k, c), or (0, l) for the first unknot T(l,1), where the walk stops:
+    once k = 0 the expansion is the one-entry [l].  The walk on to T(0,1)
+    is the unknot tail, l/2 moves, which the callers add themselves.
     """
     k = len(coeffs) - 1
     c = coeffs[k]
-    while k or (c and stop is StopRule.ZERO):
+    while k:
         moves = c // 2
         k_end, c_end = k, c - 2 * moves
         while k_end and c_end < 2:
@@ -297,17 +301,17 @@ def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
     return cf.expand((knot.p, knot.q))
 
 
-def _walk_sums(coeffs: tuple[int, ...], stop: StopRule) -> tuple[int, bool, int]:
-    """(moves, all_positive, l) of the walk from `coeffs` under `stop`, with
-    T(l,1) the knot it ends at, summed over its `_runs` in O(len(coeffs))
-    integer operations."""
+def _walk_sums(coeffs: tuple[int, ...]) -> tuple[int, bool, int]:
+    """(moves, all_positive, l) of the walk from `coeffs` to its first
+    unknot T(l,1), summed over its `_runs` in O(len(coeffs)) integer
+    operations.  The walk on to T(0,1) adds the unknot tail: l/2 moves, all
+    unsigned but the positive one from T(2,1)."""
     last = coeffs[-1]
     moves = 0
     positive = True
-    for n, k, c, _, last in _runs(coeffs, stop):
+    for n, k, _, _, last in _runs(coeffs):
         moves += n
-        # a negative run, or an unknot tail with unsigned moves before T(2,1)
-        if k % 2 == 0 and (k or c != 2):
+        if k % 2 == 0:  # a negative run
             positive = False
     return moves, positive, last
 
@@ -332,6 +336,13 @@ class PinchTrace:
     is the test oracle for the moves, and one `cf.step` per move for the
     expansions.
 
+    The walk to T(0,1) is the walk to the first unknot T(l,1) followed by
+    the unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1): l/2 moves (l is
+    even, as p is), unsigned but for the last, positive one from T(2,1).
+    So under ZERO `moves` is the first-unknot count plus l // 2,
+    `all_positive` holds when the first-unknot walk's does and l <= 2, and
+    `final` is T(0,1); the runs themselves never depend on the stop rule.
+
     Building a trace is `_walk_start`, which checks the walk's precondition
     and expands p/q, then `_walk_sums` over that expansion.  A caller that
     needs only the counts (`genus.pinches_to_unknot`, `pinches_to_zero`,
@@ -348,7 +359,9 @@ class PinchTrace:
 
     def __post_init__(self) -> None:
         expansion = _walk_start(self.knot, self.stop)
-        moves, positive, last = _walk_sums(expansion.coeffs, self.stop)
+        moves, positive, last = _walk_sums(expansion.coeffs)
+        if self.stop is StopRule.ZERO:  # the unknot tail T(l,1) -> ... -> T(0,1)
+            moves, positive, last = moves + last // 2, positive and last <= 2, 0
         put = object.__setattr__
         put(self, "expansion", expansion)
         put(self, "moves", moves)
@@ -370,7 +383,8 @@ class PinchTrace:
         (k, c) is the expansion before the first move, standing for
         `expansion.coeffs[:k] + (c,)`; move j ends at (k, c - 2*(j+1)),
         except the last, which ends at (k_end, c_end): the next segment's
-        (k, c), or (0, l) for the final T(l,1).  k never rises along a walk.
+        (k, c), or (0, l) for the first unknot T(l,1).  k never rises along
+        a walk.
 
         A segment is a run of `_runs`, with P/Q its prefix's last
         convergent: each move subtracts (dp, dq) = (2P, 2Q).  The residues
@@ -378,30 +392,31 @@ class PinchTrace:
         t = (sp - sigma*rp)/2 and h = (sq - sigma*rq)/2, so a positive run
         (k odd) has the constant witness (P, Q), with dt = dh = 0, and a
         negative run (k even) has witness (sp - P, sq - Q), which drops with
-        the knot.  The unknot tail (k = 0, P/Q = 1/0) T(l,1) -> T(l-2,1) -> ...
-        has t = l-1 and h = 0, and only its move from T(2,1) has a sign,
-        positive, so it is split in two: its unsigned moves, then that one
-        move.  This is the one place that decides a move's knots, witness
-        and sign; `pinch_sequence` and the printers read them from here.
+        the knot.  Under ZERO, when l > 0, the runs are followed by the
+        unknot tail (k = 0, P/Q = 1/0) T(l,1) -> T(l-2,1) -> ... -> T(0,1),
+        whose moves have t = l-1 and h = 0; only its move from T(2,1) has a
+        sign, positive, so it is yielded in two segments: its l/2 - 1
+        unsigned moves, when l > 2, then that one move.  This is the one
+        place that decides a move's knots, witness and sign;
+        `pinch_sequence` and the printers read them from here.
         """
         coeffs = self.expansion.coeffs
         ps, qs = cf.convergent_terms(coeffs[:-1])
         sp, sq = self.knot.p, self.knot.q
         positive, negative = PinchSign.POSITIVE, PinchSign.NEGATIVE
-        for moves, k, c, k_end, c_end in _runs(coeffs, self.stop):
+        for moves, k, c, k_end, c_end in _runs(coeffs):
             P, Q = ps[k + 1], qs[k + 1]
             dp, dq = 2 * P, 2 * Q
             if k % 2:
                 yield moves, sp, sq, dp, dq, P, Q, 0, 0, positive, k, c, k_end, c_end
-            elif k:
-                yield moves, sp, sq, dp, dq, sp - P, sq - Q, dp, dq, negative, k, c, k_end, c_end
             else:
-                unsigned = moves - 1
-                if unsigned:
-                    yield unsigned, sp, 1, 2, 0, sp - 1, 0, 2, 0, None, 0, c, 0, 2
-                yield 1, 2, 1, 2, 0, 1, 0, 2, 0, positive, 0, 2, 0, 0
+                yield moves, sp, sq, dp, dq, sp - P, sq - Q, dp, dq, negative, k, c, k_end, c_end
             sp -= moves * dp
             sq -= moves * dq
+        if self.stop is StopRule.ZERO and sp:  # the unknot tail from T(sp,1)
+            if sp > 2:
+                yield sp // 2 - 1, sp, 1, 2, 0, sp - 1, 0, 2, 0, None, 0, sp, 0, 2
+            yield 1, 2, 1, 2, 0, 1, 0, 2, 0, positive, 0, 2, 0, 0
 
 
 def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:

@@ -1,17 +1,17 @@
 """Bounded exhaustive verification of the pinch/step identities.
 
 One pass enumerates the normalized nontrivial torus knots with both
-parameters inside a bound (p ascending, then q ascending), evaluates every
-claimed identity on each, and reports one CheckOutcome per check.  Each
-knot gets one record, `_Knot`, holding the values its checks share: the
-residue pinch, the expansion of p/q, the quotient k = p // q and the walk
-counts.  Each check is a predicate on that record which returns its claims
-as a tuple of (holds, expected, actual).  The checks are grouped by the
-parity of p they run on once, before the pass; a check's case count is the
-tally of the knots of its parity, set after the pass.  Checks never abort
-on a failure: they keep scanning and collect up to MAX_COUNTEREXAMPLES
-offending cases so a broken identity is visible in bulk, not one case at a
-time.
+parameters inside a bound of at least 3 (p ascending, then q ascending),
+evaluates every claimed identity on each, and reports one CheckOutcome per
+check.  Each knot that a selected check runs on gets one record, `_Knot`,
+holding the values its checks share: the residue pinch, the expansion of
+p/q, the quotient k = p // q and the walk counts.  Each check is a
+predicate on that record which returns its claims as a tuple of (holds,
+expected, actual).  The checks are grouped by the parity of p they run on
+once, before the pass; a check's case count is the tally of the knots of
+its parity, set after the pass.  Checks never abort on a failure: they keep
+scanning and collect up to MAX_COUNTEREXAMPLES offending cases so a broken
+identity is visible in bulk, not one case at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import cf
 from .errors import InvalidParameter
 from .genus import _ell, _gamma3, crosscap_by_splitting
 from .knot import (
-    StopRule,
     TorusKnot,
     _walk_sums,
     normalized_knots,
@@ -99,11 +98,12 @@ class _Knot:
     expansion it reads off p/q's own as a near-palindrome, with no residue;
     crosscap-odd-consistency keeps an independent route against it,
     `crosscap_by_splitting`, which sums the walks of the two split pieces.
-    For even p it counts the walk of p/q to T(0,1) by runs, so gap-formula
-    compares two counts from the same `knot._runs` loop: gamma3 to T(0,1)
-    and `moves` to the first unknot.  The tier-1 tests pin gamma3 to the
-    stepwise count, `cf.steps_to_zero`, and the odd form to Teragaito's
-    residue pair.
+    For even p it is the walk of p/q to the first unknot T(l,1), by the
+    same `knot._runs` loop as `moves`, plus the unknot tail's l/2 moves, so
+    gap-formula's gap is l/2 by the walk's shape, and its claim is
+    terminal-unknot's l in {k, k+1} read for even p.  The tier-1 tests pin
+    gamma3 to the stepwise count, `cf.steps_to_zero`, and the odd form to
+    Teragaito's residue pair.
     """
 
     __slots__ = ("knot", "first", "expansion", "k", "moves", "ell")
@@ -113,7 +113,7 @@ class _Knot:
         self.first = pinch(knot)
         self.expansion = cf.expand((knot.p, knot.q))  # the box holds no trivial knot
         self.k = knot.p // knot.q
-        self.moves, _, self.ell = _walk_sums(self.expansion.coeffs, StopRule.FIRST_UNKNOT)
+        self.moves, _, self.ell = _walk_sums(self.expansion.coeffs)
 
 
 # A predicate returns a tuple of claims (holds, expected, actual), one per
@@ -146,9 +146,13 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
     """Evaluate the given checks on every knot of the box, in a single pass.
 
-    The checks are grouped by the parity of p they run on before the pass,
-    and the knots of each parity are tallied; each check's case count is
+    A bound below 3 holds no nontrivial knot and is refused, for every
+    entry point alike.  The checks are grouped by the parity of p they run
+    on before the pass, and the knots of each parity are tallied; a knot
+    whose parity has no check gets no record.  Each check's case count is
     its parity's tally, or both tallies, after the pass."""
+    if max_param < 3:
+        raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
     by_parity: tuple[list, list] = ([], [])  # (predicate, outcome) for even p, odd p
     for (_, _, parity, predicate), outcome in zip(rows, outcomes):
@@ -159,8 +163,11 @@ def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
     for knot in normalized_knots(max_param):
         parity = knot.p % 2
         tallies[parity] += 1
+        checks = by_parity[parity]
+        if not checks:
+            continue
         record = _Knot(knot)
-        for predicate, outcome in by_parity[parity]:
+        for predicate, outcome in checks:
             for holds, expected, actual in predicate(record):
                 if not holds:
                     outcome.failures_total += 1
@@ -242,6 +249,4 @@ def check_gap_formula(rec: _Knot) -> _Claims:
 
 def run_all(max_param: int) -> list[CheckOutcome]:
     """Run every check at the given bound, in a fixed order, in one pass."""
-    if max_param < 3:
-        raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
     return _scan(max_param, _CHECKS)

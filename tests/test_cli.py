@@ -549,9 +549,9 @@ def test_verify_json(capsys):
 
 
 def test_verify_rejects_tiny_bound(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max", "2")
-    assert code == 2
-    assert err.startswith("error:")
+    code, out, err = run_cli(capsys, "verify", "--max", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: verify bound must be at least 3: 2\n"
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

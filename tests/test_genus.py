@@ -284,9 +284,8 @@ def test_gap_report_errors():
 
 
 def test_gap_report_expands_once(monkeypatch):
-    # both walks are counted from one expansion of p/q; a trivial knot is
-    # refused by the division before an odd one by its parity, with no
-    # expansion
+    # the gap is read off one expansion of p/q; a trivial knot is refused
+    # by the division before an odd one by its parity, with no expansion
     calls = []
     expand = cf.expand
     monkeypatch.setattr(cf, "expand", lambda x: calls.append(x) or expand(x))
@@ -297,6 +296,15 @@ def test_gap_report_expands_once(monkeypatch):
     with pytest.raises(OddParity):
         gap_report(TorusKnot(5, 3))
     assert calls == [(16, 5)]
+
+
+def test_gap_is_gamma3_less_beta1_on_the_box():
+    # `gap_report` reads the gap off the walk's shape, as the unknot tail l/2;
+    # it must be the difference of the two invariants, each pinned to its
+    # stepwise oracle by the tests above
+    for knot in normalized_knots(150):
+        if knot.p % 2 == 0:
+            assert gap_report(knot)[0] == crosscap_number(knot) - pinches_to_unknot(knot)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Static checks of the library sources: they import only the standard
 library and the package, parse as the oldest supported Python, raise every
 error class the package exports, step a walk to [0] only for the gamma3 of
-an even-p knot, and loop over single pinch moves only in `pinch_sequence`."""
+an even-p knot, loop over single pinch moves only in `pinch_sequence`, and
+count walks with no stop rule: the walk to T(0,1) is the walk to the first
+unknot plus its unknot tail, so the stop rule is only a walk's precondition."""
 
 import ast
 import sys
@@ -108,3 +110,34 @@ def test_only_pinch_and_pinch_sequence_build_records():
     )
     methods = {node.name for node in trace.body if isinstance(node, ast.FunctionDef)}
     assert sorted(methods & {"walk", "__iter__", "__len__"}) == []
+
+
+def test_the_count_path_takes_no_stop_rule():
+    # `knot._runs` and `knot._walk_sums` read the coefficients alone; in
+    # `genus`, `StopRule` only picks the precondition `knot._walk_start`
+    # checks (and, for now, the stop of `genus_report`'s printed trace), and
+    # no `_walk_counts` wraps the two
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    knot_functions = {
+        node.name: node for node in trees["knot.py"].body if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_runs", "_walk_sums"):
+        args = knot_functions[name].args
+        assert [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs] == ["coeffs"]
+        assert args.vararg is None and args.kwarg is None
+    genus = trees["genus.py"]
+    functions = [node for node in ast.walk(genus) if isinstance(node, ast.FunctionDef)]
+    assert "_walk_counts" not in {node.name for node in functions}
+    uses = []
+    for function in functions:
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                uses += [
+                    (function.name, call.func.id)
+                    for arg in call.args
+                    if isinstance(arg, ast.Attribute) and ast.unparse(arg.value) == "StopRule"
+                ]
+    named = [node for node in ast.walk(genus) if isinstance(node, ast.Name)]
+    assert len(uses) == sum(node.id == "StopRule" for node in named) > 0
+    assert {callee for _, callee in uses} <= {"_walk_start", "PinchTrace"}
+    assert {function for function, callee in uses if callee == "PinchTrace"} == {"genus_report"}

@@ -601,6 +601,55 @@ def test_zero_walks_of_huge_knots_are_cheap():
     assert_walk_starts_as_pinches(tail, 3)
 
 
+# The walk to T(0,1) is the walk to the first unknot T(l,1) followed by the
+# unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1).
+
+
+def first_unknot_walk(knot):
+    """(moves, all_positive, final, segments) of the walk from `knot` to its
+    first unknot; an unknot is its own first unknot, after no move."""
+    if is_unknot(knot):
+        return 0, True, knot, []
+    trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
+    return trace.moves, trace.all_positive, trace.final, list(trace.segments())
+
+
+def unknot_tail(final):
+    """The segments from the unknot T(l,1), l even, to T(0,1): l/2 - 1
+    unsigned moves from T(l,1), then the positive move from T(2,1)."""
+    l = final.p
+    unsigned = [(l // 2 - 1, l, 1, 2, 0, l - 1, 0, 2, 0, None, 0, l, 0, 2)] if l > 2 else []
+    signed = [(1, 2, 1, 2, 0, 1, 0, 2, 0, PinchSign.POSITIVE, 0, 2, 0, 0)] if l else []
+    return unsigned + signed
+
+
+def assert_zero_walk_is_first_unknot_walk_and_tail(knot):
+    moves, positive, final, segments = first_unknot_walk(knot)
+    tail = unknot_tail(final)
+    zero = PinchTrace(knot, StopRule.ZERO)
+    assert zero.moves == moves + sum(segment[0] for segment in tail) == moves + final.p // 2
+    assert zero.all_positive == (positive and all(s[9] is PinchSign.POSITIVE for s in tail))
+    assert zero.final == TorusKnot(0, 1)
+    assert list(zero.segments()) == segments + tail
+
+
+def test_zero_walk_is_first_unknot_walk_and_tail_on_the_box():
+    for knot in normalized_knots(300):
+        if knot.p % 2 == 0:
+            assert_zero_walk_is_first_unknot_walk_and_tail(knot)
+    # the tail alone; `test_trace_matches_oracle_on_the_box` checks these walks
+    # against one residue pinch per move
+    for l in range(0, 301, 2):
+        assert_zero_walk_is_first_unknot_walk_and_tail(TorusKnot(l, 1))
+
+
+@settings(max_examples=200)
+@given(knots_of_long_expansions())
+def test_zero_walk_is_first_unknot_walk_and_tail_large(knot):
+    assume(knot.p % 2 == 0)
+    assert_zero_walk_is_first_unknot_walk_and_tail(knot)
+
+
 def test_trace_is_an_immutable_value():
     trace = PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
     assert trace == PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)

@@ -1,5 +1,7 @@
 """Verification harness: counting semantics, outcome shape, failure capture."""
 
+import re
+
 import pytest
 
 from crosscap import cf, genus, verify
@@ -65,9 +67,18 @@ def test_run_all_shape_and_order():
     assert all(o.passed for o in outcomes)
 
 
-def test_run_all_rejects_tiny_bounds():
-    with pytest.raises(InvalidParameter):
-        run_all(2)
+ENTRY_POINTS = [getattr(verify, name) for name in verify.__all__ if name.startswith("check_")]
+ENTRY_POINTS.append(run_all)
+
+
+@pytest.mark.parametrize("bound", [2, 0, -5])
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_every_entry_point_rejects_tiny_bounds(entry, bound):
+    # a box below 3 holds no nontrivial knot: each check run alone refuses it
+    # as run_all does, instead of passing with 0 cases
+    message = f"verify bound must be at least 3: {bound}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        entry(bound)
 
 
 def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
@@ -168,6 +179,35 @@ def test_run_all_expands_each_rational_once(monkeypatch):
     run_all(40)
     parities = [knot.p % 2 for knot in normalized_knots(40)]
     assert len(calls) == parities.count(0) + 4 * parities.count(1)
+
+
+# The knots for which each entry point builds a record: those of the parity
+# its checks run on.
+RECORD_KNOTS = {
+    "check_sign_lemma": lambda knot: True,
+    "check_crosscap_odd_consistency": lambda knot: knot.p % 2 == 1,
+    "check_gap_formula": lambda knot: knot.p % 2 == 0,
+    "run_all": lambda knot: True,
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_KNOTS))
+def test_records_are_built_only_for_checked_knots(monkeypatch, name):
+    # a knot whose parity no selected check runs on gets no record, but still
+    # counts in the tallies
+    built = []
+    record = verify._Knot
+
+    def counting(knot):
+        built.append(knot)
+        return record(knot)
+
+    monkeypatch.setattr(verify, "_Knot", counting)
+    outcome = getattr(verify, name)(40)
+    expected = [knot for knot in normalized_knots(40) if RECORD_KNOTS[name](knot)]
+    assert built == expected
+    if name != "run_all":
+        assert outcome.passed and outcome.cases_checked == len(expected)
 
 
 def test_run_all_builds_no_pinch_trace(monkeypatch):
