@@ -36,8 +36,10 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
 
 The odd-pq crosscap number also has a geometric form: split T(p,q) along
 the second-to-last convergent of p/q and sum the pinch counts of the two
-pieces (Teragaito again).  `crosscap_by_splitting` implements that route so
-the verification module can cross-check the closed formula against it.
+pieces (Teragaito again).  `odd_split` gives the pieces, and the
+verification module cross-checks the closed formula with their residue
+walks from its walk table; `crosscap_by_splitting`, which counts each
+piece's walk with `pinches_to_zero`, is the tests' oracle for it.
 
 `genus_report` computes each value once per knot: it divides p by q once,
 its `PinchTrace` expands p/q once, and gamma3 reads that same expansion:
@@ -203,7 +205,8 @@ def odd_split(knot: TorusKnot) -> OddSplit:
 
     With p_i/q_i the convergents of p/q = [c0, ..., cm], the pieces are
     T(p_{m-1}, q_{m-1}) and T(p - p_{m-1}, q - q_{m-1}), normalized.
-    This expands p/q itself, so `crosscap_by_splitting` stays a route apart
+    This expands p/q itself, so verify's crosscap-odd-consistency and
+    `crosscap_by_splitting` split apart from the expansion they check, and
     from `genus_report`, which splits the expansion its trace holds.
     """
     _require_nontrivial(knot)
@@ -224,7 +227,10 @@ def crosscap_by_splitting(knot: TorusKnot) -> int:
     """Crosscap number of an odd-parameter knot via its split pieces.
 
     Geometric route: sum of the pinches-to-zero counts of the two split
-    knots.  Used as an independent oracle for `crosscap_number`.
+    knots.  A test oracle for `crosscap_number`: verify's
+    crosscap-odd-consistency reads the same two counts from its walk
+    table, with no expansion of the pieces.  It stays public because a
+    benchmark row (`BENCHMARK.json`) names it.
     """
     split = odd_split(knot)
     return pinches_to_zero(split.first) + pinches_to_zero(split.second)

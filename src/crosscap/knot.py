@@ -15,9 +15,11 @@ The move is positive when p-2t and q-2h are both >= 0 and negative when
 both are <= 0; for nontrivial knots exactly one of these holds, and the
 outcome is decided by the parity of the expansion length of p/q alone.
 Equivalently, one pinch move is one `step` on the continued fraction of
-p/q, and that equivalence is what the verification module stress-tests.
-The two expansion routes, `pinch_by_step` and `pinch_sign_from_expansion`,
-take that expansion from the caller rather than expanding p/q again.
+p/q, and that equivalence is what the verification module stress-tests: it
+compares the step of p/q's expansion with the expansion of the pinch's
+result, as exact keys.  The two expansion routes, `pinch_by_step` (the
+tests' oracle for that comparison) and `pinch_sign_from_expansion`, take
+that expansion from the caller rather than expanding p/q again.
 
 A whole walk is read off the expansion as runs of moves over which the
 expansion keeps its length, so its length, its signs and the knot it ends
@@ -221,6 +223,12 @@ def pinch_by_step(expansion: cf.ContinuedFraction) -> TorusKnot:
     builds its result through the validating `normalize`.  [0] and [1] are
     T(0,1) and T(1,1), which have no pinch; the denominator-2 guard in
     `step` never fires because normalized knots have odd q.
+
+    A test oracle: verify's pinch-equivalence compares the stepped
+    expansion with the expansion of `pinch`'s result directly, with no
+    `Fraction` and no re-validated knot, and the tests check that this
+    comparison agrees with this route.  It stays public because a
+    benchmark row (`BENCHMARK.json`) names it.
     """
     if expansion.coeffs in ((0,), (1,)):
         raise PinchUndefined(f"no pinch move on the knot of {expansion}")

@@ -3,7 +3,10 @@ library and the package, parse as the oldest supported Python, raise every
 error class the package exports, step a walk to [0] only for the gamma3 of
 an even-p knot, loop over single pinch moves only in `pinch_sequence`, and
 count walks with no stop rule: the walk to T(0,1) is the walk to the first
-unknot plus its unknot tail, so the stop rule is only a walk's precondition."""
+unknot plus its unknot tail, so the stop rule is only a walk's precondition.
+Module verify reads its walks from the box induction of its walk table and
+compares pinches as expansion keys, so it calls none of the slow routes
+kept as test oracles."""
 
 import ast
 import sys
@@ -141,3 +144,21 @@ def test_the_count_path_takes_no_stop_rule():
     assert len(uses) == sum(node.id == "StopRule" for node in named) > 0
     assert {callee for _, callee in uses} <= {"_walk_start", "PinchTrace"}
     assert {function for function, callee in uses if callee == "PinchTrace"} == {"genus_report"}
+
+
+def test_verify_calls_no_oracle_route():
+    # pinch-equivalence compares one `cf.step` with the expansion of the
+    # residue pinch's result, and the split pieces' walks come from the walk
+    # table: no `pinch_by_step` (which evaluates a Fraction and re-validates
+    # a knot), no `crosscap_by_splitting` and no `pinches_to_zero`
+    (path,) = (path for path in SOURCES if path.name == "verify.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    oracles = {"pinch_by_step", "crosscap_by_splitting", "pinches_to_zero", "evaluate"}
+    assert sorted(names & oracles) == []

@@ -1,13 +1,16 @@
 """Verification harness: counting semantics, outcome shape, failure capture."""
 
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from crosscap import cf, genus, verify
 from crosscap import knot as knot_module
 from crosscap.errors import InvalidParameter
-from crosscap.knot import TorusKnot, normalize, normalized_knots, pinch
+from crosscap.genus import odd_split
+from crosscap.knot import TorusKnot, normalized_knots, pinch, pinch_by_step
 from crosscap.verify import (
     MAX_COUNTEREXAMPLES,
     Counterexample,
@@ -20,6 +23,7 @@ from crosscap.verify import (
     check_terminal_unknot,
     run_all,
 )
+from strategies import knots_of_long_expansions
 
 ALL_CHECK_NAMES = [
     "pinch-equivalence",
@@ -82,21 +86,17 @@ def test_every_entry_point_rejects_tiny_bounds(entry, bound):
 
 
 def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
-    # every knot then "pinches" to itself, so every case fails; returning
-    # T(0,1) would not do, since some knots below 40 really pinch there.
-    # The route reads the knot's expansion, whose value is p/q.
-    def to_itself(expansion):
-        value = cf.evaluate(expansion)
-        return normalize(value.numerator, value.denominator)
-
-    monkeypatch.setattr(verify, "pinch_by_step", to_itself)
+    # every knot then "pinches" to itself by the step route, so every case
+    # fails; stepping to [0] would not do, since some knots below 40 really
+    # pinch to T(0,1).  The counterexample names the two expansions.
+    monkeypatch.setattr(cf, "step", lambda expansion: expansion)
     outcome = check_pinch_equivalence(40)
     assert not outcome.passed
     assert outcome.failures_total == outcome.cases_checked > MAX_COUNTEREXAMPLES
     assert len(outcome.counterexamples) == MAX_COUNTEREXAMPLES
     first_knots = list(normalized_knots(40))[:MAX_COUNTEREXAMPLES]
     assert [c.input for c in outcome.counterexamples] == [str(k) for k in first_knots]
-    assert outcome.counterexamples[0] == Counterexample("T(2,3)", "T(0,1)", "T(2,3)")
+    assert outcome.counterexamples[0] == Counterexample("T(2,3)", "[0]", "[0,1,2]")
 
 
 def test_run_all_matches_checks_run_alone():
@@ -132,21 +132,20 @@ def test_run_all_divides_each_knot_once(monkeypatch):
 
 def test_failure_stays_inside_its_check(monkeypatch):
     clean = run_all(40)
-    bad_knot, wrong = TorusKnot(5, 3), TorusKnot(0, 1)
+    bad_knot, wrong = TorusKnot(5, 3), cf.expand(0)
     bad_expansion = cf.expand((bad_knot.p, bad_knot.q))
-    by_step = verify.pinch_by_step
+    step = cf.step
     monkeypatch.setattr(
-        verify,
-        "pinch_by_step",
-        lambda expansion: wrong if expansion == bad_expansion else by_step(expansion),
+        cf, "step", lambda expansion: wrong if expansion == bad_expansion else step(expansion)
     )
     outcomes = run_all(40)
     assert [o.cases_checked for o in outcomes] == [o.cases_checked for o in clean]
     assert outcomes[1:] == clean[1:]
     equivalence = outcomes[0]
     assert equivalence.failures_total == 1
+    result = pinch(bad_knot).result
     assert equivalence.counterexamples == [
-        Counterexample(str(bad_knot), str(pinch(bad_knot).result), str(wrong))
+        Counterexample(str(bad_knot), str(cf.expand((result.p, result.q))), str(wrong))
     ]
 
 
@@ -164,10 +163,12 @@ def test_run_all_enumerates_the_box_once(monkeypatch):
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
-    # One record per knot expands p/q once, and both expansion routes, the
-    # walk counts and gamma3 read that expansion.  Besides, for odd p
-    # crosscap_by_splitting expands p/q and its two split pieces, as a route
-    # of its own: 1 call per even-p knot and 4 per odd-p knot.
+    # One record per knot expands p/q once, and the step route, the sign
+    # parity, the run sums and gamma3 read that expansion.  Besides,
+    # pinch-equivalence expands the residue pinch's result, the key the
+    # stepped expansion is compared with, and for odd p `odd_split` expands
+    # p/q as a route of its own; the split pieces' walks are read from the
+    # walk table: 2 calls per even-p knot and 3 per odd-p knot.
     calls = []
     expand = cf.expand
 
@@ -178,7 +179,7 @@ def test_run_all_expands_each_rational_once(monkeypatch):
     monkeypatch.setattr(cf, "expand", counting)
     run_all(40)
     parities = [knot.p % 2 for knot in normalized_knots(40)]
-    assert len(calls) == parities.count(0) + 4 * parities.count(1)
+    assert len(calls) == 2 * parities.count(0) + 3 * parities.count(1)
 
 
 # The knots for which each entry point builds a record: those of the parity
@@ -198,9 +199,9 @@ def test_records_are_built_only_for_checked_knots(monkeypatch, name):
     built = []
     record = verify._Knot
 
-    def counting(knot):
+    def counting(knot, walks):
         built.append(knot)
-        return record(knot)
+        return record(knot, walks)
 
     monkeypatch.setattr(verify, "_Knot", counting)
     outcome = getattr(verify, name)(40)
@@ -251,3 +252,99 @@ def test_gamma3_is_computed_only_where_it_is_read(monkeypatch, name):
         for knot in normalized_knots(40)
         if GAMMA3_KNOTS[name](knot)
     ]
+
+
+def test_run_all_catches_a_walk_count_bug(monkeypatch):
+    # the library's run sums gain a move on every run of 3 or more moves
+    # after the third coefficient; gamma3 and beta1_F both read those sums,
+    # so only the residue walks of the walk table can tell
+    runs = knot_module._runs
+
+    def one_move_too_many(coeffs):
+        for moves, k, c, k_end, c_end in runs(coeffs):
+            yield (moves + 1 if k >= 3 and moves >= 3 else moves), k, c, k_end, c_end
+
+    monkeypatch.setattr(knot_module, "_runs", one_move_too_many)
+    failed = [outcome.check_name for outcome in run_all(60) if not outcome.passed]
+    assert failed == ["terminal-unknot", "crosscap-odd-consistency", "gap-formula"]
+
+
+def test_a_walk_missing_from_the_table_is_a_failed_claim(monkeypatch):
+    # a broken pinch sends T(2,3) off the box order, so the table has no
+    # walk from it, nor from the knots whose walks pass through it: the
+    # checks that read those walks fail, naming the knot, and the pass goes on
+    bad, off = TorusKnot(2, 3), TorusKnot(42, 41)
+    real = verify.pinch
+    monkeypatch.setattr(
+        verify, "pinch", lambda knot: replace(real(knot), result=off) if knot == bad else real(knot)
+    )
+    outcomes = {outcome.check_name: outcome for outcome in run_all(40)}
+    failed = [name for name in ALL_CHECK_NAMES if not outcomes[name].passed]
+    assert failed == [
+        "pinch-equivalence",
+        "terminal-unknot",
+        "crosscap-odd-consistency",
+        "gap-formula",
+    ]
+    assert outcomes["terminal-unknot"].counterexamples[0] == Counterexample(
+        "T(2,3)", "a walk from T(42,41)", "none"
+    )
+    # T(5,3) splits into T(2,1) and T(2,3)
+    assert Counterexample("T(5,3)", "a walk from T(2,3)", "none") in (
+        outcomes["crosscap-odd-consistency"].counterexamples
+    )
+    for name in failed[1:]:
+        for case in outcomes[name].counterexamples:
+            assert case.expected.startswith("a walk from T(") and case.actual == "none"
+
+
+BOX = 300
+
+
+def test_box_order_lemma():
+    # the induction of the walk table (`verify._Walks`): every first pinch
+    # of a box knot lands on an unknot T(l,1), or on a box knot of the same
+    # parity with a smaller p, so one enumerated earlier, and an odd-p
+    # knot's split pieces are even-p unknots or box knots with a smaller p
+    box = set(normalized_knots(BOX))
+    for knot in box:
+        result = pinch(knot).result
+        assert result.p % 2 == knot.p % 2, knot
+        assert result.q == 1 or (result in box and result.p < knot.p), knot
+        if knot.p % 2:
+            split = odd_split(knot)
+            for piece in (split.first, split.second):
+                assert piece.p % 2 == 0 and piece.p < knot.p and piece.q < knot.p, knot
+                assert piece.q == 1 or piece in box, knot
+
+
+@settings(max_examples=300)
+@given(knots_of_long_expansions())
+def test_first_pinch_lowers_p_at_large_magnitudes(knot):
+    result = pinch(knot).result
+    assert result.p % 2 == knot.p % 2
+    assert result.q == 1 or (result.p < knot.p and result.q <= knot.q)
+
+
+def assert_keys_match_the_oracle(knot):
+    """The key route of pinch-equivalence, one step of p/q's expansion
+    compared as an expansion, says a knot is the pinch result exactly when
+    the oracle `pinch_by_step` does: for the residue pinch's result, where
+    both agree, and for the knot itself, where neither does."""
+    expansion = cf.expand((knot.p, knot.q))
+    stepped, by_step = cf.step(expansion), pinch_by_step(expansion)
+    result = pinch(knot).result
+    for candidate in (result, knot):
+        assert (cf.expand((candidate.p, candidate.q)) == stepped) is (candidate == by_step)
+    assert cf.expand((result.p, result.q)) == stepped
+
+
+def test_expansion_keys_match_the_step_oracle_on_the_box():
+    for knot in normalized_knots(BOX):
+        assert_keys_match_the_oracle(knot)
+
+
+@settings(max_examples=300)
+@given(knots_of_long_expansions())
+def test_expansion_keys_match_the_step_oracle_large(knot):
+    assert_keys_match_the_oracle(knot)
