@@ -56,7 +56,7 @@ from typing import Optional
 
 from . import cf
 from .errors import EvenParity, OddParity, UnknotInput
-from .knot import PinchTrace, StopRule, TorusKnot, _walk_start, _walk_sums, is_unknot, normalize
+from .knot import PinchTrace, StopRule, TorusKnot, _ordered, _walk_start, _walk_sums, is_unknot
 
 __all__ = [
     "OddSplit",
@@ -207,7 +207,9 @@ def odd_split(knot: TorusKnot) -> OddSplit:
     T(p_{m-1}, q_{m-1}) and T(p - p_{m-1}, q - q_{m-1}), normalized.
     This expands p/q itself, so verify's crosscap-odd-consistency and
     `crosscap_by_splitting` split apart from the expansion they check, and
-    from `genus_report`, which splits the expansion its trace holds.
+    from `genus_report`, which splits the expansion its trace holds.  The
+    knot is checked here; `_split` then builds the pieces without
+    re-validating them, since they are valid by construction.
     """
     _require_nontrivial(knot)
     if knot.p % 2 == 0:
@@ -216,11 +218,24 @@ def odd_split(knot: TorusKnot) -> OddSplit:
 
 
 def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
-    """`odd_split` of a knot whose expansion is already at hand, unchecked."""
+    """`odd_split` of a nontrivial odd-p knot whose expansion is already at
+    hand, unchecked: the caller vouches for the knot, and the pieces are
+    built through `TorusKnot._trusted`, in `_ordered` order, since both are
+    valid pairs by construction.  With p'/q' the second-to-last convergent
+    of p/q = [c0, ..., cm] (m >= 1, since q >= 3):
+
+    * p q' - p' q = +-1, so (p', q') is a coprime pair, and so is
+      (p - p', q - q'), since p (q - q') - (p - p') q = -(p q' - p' q);
+    * c0 >= 1, since p > q, gives p' >= 1 and q' >= 1, and p = cm p' + p''
+      and q = cm q' + q'', with cm >= 2 the last entry of a canonical
+      expansion and the earlier terms p'', q'' >= 0, so 0 < p' < p and
+      1 <= q' < q: all four parameters are positive.
+
+    The tests re-validate both pieces through the constructor."""
     ps, qs = cf.convergent_terms(expansion.coeffs[:-1])
-    first = normalize(ps[-1], qs[-1])
-    second = normalize(knot.p - ps[-1], knot.q - qs[-1])
-    return OddSplit(first, second)
+    p1, q1 = ps[-1], qs[-1]
+    trusted = TorusKnot._trusted
+    return OddSplit(trusted(*_ordered(p1, q1)), trusted(*_ordered(knot.p - p1, knot.q - q1)))
 
 
 def crosscap_by_splitting(knot: TorusKnot) -> int:
@@ -366,10 +381,10 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         # O(len(expansion)), but then every report is short, and the
         # benchmark harness keeps about 210 B per call until it keeps
         # constant memory per call (ROADMAP item 1): counting even p by runs
-        # too made 20x more calls per deep_quotient run and raised its peak
-        # RSS from 22.6 to 40.7 MiB.  The odd route alone doubles the calls.
-        # Speeding up the trace printing leaves this alone for the same
-        # reason: `deep_quotient`'s peak-RSS bound.
+        # too (ROADMAP item 2) made about 8x more calls per deep_quotient
+        # run, 111,898 against 13,823, and raised its peak RSS from 24.47
+        # to 45.73 MiB, far past the metric's 0.1 bound.  Speeding up the
+        # trace printing leaves this alone for the same reason.
         gamma3 = cf.steps_to_zero(trace.expansion)
     return GenusReport(
         knot=knot,

@@ -7,12 +7,15 @@ check.  Each knot that a selected check runs on gets one record, `_Knot`,
 holding the values its checks share: the residue pinch, the knot's walk
 from the pass's walk table, the expansion of p/q, the quotient k = p // q
 and the library's walk counts.  Each check is a predicate on that record
-which returns its claims as a tuple of (holds, expected, actual).  The
-checks are grouped by the parity of p they run on once, before the pass; a
-check's case count is the tally of the knots of its parity, set after the
-pass.  Checks never abort on a failure: they keep scanning and collect up
-to MAX_COUNTEREXAMPLES offending cases so a broken identity is visible in
-bulk, not one case at a time.
+which decides its claims itself and returns only the failed ones, as
+(expected, actual) pairs: the constant () when the knot passes, so a
+passing knot builds no claim object, and the expected and actual values
+are built only on failure.  The checks are grouped by the parity of p they
+run on once, before the pass; a check's case count is the tally of the
+knots of its parity, set after the pass.  Checks never abort on a
+failure: they keep scanning and collect up to MAX_COUNTEREXAMPLES
+offending cases so a broken identity is visible in bulk, not one case at a
+time.
 
 The walk table, `_Walks`, is an induction over the box.  The walk from a
 knot to its first unknot is its first residue `pinch` followed by the walk
@@ -210,9 +213,9 @@ class _Knot:
         self.runs = _walk_sums(self.expansion.coeffs)
 
 
-# A predicate returns a tuple of claims (holds, expected, actual), one per
-# identity it checks.
-_Claims = tuple[tuple[bool, object, object], ...]
+# A predicate returns its failed claims, one (expected, actual) pair per
+# identity that does not hold on the knot, and () when all of them hold.
+_Claims = tuple[tuple[object, object], ...]
 _Predicate = Callable[[_Knot], _Claims]
 _Row = tuple[str, str, Optional[int], _Predicate]  # name, range text, parity filter, predicate
 _CHECKS: list[_Row] = []  # in the order run_all reports them
@@ -222,7 +225,9 @@ _KNOTS = "normalized nontrivial T(p,q) with p,q <= {}"
 def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
     """Decorator: file the predicate in _CHECKS as check `name`, and bind the
     decorated name to that check's entry point, a function of the bound that
-    runs this check alone."""
+    runs this check alone.  The predicate returns the (expected, actual)
+    pair of each claim that fails on the record, and () when the knot
+    passes."""
 
     def register(predicate: _Predicate) -> Callable[[int], CheckOutcome]:
         row = (name, range_text, parity, predicate)
@@ -246,7 +251,9 @@ def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
     whose parity has no check gets no record.  Each check's case count is
     its parity's tally, or both tallies, after the pass.  The knots with a
     record are walked as the record is built, and the even knots also
-    without one, for the split pieces of odd-p checks (see `_Walks`)."""
+    without one, for the split pieces of odd-p checks (see `_Walks`).
+    Each (expected, actual) pair a predicate returns is one failure of its
+    check, and the first MAX_COUNTEREXAMPLES become its counterexamples."""
     if max_param < 3:
         raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
@@ -267,21 +274,27 @@ def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
             continue
         record = _Knot(knot, walks)
         for predicate, outcome in checks:
-            for holds, expected, actual in predicate(record):
-                if not holds:
-                    outcome.failures_total += 1
-                    if outcome.failures_total <= MAX_COUNTEREXAMPLES:
-                        case = Counterexample(str(knot), str(expected), str(actual))
-                        outcome.counterexamples.append(case)
+            for expected, actual in predicate(record):
+                outcome.failures_total += 1
+                if outcome.failures_total <= MAX_COUNTEREXAMPLES:
+                    case = Counterexample(str(knot), str(expected), str(actual))
+                    outcome.counterexamples.append(case)
     for (_, _, parity, _), outcome in zip(rows, outcomes):
         outcome.cases_checked = sum(tallies) if parity is None else tallies[parity]
     return outcomes
 
 
 def _no_walk(knot: TorusKnot) -> _Claims:
-    """The one claim of a check that reads the walk from `knot` when the
-    walk table has none (see `_Walks`): a failure, naming the knot."""
-    return ((False, f"a walk from {knot}", "none"),)
+    """The failed claims of a check that reads the walk from `knot` when
+    the walk table has none (see `_Walks`): one failure, naming the knot."""
+    return ((f"a walk from {knot}", "none"),)
+
+
+def _failed(*claims: tuple[bool, object, object]) -> _Claims:
+    """The (expected, actual) pairs of the claims (holds, expected, actual)
+    that do not hold.  A predicate with more than one claim calls it only
+    once it has found a failure, so a passing knot builds no claim."""
+    return tuple((expected, actual) for holds, expected, actual in claims if not holds)
 
 
 @_check("pinch-equivalence")
@@ -296,17 +309,20 @@ def check_pinch_equivalence(rec: _Knot) -> _Claims:
     result = rec.first.result
     by_residues = cf.expand((result.p, result.q))
     by_step = cf.step(rec.expansion)
-    return ((by_step.coeffs == by_residues.coeffs, by_residues, by_step),)
+    return () if by_step.coeffs == by_residues.coeffs else ((by_residues, by_step),)
 
 
 @_check("sign-lemma")
 def check_sign_lemma(rec: _Knot) -> _Claims:
     """(p-2t)(q-2h) >= 0, with equality exactly when p = 2."""
-    wit = rec.first.witness
-    product = (rec.knot.p - 2 * wit.t) * (rec.knot.q - 2 * wit.h)
-    return (
-        (product >= 0, "(p-2t)(q-2h) >= 0", product),
-        ((product == 0) == (rec.knot.p == 2), "(p-2t)(q-2h) == 0 iff p == 2", product),
+    p, wit = rec.knot.p, rec.first.witness
+    product = (p - 2 * wit.t) * (rec.knot.q - 2 * wit.h)
+    signed, zero = product >= 0, (product == 0) == (p == 2)
+    if signed and zero:
+        return ()
+    return _failed(
+        (signed, "(p-2t)(q-2h) >= 0", product),
+        (zero, "(p-2t)(q-2h) == 0 iff p == 2", product),
     )
 
 
@@ -319,17 +335,17 @@ def check_magnitude(rec: _Knot) -> _Claims:
     """
     p, q, wit = rec.knot.p, rec.knot.q, rec.first.witness
     r, s = abs(p - 2 * wit.t), abs(q - 2 * wit.h)
-    return (
-        (not (p > q and r < s), "r >= s for p > q", (r, s)),
-        (not (p < q and r >= s), "r < s for p < q", (r, s)),
-    )
+    larger, smaller = not (p > q and r < s), not (p < q and r >= s)
+    if larger and smaller:
+        return ()
+    return _failed((larger, "r >= s for p > q", (r, s)), (smaller, "r < s for p < q", (r, s)))
 
 
 @_check("sign-parity")
 def check_sign_parity(rec: _Knot) -> _Claims:
     """Residue-based pinch sign matches the expansion-length parity rule."""
     predicted = pinch_sign_from_expansion(rec.expansion)
-    return ((rec.first.sign is predicted, predicted, rec.first.sign),)
+    return () if rec.first.sign is predicted else ((predicted, rec.first.sign),)
 
 
 @_check("terminal-unknot")
@@ -337,12 +353,16 @@ def check_terminal_unknot(rec: _Knot) -> _Claims:
     """The division formula, read on the record's quotient, predicts the
     first unknot T(l,1) the residue walk reaches, and the library's run
     sums count that walk: its moves and its l."""
-    if rec.walk is None:
+    walk = rec.walk
+    if walk is None:
         return _no_walk(rec.first.result)
+    moves, ell = walk
     predicted = _ell(rec.knot.p, rec.k)
-    ell = rec.walk[1]
-    runs = rec.runs[0], rec.runs[2]
-    return ((predicted == ell, predicted, ell), (runs == rec.walk, rec.walk, runs))
+    run_moves, _, run_ell = rec.runs
+    by_ell, by_runs = predicted == ell, run_moves == moves and run_ell == ell
+    if by_ell and by_runs:
+        return ()
+    return _failed((by_ell, predicted, ell), (by_runs, walk, (run_moves, run_ell)))
 
 
 @_check("crosscap-odd-consistency", "odd coprime 3 <= q < p <= {}", parity=1)
@@ -358,7 +378,7 @@ def check_crosscap_odd_consistency(rec: _Knot) -> _Claims:
         if walk is None:
             return _no_walk(piece)
         geometric += walk[0] + walk[1] // 2
-    return ((gamma3 == geometric, geometric, gamma3),)
+    return () if gamma3 == geometric else ((geometric, gamma3),)
 
 
 @_check("gap-formula", "normalized nontrivial T(p,q), p even, p,q <= {}", parity=0)
@@ -369,11 +389,10 @@ def check_gap_formula(rec: _Knot) -> _Claims:
         return _no_walk(rec.first.result)
     k = rec.k
     gap = _gamma3(rec.knot.p, rec.expansion.coeffs) - rec.walk[0]
-    holds = 2 * gap >= k  # gap >= k/2, in integers; the text only on failure
-    return (
-        (gap == (k + 1) // 2, (k + 1) // 2, gap),
-        (holds, "" if holds else f"gap >= {Fraction(k, 2)}", gap),
-    )
+    if gap == (k + 1) // 2:  # and so gap >= k/2
+        return ()
+    bound = 2 * gap >= k  # gap >= k/2, in integers
+    return _failed((False, (k + 1) // 2, gap), (bound, f"gap >= {Fraction(k, 2)}", gap))
 
 
 def run_all(max_param: int) -> list[CheckOutcome]:

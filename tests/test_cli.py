@@ -688,6 +688,12 @@ GOLDEN_SHA256 = [
         ("verify", "--max", "60", "--format", "json"),
         "71a17e5b265f1d5cd559779906655de429f4feb119c0ba025283669a32d72246",
     ),
+    # the box of the benchmark's box_verify workload
+    (("verify", "--max", "150"), "a429379a73e9fcc81f5e178f46b1d3b08bd62f308ffb6415521a4cc8e7d9852b"),
+    (
+        ("verify", "--max", "150", "--format", "json"),
+        "b7dc9b184d404a3fc4b5fba690d6703d02bbc893ad0ed4bbf4e4f419fe74a395",
+    ),
     (
         ("table", "--pmax", "40", "--qmax", "39"),
         "54dd86a8bea877e0a2f8954e3d46face4fd20665d12d5ca1be2f6aac37bc063f",

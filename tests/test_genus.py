@@ -41,6 +41,7 @@ from crosscap.errors import (
 from math import gcd
 
 from oracles import crosscap_knot, odd_crosscap_pair, oracle_sequence
+from strategies import knots_of_long_expansions
 
 
 @st.composite
@@ -148,6 +149,33 @@ def test_odd_split_structure():
         # sum back to the original parameters
         assert split.first.p % 2 == 0 and split.first.q % 2 == 1
         assert split.second.p % 2 == 0 and split.second.q % 2 == 1
+
+
+# `genus._split` builds its pieces through `TorusKnot._trusted`: each one
+# re-validates through the constructor, and equals the piece `normalize`
+# builds from the raw convergent pair and its complement.
+
+
+def assert_split_pieces_revalidate(knot):
+    split = odd_split(knot)
+    ps, qs = cf.convergent_terms(cf.expand((knot.p, knot.q)).coeffs[:-1])
+    raw = ((ps[-1], qs[-1]), (knot.p - ps[-1], knot.q - qs[-1]))
+    for piece, (a, b) in zip((split.first, split.second), raw):
+        assert type(piece.p) is int and type(piece.q) is int, knot
+        assert piece == TorusKnot(piece.p, piece.q) == normalize(a, b), knot
+    assert genus_report(knot).split == split
+
+
+def test_split_pieces_revalidate_on_the_box():
+    for knot in normalized_knots(300):
+        if knot.p % 2:
+            assert_split_pieces_revalidate(knot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots_of_long_expansions().filter(lambda knot: knot.p % 2))
+def test_split_pieces_revalidate_large(knot):
+    assert_split_pieces_revalidate(knot)
 
 
 @pytest.mark.parametrize("knot, value", [((5, 3), 2), ((7, 5), 3)])

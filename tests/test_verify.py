@@ -10,7 +10,7 @@ from crosscap import cf, genus, verify
 from crosscap import knot as knot_module
 from crosscap.errors import InvalidParameter
 from crosscap.genus import odd_split
-from crosscap.knot import TorusKnot, normalized_knots, pinch, pinch_by_step
+from crosscap.knot import PinchSign, TorusKnot, normalized_knots, pinch, pinch_by_step
 from crosscap.verify import (
     MAX_COUNTEREXAMPLES,
     Counterexample,
@@ -348,3 +348,174 @@ def test_expansion_keys_match_the_step_oracle_on_the_box():
 @given(knots_of_long_expansions())
 def test_expansion_keys_match_the_step_oracle_large(knot):
     assert_keys_match_the_oracle(knot)
+
+
+# Failure output, claim by claim: each case breaks one route on one knot of
+# the box of 40, so that one claim (or both claims of a two-claim check)
+# fails there, and pins each failing check's count and counterexamples; the
+# other checks report as on the clean box.
+
+T53, T45, T73, T97, T103 = (TorusKnot(*pair) for pair in ((5, 3), (4, 5), (7, 3), (9, 7), (10, 3)))
+
+
+def expansion_of(knot):
+    return cf.expand((knot.p, knot.q))
+
+
+def with_witness(monkeypatch, bad, t, h):
+    real = verify.pinch
+
+    def patched(knot):
+        record = real(knot)
+        return replace(record, witness=replace(record.witness, t=t, h=h)) if knot == bad else record
+
+    monkeypatch.setattr(verify, "pinch", patched)
+
+
+def with_step(monkeypatch):
+    step, bad = cf.step, expansion_of(T53)
+    monkeypatch.setattr(cf, "step", lambda e: cf.expand(0) if e == bad else step(e))
+
+
+def with_sign(monkeypatch):
+    predict, bad = verify.pinch_sign_from_expansion, expansion_of(T53)
+    flip = {PinchSign.POSITIVE: PinchSign.NEGATIVE, PinchSign.NEGATIVE: PinchSign.POSITIVE}
+    monkeypatch.setattr(
+        verify, "pinch_sign_from_expansion", lambda e: flip[predict(e)] if e == bad else predict(e)
+    )
+
+
+def with_ell(monkeypatch):
+    ell = verify._ell  # (10, 3) is the only (p, p // q) of T(10,3) in the box
+    monkeypatch.setattr(
+        verify, "_ell", lambda p, k: ell(p, k) + 2 if (p, k) == (10, 3) else ell(p, k)
+    )
+
+
+def with_run_sums(monkeypatch):
+    sums, bad = verify._walk_sums, expansion_of(T103).coeffs
+
+    def patched(coeffs):
+        moves, all_positive, last = sums(coeffs)
+        return (moves + 1 if coeffs == bad else moves), all_positive, last
+
+    monkeypatch.setattr(verify, "_walk_sums", patched)
+
+
+def with_walk(monkeypatch, bad, change):
+    # the table stores the true walk, and the record of `bad` reads `change` of it
+    add = verify._Walks.add
+
+    def patched(walks, first):
+        walk = add(walks, first)
+        return change(walk) if first.source == bad else walk
+
+    monkeypatch.setattr(verify._Walks, "add", patched)
+
+
+def with_gamma3(monkeypatch, bad, shift):
+    gamma3, coeffs = verify._gamma3, expansion_of(bad).coeffs
+    monkeypatch.setattr(
+        verify, "_gamma3", lambda p, c: gamma3(p, c) + (shift if c == coeffs else 0)
+    )
+
+
+def with_split_piece(monkeypatch):
+    split = verify.odd_split
+    off = TorusKnot(42, 41)  # outside the box: the table has no walk from it
+    monkeypatch.setattr(
+        verify,
+        "odd_split",
+        lambda knot: replace(split(knot), first=off) if knot == T73 else split(knot),
+    )
+
+
+CLAIM_FAILURES = {
+    "pinch-equivalence": (with_step, {"pinch-equivalence": [("T(5,3)", "[1]", "[0]")]}),
+    "sign-lemma product >= 0": (
+        lambda mp: with_witness(mp, T53, 1, 2),
+        {"sign-lemma": [("T(5,3)", "(p-2t)(q-2h) >= 0", "-3")]},
+    ),
+    "sign-lemma zero iff p == 2": (
+        lambda mp: with_witness(mp, T45, 2, 4),
+        {"sign-lemma": [("T(4,5)", "(p-2t)(q-2h) == 0 iff p == 2", "0")]},
+    ),
+    "magnitude-order p > q": (
+        lambda mp: with_witness(mp, T53, 3, 3),
+        {"magnitude-order": [("T(5,3)", "r >= s for p > q", "(1, 3)")]},
+    ),
+    "magnitude-order p < q": (
+        lambda mp: with_witness(mp, T45, 4, 4),
+        {"magnitude-order": [("T(4,5)", "r < s for p < q", "(4, 3)")]},
+    ),
+    "sign-parity": (
+        with_sign,
+        {"sign-parity": [("T(5,3)", "positive", "negative")]},
+    ),
+    "terminal-unknot l": (with_ell, {"terminal-unknot": [("T(10,3)", "6", "4")]}),
+    "terminal-unknot run sums": (
+        with_run_sums,
+        {"terminal-unknot": [("T(10,3)", "(1, 4)", "(2, 4)")]},
+    ),
+    "terminal-unknot both claims": (
+        lambda mp: with_walk(mp, T103, lambda walk: (walk[0], walk[1] + 2)),
+        {"terminal-unknot": [("T(10,3)", "4", "6"), ("T(10,3)", "(1, 6)", "(1, 4)")]},
+    ),
+    "terminal-unknot no walk": (
+        lambda mp: with_walk(mp, T97, lambda walk: None),
+        {"terminal-unknot": [("T(9,7)", "a walk from T(1,1)", "none")]},
+    ),
+    "crosscap-odd-consistency": (
+        lambda mp: with_gamma3(mp, T73, 1),
+        {"crosscap-odd-consistency": [("T(7,3)", "2", "3")]},
+    ),
+    "crosscap-odd-consistency no walk": (
+        with_split_piece,
+        {"crosscap-odd-consistency": [("T(7,3)", "a walk from T(42,41)", "none")]},
+    ),
+    "gap-formula gap": (
+        lambda mp: with_gamma3(mp, T103, 1),
+        {"gap-formula": [("T(10,3)", "2", "3")]},
+    ),
+    "gap-formula both claims": (
+        lambda mp: with_gamma3(mp, T103, -3),
+        {"gap-formula": [("T(10,3)", "2", "-1"), ("T(10,3)", "gap >= 3/2", "-1")]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLAIM_FAILURES))
+def test_failure_output_is_pinned_claim_by_claim(monkeypatch, case):
+    clean = run_all(40)
+    patch, failures = CLAIM_FAILURES[case]
+    patch(monkeypatch)
+    outcomes = run_all(40)
+    assert [o.cases_checked for o in outcomes] == [o.cases_checked for o in clean]
+    for outcome, clean_outcome in zip(outcomes, clean):
+        expected = [Counterexample(*row) for row in failures.get(outcome.check_name, [])]
+        if not expected:
+            assert outcome == clean_outcome
+            continue
+        assert outcome.failures_total == len(expected)
+        assert outcome.counterexamples == expected
+
+
+# The check protocol: a predicate returns only its failed claims, as
+# (expected, actual) pairs, and the constant () when the knot passes.
+
+
+def test_a_passing_knot_returns_no_claim():
+    walks = verify._Walks(60)
+    for knot in normalized_knots(60):
+        record = verify._Knot(knot, walks)
+        for name, _, parity, predicate in verify._CHECKS:
+            if parity is None or parity == knot.p % 2:
+                assert predicate(record) == (), (name, knot)
+
+
+def test_a_passing_box_builds_no_counterexample(monkeypatch):
+    def build(*args):
+        raise AssertionError(f"a counterexample was built: {args}")
+
+    monkeypatch.setattr(verify, "Counterexample", build)
+    assert all(outcome.passed for outcome in run_all(150))
