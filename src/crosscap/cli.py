@@ -11,7 +11,9 @@ T(0,1) that `genus_report` steps for gamma3, and for odd p its printed
 trace.  A CSV `report` of an odd-p knot prints no trace and steps nothing,
 so it is never refused by a walk.  `table` and `verify` exit 2, before
 any knot is built, on a box of more than MAX_BOX parameter pairs: pmax*qmax
-for `table`, max*max for `verify`.  `trace` and a human `report` format
+for `table`, max*max for `verify`.  `report` exits 2, before any
+output, when gamma3 or the orientable genus has more digits than Python
+converts to text.  `trace` and a human `report` format
 their trace lines a segment at a time from the plain integers
 `PinchTrace.segments` yields, so no object is built per move, and write
 them in blocks of at most `_BLOCK` lines as the walk goes on; a JSON
@@ -329,6 +331,22 @@ def _refuse_long_walks(knot: TorusKnot, moves: int) -> None:
         )
 
 
+def _refuse_unprintable(report: GenusReport) -> None:
+    """Raise InvalidParameter, before any output, if gamma3 or the
+    orientable genus has more digits than Python converts to text
+    (`sys.get_int_max_str_digits()`, 4300 by default; 0, or no such
+    function before Python 3.10.7, is no limit).  Every other integer a
+    report prints is at most max(p, q), which was parsed under that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for name, value in (("gamma3", report.gamma3), ("orientable genus", report.orientable_genus)):
+        # 8**limit < 10**limit, so a value of at most 3*limit bits fits
+        if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+            raise InvalidParameter(
+                f"{report.knot}: {name} has more than {limit} digits,"
+                " the most Python converts to text"
+            )
+
+
 def _refuse_large_box(command: str, pairs: int) -> None:
     """Raise InvalidParameter, before any knot is built, if a box command
     spans more than MAX_BOX parameter pairs."""
@@ -345,12 +363,15 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # gamma3 along the ZERO walk, which is the printed trace followed by the
     # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves, in
     # every format.  For odd p gamma3 is counted from runs, so the only walk
-    # is the printed trace, which a CSV report does not print.
+    # is the printed trace, which a CSV report does not print.  So p/q is
+    # expanded twice, here and in `genus_report`, until even-p gamma3 is
+    # counted from runs and the refusal reads the report's own trace.
     if knot.p % 2 == 0:
         _refuse_long_walks(knot, trace.moves + trace.final.p // 2)
     elif args.format != "csv":
         _refuse_long_walks(knot, trace.moves)
     report = genus_report(knot)
+    _refuse_unprintable(report)
     if args.format == "json":
         return 0, _report_json(report)
     if args.format == "csv":

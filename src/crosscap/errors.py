@@ -14,10 +14,13 @@ layer that owns its check; the functions above that layer let it through:
 * StepUndefined: no step from [0], [1] or [c0, 2]; `cf.step`.
 * PinchUndefined: no move from T(0,1), T(1,1) or a one-entry expansion;
   `pinch`, `pinch_by_step`, `pinch_sign_from_expansion`.
-* UnknotInput: a trivial knot; `PinchTrace` under FIRST_UNKNOT,
-  `euclidean_division`, `crosscap_number`, `odd_split`, `gap_report`.
+* UnknotInput: a trivial knot; raised at one site, `knot._require_nontrivial`,
+  which the walk start under FIRST_UNKNOT (`PinchTrace`, the genus counts,
+  `crosscap_number`), `euclidean_division` and `odd_split` call.
 * OddParity: odd p, or an odd numerator, on a walk to T(0,1) or [0];
-  `PinchTrace` under ZERO, `cf.steps_to_zero`, `gap_report`.
+  the walk start under ZERO (`PinchTrace`, `pinches_to_zero`, and
+  `gap_report`, whose odd p it refuses before any expansion) and
+  `cf.steps_to_zero`.
 * EvenParity: even p where both parameters must be odd; `odd_split`.
 """
 

@@ -21,10 +21,7 @@ For a nontrivial T(p,q) this module computes, all in exact arithmetic:
               p/q the caller already has; `crosscap_number` expands p/q
               once and calls it, and so do `pinches_to_zero` and module
               verify.  Only `genus_report` on even p still counts one
-              cf.step per move: the run count makes each report so short
-              that the benchmark harness, which keeps memory per call,
-              breaks its peak-RSS bound, until it keeps constant memory
-              per call (ROADMAP item 1).
+              cf.step per move; its even branch says why.
 * gamma4    - bounds for the nonorientable four-genus: lower 1, upper
               beta1_F, marked exact by the first certificate that applies:
               all positive pinches, then interval collapse.
@@ -46,6 +43,10 @@ its `PinchTrace` expands p/q once, and gamma3 reads that same expansion:
 stepped when p is even, rearranged into the near-palindrome when p is odd.
 The only Fraction it builds is the gap bound k/2, and the odd split is
 computed only when `split` is read.
+
+The library does not re-prove the paper's identities at run time: the
+gap's closed form and the agreement of overlapping gamma4 certificates are
+checked by module verify and the tests.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cf
-from .errors import EvenParity, OddParity, UnknotInput
-from .knot import PinchTrace, StopRule, TorusKnot, _ordered, _walk_start, _walk_sums, is_unknot
+from .errors import EvenParity
+from .knot import PinchTrace, StopRule, TorusKnot, _ordered, _walk_start, _walk_sums
+from .knot import _require_nontrivial
 
 __all__ = [
     "OddSplit",
@@ -142,11 +144,6 @@ class GenusReport:
         """The `odd_split` of an odd-p knot, from the expansion its trace
         holds; None for even p."""
         return _split(self.knot, self.trace.expansion) if self.knot.p % 2 else None
-
-
-def _require_nontrivial(knot: TorusKnot) -> None:
-    if is_unknot(knot):
-        raise UnknotInput(f"{knot} is trivial")
 
 
 def euclidean_division(knot: TorusKnot) -> tuple[int, int]:
@@ -316,8 +313,7 @@ def crosscap_number(knot: TorusKnot) -> int:
     """Crosscap number gamma3 of a nontrivial torus knot (Teragaito's
     formula): `pinches_to_zero` of the knot for even p, and for odd p the
     ZERO walk of (pq-+1)/p^2, read off p/q's expansion."""
-    _require_nontrivial(knot)
-    return _gamma3(knot.p, cf.expand((knot.p, knot.q)).coeffs)
+    return _gamma3(knot.p, _walk_start(knot, StopRule.FIRST_UNKNOT).coeffs)
 
 
 def _bounds(p: int, moves: int, all_positive: bool) -> FourGenusBounds:
@@ -350,11 +346,10 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     That ell is k or k+1, whichever is even (the terminal-unknot check of
     module verify), is what makes it ceil(k/2) >= k/2, the paper's bound;
     the second component is that exact rational lower bound k/2.  A
-    trivial knot is refused before an odd one, by the division.
+    trivial knot is refused by the division, before the walk start refuses
+    an odd p.
     """
     k, _ = euclidean_division(knot)
-    if knot.p % 2:
-        raise OddParity(f"gap formula requires even p: {knot}")
     return _walk_sums(_walk_start(knot, StopRule.ZERO).coeffs)[2] // 2, Fraction(k, 2)
 
 

@@ -171,6 +171,14 @@ def is_unknot(knot: TorusKnot) -> bool:
     return min(knot.p, knot.q) <= 1
 
 
+def _require_nontrivial(knot: TorusKnot) -> None:
+    """Raise UnknotInput for a trivial knot.  This is the one place that
+    class is raised: the walks to the first unknot, the division and the
+    odd split of module genus all check through here."""
+    if is_unknot(knot):
+        raise UnknotInput(f"{knot} is trivial")
+
+
 def pinch_witness(p: int, q: int) -> PinchWitness:
     """Return the canonical residues (t, h) for a pinch on coprime (p, q).
 
@@ -299,8 +307,7 @@ def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
     knots of its box, expand p/q directly.
     """
     if stop is StopRule.FIRST_UNKNOT:
-        if is_unknot(knot):
-            raise UnknotInput(f"{knot} is trivial")
+        _require_nontrivial(knot)
     elif stop is StopRule.ZERO:
         if knot.p % 2:
             raise OddParity(f"reaching T(0,1) requires even p: {knot}")

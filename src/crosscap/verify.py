@@ -198,7 +198,9 @@ class _Knot:
     (or, for odd p, of its near-palindrome form), with the residue walks:
     for even p, gamma3 minus the walk's moves is the gap, and for odd p
     gamma3 is the sum of the ZERO counts of the two `odd_split` pieces,
-    moves + l // 2 each.
+    moves + l // 2 each.  So a pass expands two rationals per even-p knot,
+    p/q here and the residue pinch's result in pinch-equivalence, and three
+    per odd-p knot, since `odd_split` expands p/q again.
     """
 
     __slots__ = ("knot", "first", "walk", "walks", "expansion", "k", "runs")

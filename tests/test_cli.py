@@ -1008,3 +1008,64 @@ def test_box_limit_accepts_every_benchmark_box(monkeypatch, capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert boxes == [tuple(int(bound) for bound in argv[2:5:2])]
+
+
+# Python converts an int of at most `sys.get_int_max_str_digits()` digits to
+# text and back (4300 by default; 0 is no limit, and before Python 3.10.7
+# there is none).  argparse refuses a longer parameter as it parses it, and
+# `report` refuses, before any output, a knot whose gamma3 or orientable
+# genus is longer than that.
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="no int string conversion limit")
+
+
+def unprintable(knot, name, limit):
+    """The one line `report` writes on stderr when `name` is too long to print."""
+    return f"error: {knot}: {name} has more than {limit} digits, the most Python converts to text\n"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_report_too_long_to_print_exits_2(capsys, fmt):
+    # coprime and odd, one pinch move, and (p-1)(q-1)/2 has 5998 digits
+    p, q = 10**2999 + 1, 10**2999 - 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "report", str(p), str(q), "--format", fmt)
+        expected = unprintable(TorusKnot(p, q), "orientable genus", 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (2, "", expected)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_report_prints_up_to_the_digit_limit(capsys, fmt):
+    # T(10^320+1, 10^320-1) has an orientable genus of 640 digits, the least
+    # limit Python takes, and T(2*10^320+1, 2*10^320-1) one of 641
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        at = run_cli(capsys, "report", str(10**320 + 1), str(10**320 - 1), "--format", fmt)
+        p, q = 2 * 10**320 + 1, 2 * 10**320 - 1
+        over = run_cli(capsys, "report", str(p), str(q), "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert at[0] == 0 and at[2] == ""
+    assert str((10**320 * (10**320 - 2)) // 2) in at[1]
+    assert over == (2, "", unprintable(TorusKnot(p, q), "orientable genus", 640))
+
+
+@needs_digit_limit
+def test_a_parameter_of_the_digit_limit_is_read_and_one_more_digit_is_refused(capsys):
+    # p = 10^(L-1) + 1 is odd, coprime to 3 and L digits long: its CSV report
+    # runs no walk it prints, and its orientable genus p - 1 has L digits too
+    p = "1" + "0" * (INT_DIGITS - 2) + "1"
+    code, out, err = run_cli(capsys, "report", p, "3", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(p + ",3,")
+    code, out, err = run_fresh("report", "1" + "0" * (INT_DIGITS - 1) + "1", "3")
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err and "Traceback" not in err

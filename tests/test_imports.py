@@ -1,6 +1,7 @@
 """Static checks of the library sources: they import only the standard
 library and the package, parse as the oldest supported Python, raise every
-error class the package exports, step a walk to [0] only for the gamma3 of
+error class the package exports and a trivial knot's `UnknotInput` at one
+site, in module knot, step a walk to [0] only for the gamma3 of
 an even-p knot, loop over single pinch moves only in `pinch_sequence`, and
 count walks with no stop rule: the walk to T(0,1) is the walk to the first
 unknot plus its unknot tail, so the stop rule is only a walk's precondition.
@@ -162,3 +163,12 @@ def test_verify_calls_no_oracle_route():
             names.add(node.name)
     oracles = {"pinch_by_step", "crosscap_by_splitting", "pinches_to_zero", "evaluate"}
     assert sorted(names & oracles) == []
+
+
+def test_each_knot_precondition_is_raised_once():
+    # a trivial knot is refused at one site in `knot`, which the walk start,
+    # the division and the odd split all call; an odd p on the walk to T(0,1)
+    # is refused by the walk start, so module genus raises neither
+    sites = [(path.name, name) for path in SOURCES for name in raised_names(path)]
+    assert [path for path, name in sites if name == "UnknotInput"] == ["knot.py"]
+    assert ("genus.py", "OddParity") not in sites

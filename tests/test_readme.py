@@ -1,7 +1,10 @@
 """The examples of README.md print what the README shows: each command's
-output, and each value of the Python example that a comment gives."""
+output, and each value of the Python example that a comment gives.  Every
+name of the package that the README cites in code, such as `cf.step` or
+`crosscap.cli.MAX_STEPS`, still exists."""
 
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -44,3 +47,29 @@ def test_readme_library_example():
             assert eval(expr, namespace) == ast.literal_eval(literal.strip()), line
             checked.append(expr.strip())
     assert len(checked) == 5
+
+
+# A dotted name in a code span that starts at one of the package's modules,
+# with or without the package in front; `genus.py` and the like are files.
+MODULES = ("cf", "knot", "genus", "verify", "cli", "errors")
+DOTTED = re.compile(rf"(?<![\w./])(?:crosscap(?:\.\w+)+|(?:{'|'.join(MODULES)})(?:\.\w+)+)")
+FENCED = re.compile(r"^```.*?^```$", re.M | re.S)
+
+
+def cited_names():
+    text = FENCED.sub("", README.read_text(encoding="utf-8"))
+    names = {name for span in re.findall(r"`([^`]+)`", text) for name in DOTTED.findall(span)}
+    return sorted(name for name in names if not name.endswith(".py"))
+
+
+def test_readme_cites_the_modules():
+    assert {name.removeprefix("crosscap.").split(".")[0] for name in cited_names()} == set(MODULES)
+
+
+@pytest.mark.parametrize("name", cited_names())
+def test_readme_names_resolve(name):
+    module, *attributes = name.removeprefix("crosscap.").split(".")
+    value = importlib.import_module(f"crosscap.{module}")
+    for attribute in attributes:
+        assert hasattr(value, attribute), name
+        value = getattr(value, attribute)
