@@ -13,13 +13,15 @@ so it is never refused by a walk.  `table` and `verify` exit 2, before
 any knot is built, on a box of more than MAX_BOX parameter pairs: pmax*qmax
 for `table`, max*max for `verify`.  `report` exits 2, before any
 output, when gamma3 or the orientable genus has more digits than Python
-converts to text.  `trace` and a human `report` format
-their trace lines a segment at a time from the plain integers
-`PinchTrace.segments` yields, so no object is built per move, and write
-them in blocks of at most `_BLOCK` lines as the walk goes on; a JSON
-`report` writes its invariants and then its trace rows the same way, one
-f-string per row.  A reader that closes the pipe early ends the command
-quietly, with its own exit code.
+converts to text.  A `GenusReport` holds no trace: `report` hands its
+printers the `PinchTrace` it built for the refusal, a JSON `table` builds
+one per knot from `GenusReport.trace`, and CSV and human tables build
+none.  `trace` and a human `report` format their trace lines a segment at
+a time from the plain integers `PinchTrace.segments` yields, so no object
+is built per move, and write them in blocks of at most `_BLOCK` lines as
+the walk goes on; a JSON `report` writes its invariants and then its
+trace rows the same way, one f-string per row.  A reader that closes the
+pipe early ends the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
@@ -194,14 +196,17 @@ def _report_fields(report: GenusReport) -> dict:
     return payload
 
 
-def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
+def _report_json(
+    report: GenusReport, trace: PinchTrace, indent: str = "", end: str = "\n"
+) -> Iterator[str]:
     """The text of `json.dumps(..., indent=2)` of `_report_fields(report)`
-    with the trace rows under "trace", nested at `indent`, then `end`: the
+    with the rows of `trace`, the report's walk to the first unknot, under
+    "trace", nested at `indent`, then `end`: the
     invariants in one chunk, then one chunk per block of trace rows, so a
     long trace is written as it is walked."""
     fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
     yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
-    yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
+    yield from _json_list(_trace_rows_json(trace, indent + "  "), indent + "  ")
     yield "\n" + indent + "}" + end
 
 
@@ -253,9 +258,10 @@ def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     return map("".join, _blocks(trace, lines))
 
 
-def _report_human(report: GenusReport) -> Iterator[str]:
+def _report_human(report: GenusReport, trace: PinchTrace) -> Iterator[str]:
     """The human report: one chunk for the invariants, then one per block
-    of trace lines, so a long trace is written as it is walked."""
+    of the lines of `trace`, the report's walk to the first unknot, so a
+    long trace is written as it is walked."""
     knot = report.knot
     g4 = report.gamma4
     exact = "-" if g4.exact is None else str(g4.exact)
@@ -274,7 +280,7 @@ def _report_human(report: GenusReport) -> Iterator[str]:
         lines.append(f"  split:             {split.first} + {split.second}")
     lines.append("  pinch trace:")
     yield "\n".join(lines) + "\n"
-    yield from _trace_lines(report.trace, "    ")
+    yield from _trace_lines(trace, "    ")
 
 
 def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -363,9 +369,10 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # gamma3 along the ZERO walk, which is the printed trace followed by the
     # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves, in
     # every format.  For odd p gamma3 is counted from runs, so the only walk
-    # is the printed trace, which a CSV report does not print.  So p/q is
-    # expanded twice, here and in `genus_report`, until even-p gamma3 is
-    # counted from runs and the refusal reads the report's own trace.
+    # is the printed trace, which a CSV report does not print.  The printers
+    # take this trace, so p/q is expanded twice, here and in `genus_report`,
+    # until even-p gamma3 is counted from runs and the refusal reads the
+    # report's own counts.
     if knot.p % 2 == 0:
         _refuse_long_walks(knot, trace.moves + trace.final.p // 2)
     elif args.format != "csv":
@@ -373,10 +380,10 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     report = genus_report(knot)
     _refuse_unprintable(report)
     if args.format == "json":
-        return 0, _report_json(report)
+        return 0, _report_json(report, trace)
     if args.format == "csv":
         return 0, _csv_lines([CSV_COLUMNS, _field_values(report)])
-    return 0, _report_human(report)
+    return 0, _report_human(report, trace)
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -394,7 +401,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
-        items = ("".join(_report_json(report, "  ", "")) for report in reports)
+        items = ("".join(_report_json(report, report.trace, "  ", "")) for report in reports)
         return 0, itertools.chain(_json_list(items), ["\n"])
     if args.format == "human":
         return 0, _table_human(map(_report_cells, reports))

@@ -39,10 +39,12 @@ walks from its walk table; `crosscap_by_splitting`, which counts each
 piece's walk with `pinches_to_zero`, is the tests' oracle for it.
 
 `genus_report` computes each value once per knot: it divides p by q once,
-its `PinchTrace` expands p/q once, and gamma3 reads that same expansion:
-stepped when p is even, rearranged into the near-palindrome when p is odd.
-The only Fraction it builds is the gap bound k/2, and the odd split is
-computed only when `split` is read.
+expands p/q once, sums that expansion's runs for beta1_F and the gamma4
+certificate, and reads gamma3 off the same expansion: stepped when p is
+even, rearranged into the near-palindrome when p is odd.  It builds no
+`PinchTrace`: the report is one tuple of its values, the only Fraction in
+it is the gap bound k/2, and the printed trace and the odd split are built
+from the report's expansion only when `trace` and `split` are read.
 
 The library does not re-prove the paper's identities at run time: the
 gap's closed form and the agreement of overlapping gamma4 certificates are
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cf
 from .errors import EvenParity
@@ -98,8 +100,7 @@ class OddSplit:
     second: TorusKnot
 
 
-@dataclass(frozen=True)
-class FourGenusBounds:
+class FourGenusBounds(NamedTuple):
     """Bounds for the nonorientable four-genus, with an exactness verdict.
 
     `exact` is set by the first recognized criterion that applies, tried in
@@ -117,15 +118,16 @@ class FourGenusBounds:
     provenance: str
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     """Everything this package knows about one nontrivial torus knot.
 
-    `trace` is the lazy `PinchTrace` to the first unknot: `beta1_F` and the
-    gamma4 certificate are read from its runs, and only the printers read
-    its moves, from its segments; `pinch_sequence` lists them as records.
-    `split` is not stored either: it is computed from `trace.expansion`
-    each time it is read, which only the human report does.
+    A report is a tuple of its values, so it compares equal to a plain
+    tuple of the same values, in this order.  `expansion` is the expansion
+    of p/q that `beta1_F`, `gamma3` and the gamma4 certificate were read
+    from.  Neither the printed walk nor the odd split is stored: `trace`
+    builds the `PinchTrace` to the first unknot and `split` the odd split,
+    both from `expansion`, each time they are read.  Of the outputs, only a
+    JSON table reads `trace` and only the human report reads `split`.
     """
 
     knot: TorusKnot
@@ -137,13 +139,19 @@ class GenusReport:
     gamma4: FourGenusBounds
     gap_lower_bound: Fraction
     orientable_genus: int
-    trace: PinchTrace
+    expansion: cf.ContinuedFraction
+
+    @property
+    def trace(self) -> PinchTrace:
+        """The `PinchTrace` of the walk to the first unknot, built on read
+        from the report's expansion, with no second expansion."""
+        return PinchTrace._trusted(self.knot, StopRule.FIRST_UNKNOT, self.expansion)
 
     @property
     def split(self) -> Optional[OddSplit]:
-        """The `odd_split` of an odd-p knot, from the expansion its trace
-        holds; None for even p."""
-        return _split(self.knot, self.trace.expansion) if self.knot.p % 2 else None
+        """The `odd_split` of an odd-p knot, from the report's expansion;
+        None for even p."""
+        return _split(self.knot, self.expansion) if self.knot.p % 2 else None
 
 
 def euclidean_division(knot: TorusKnot) -> tuple[int, int]:
@@ -204,8 +212,8 @@ def odd_split(knot: TorusKnot) -> OddSplit:
     T(p_{m-1}, q_{m-1}) and T(p - p_{m-1}, q - q_{m-1}), normalized.
     This expands p/q itself, so verify's crosscap-odd-consistency and
     `crosscap_by_splitting` split apart from the expansion they check, and
-    from `genus_report`, which splits the expansion its trace holds.  The
-    knot is checked here; `_split` then builds the pieces without
+    from a `GenusReport`, whose `split` reads the report's own expansion.
+    The knot is checked here; `_split` then builds the pieces without
     re-validating them, since they are valid by construction.
     """
     _require_nontrivial(knot)
@@ -361,16 +369,18 @@ def orientable_genus(knot: TorusKnot) -> int:
 def genus_report(knot: TorusKnot) -> GenusReport:
     """Assemble the full invariant report for a nontrivial torus knot.
 
-    p/q is expanded once, by the trace, and gamma3 reads that expansion:
-    by the runs of its near-palindrome form when p is odd, and one
-    `cf.step` per move when p is even; the tests compare it with
-    `crosscap_number`.
+    p/q is expanded once, by the walk start, and every count reads that
+    expansion: beta1_F and the gamma4 certificate from its runs to the
+    first unknot, and gamma3 by the runs of its near-palindrome form when p
+    is odd and one `cf.step` per move when p is even; the tests compare it
+    with `crosscap_number`.  No `PinchTrace` is built.
     """
-    p, q = knot.p, knot.q
-    k, a = divmod(p, q)
-    trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)
+    p = knot.p
+    k, a = divmod(p, knot.q)
+    expansion = _walk_start(knot, StopRule.FIRST_UNKNOT)
+    moves, all_positive, _ = _walk_sums(expansion.coeffs)
     if p % 2:
-        gamma3 = _gamma3(p, trace.expansion.coeffs)
+        gamma3 = _gamma3(p, expansion.coeffs)
     else:
         # Even p still steps.  `pinches_to_zero(knot)` equals the count in
         # O(len(expansion)), but then every report is short, and the
@@ -380,16 +390,16 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         # run, 111,898 against 13,823, and raised its peak RSS from 24.47
         # to 45.73 MiB, far past the metric's 0.1 bound.  Speeding up the
         # trace printing leaves this alone for the same reason.
-        gamma3 = cf.steps_to_zero(trace.expansion)
+        gamma3 = cf.steps_to_zero(expansion)
     return GenusReport(
-        knot=knot,
-        k=k,
-        a=a,
-        ell=_ell(p, k),
-        beta1_F=trace.moves,
-        gamma3=gamma3,
-        gamma4=_bounds(p, trace.moves, trace.all_positive),
-        gap_lower_bound=Fraction(k, 2),
-        orientable_genus=orientable_genus(knot),
-        trace=trace,
+        knot,
+        k,
+        a,
+        _ell(p, k),
+        moves,
+        gamma3,
+        _bounds(p, moves, all_positive),
+        Fraction(k, 2),
+        orientable_genus(knot),
+        expansion,
     )

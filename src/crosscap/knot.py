@@ -359,10 +359,12 @@ class PinchTrace:
     `final` is T(0,1); the runs themselves never depend on the stop rule.
 
     Building a trace is `_walk_start`, which checks the walk's precondition
-    and expands p/q, then `_walk_sums` over that expansion.  A caller that
-    needs only the counts (`genus.pinches_to_unknot`, `pinches_to_zero`,
-    `four_genus_bounds`, gamma3 and verify) calls those two itself and
-    builds no trace; a trace is for a walk that is printed or listed.
+    and expands p/q, then `_walk_sums` over that expansion; `_trusted`
+    skips the first step for a caller that has done it already, as a
+    `genus.GenusReport` has.  A caller that needs only the counts
+    (`genus.pinches_to_unknot`, `pinches_to_zero`, `four_genus_bounds`,
+    `genus_report`, gamma3 and verify) calls those two itself and builds
+    no trace; a trace is for a walk that is printed or listed.
     """
 
     knot: TorusKnot
@@ -373,7 +375,23 @@ class PinchTrace:
     _last: int = field(init=False, repr=False, compare=False)  # l of the final T(l,1)
 
     def __post_init__(self) -> None:
-        expansion = _walk_start(self.knot, self.stop)
+        self._hold(_walk_start(self.knot, self.stop))
+
+    @classmethod
+    def _trusted(
+        cls, knot: TorusKnot, stop: StopRule, expansion: cf.ContinuedFraction
+    ) -> PinchTrace:
+        """The trace from `knot` under `stop`, unchecked: the caller vouches
+        for the walk's precondition and hands over `expansion`, the expansion
+        of p/q it already has, so p/q is not expanded again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "stop", stop)
+        self._hold(expansion)
+        return self
+
+    def _hold(self, expansion: cf.ContinuedFraction) -> None:
+        """Keep `expansion` and the walk's sums over it."""
         moves, positive, last = _walk_sums(expansion.coeffs)
         if self.stop is StopRule.ZERO:  # the unknot tail T(l,1) -> ... -> T(0,1)
             moves, positive, last = moves + last // 2, positive and last <= 2, 0

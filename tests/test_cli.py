@@ -304,7 +304,7 @@ def test_streamed_json_report_is_one_dump():
     for knot in normalized_knots(40):
         report = cli.genus_report(knot)
         expected = cli._json_text(report_dict(report))
-        assert "".join(cli._report_json(report)) == expected
+        assert "".join(cli._report_json(report, report.trace)) == expected
     for items in ([], [1], [{"a": [1, 2]}, None, "b"]):
         texts = [json.dumps(item, indent=2).replace("\n", "\n    ") for item in items]
         nested = '{\n  "x": ' + "".join(cli._json_list(texts, "  ")) + "\n}"
@@ -779,6 +779,26 @@ def test_csv_and_json_never_build_a_split(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
     with pytest.raises(AssertionError, match="odd split"):
         main(["report", "12345", "7"])
+
+
+def test_csv_and_human_tables_build_no_trace(monkeypatch, capsys):
+    # a report holds its numbers and no walk: only a JSON table, which
+    # prints the trace rows, reads `GenusReport.trace`
+    def fail(*_):
+        raise AssertionError("a pinch trace was built")
+
+    no_trace = type("NoTrace", (), {"__init__": fail, "_trusted": fail})
+    monkeypatch.setattr(genus, "PinchTrace", no_trace)
+    golden = dict(GOLDEN_SHA256)
+    for argv in [
+        ("table", "--pmax", "40", "--qmax", "39"),
+        ("table", "--pmax", "40", "--qmax", "39", "--format", "human"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
+    with pytest.raises(AssertionError, match="pinch trace"):
+        main(["table", "--pmax", "40", "--qmax", "39", "--format", "json"])
 
 
 # report and trace refuse, before the first step, a knot with a walk of more

@@ -368,12 +368,42 @@ def test_genus_report_assembly():
     )
 
 
-def test_report_trace_is_the_lazy_trace():
+def test_report_trace_is_the_lazy_trace(monkeypatch):
     report = genus_report(TorusKnot(16, 5))
     assert report.trace == PinchTrace(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
     records = pinch_sequence(report.trace.knot, report.trace.stop)
     assert records == oracle_sequence(TorusKnot(16, 5), StopRule.FIRST_UNKNOT)
     assert report == genus_report(TorusKnot(16, 5))
+    # the trace is built from the report's expansion, as the constructor
+    # builds it from its own
+    knots = list(normalized_knots(40))
+    pairs = [(genus_report(knot), PinchTrace(knot, StopRule.FIRST_UNKNOT)) for knot in knots]
+    def expand(_):
+        raise AssertionError("p/q was expanded again")
+
+    monkeypatch.setattr(cf, "expand", expand)
+    for report, fresh in pairs:
+        trace = report.trace
+        assert trace.expansion is report.expansion
+        assert (trace.moves, trace.all_positive, trace.final) == (
+            fresh.moves,
+            fresh.all_positive,
+            fresh.final,
+        )
+        assert list(trace.segments()) == list(fresh.segments())
+    monkeypatch.undo()
+    # a report and its bounds are immutable values
+    for knot in (TorusKnot(16, 5), TorusKnot(17, 5), TorusKnot(8, 7)):
+        report = genus_report(knot)
+        again = genus_report(TorusKnot(knot.p, knot.q))
+        assert report == again and hash(report) == hash(again)
+        assert report.gamma4 == again.gamma4 and hash(report.gamma4) == hash(again.gamma4)
+        assert report.expansion == cf.expand((knot.p, knot.q))
+        assert report == tuple(report)
+        for value, name in ((report, "gamma3"), (report, "expansion"), (report.gamma4, "exact")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+    assert genus_report(TorusKnot(16, 5)) != genus_report(TorusKnot(17, 5))
 
 
 def test_four_genus_bounds_read_the_runs():
@@ -468,7 +498,7 @@ def test_report_internal_consistency_random(knot):
         assert report.split is not None
 
 
-# `genus_report` shares one expansion between its trace and gamma3, derives
+# `genus_report` shares one expansion between its walk sums and gamma3, derives
 # ell from its own division, and splits only when `split` is read.  Each
 # field must equal its independent public route.
 

@@ -119,8 +119,8 @@ def test_only_pinch_and_pinch_sequence_build_records():
 def test_the_count_path_takes_no_stop_rule():
     # `knot._runs` and `knot._walk_sums` read the coefficients alone; in
     # `genus`, `StopRule` only picks the precondition `knot._walk_start`
-    # checks (and, for now, the stop of `genus_report`'s printed trace), and
-    # no `_walk_counts` wraps the two
+    # checks (and the stop of the trace that `GenusReport.trace` builds from
+    # the report's expansion when read), and no `_walk_counts` wraps the two
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     knot_functions = {
         node.name: node for node in trees["knot.py"].body if isinstance(node, ast.FunctionDef)
@@ -135,16 +135,17 @@ def test_the_count_path_takes_no_stop_rule():
     uses = []
     for function in functions:
         for call in ast.walk(function):
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            if isinstance(call, ast.Call):
                 uses += [
-                    (function.name, call.func.id)
+                    (function.name, ast.unparse(call.func))
                     for arg in call.args
                     if isinstance(arg, ast.Attribute) and ast.unparse(arg.value) == "StopRule"
                 ]
     named = [node for node in ast.walk(genus) if isinstance(node, ast.Name)]
     assert len(uses) == sum(node.id == "StopRule" for node in named) > 0
-    assert {callee for _, callee in uses} <= {"_walk_start", "PinchTrace"}
-    assert {function for function, callee in uses if callee == "PinchTrace"} == {"genus_report"}
+    assert {callee for _, callee in uses} <= {"_walk_start", "PinchTrace._trusted"}
+    traces = {function for function, callee in uses if callee == "PinchTrace._trusted"}
+    assert traces == {"trace"}
 
 
 def test_verify_calls_no_oracle_route():
