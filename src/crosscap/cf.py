@@ -51,22 +51,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuedFraction:
     """A canonical expansion [c0, ..., cm] of a nonnegative rational.
 
     Construction validates canonical form: c0 >= 0, interior coefficients
     >= 1, final coefficient >= 2 when the expansion has more than one entry.
-    Instances are immutable and hashable.  `expand` and `step` build theirs
+    The constructor is the only place that validates.  Instances are
+    immutable, hashable and slotted.  `expand` and `step` build theirs
     through `_trusted`, which skips the checks their construction already
-    guarantees.
+    guarantees and writes the `coeffs` slot directly, through its member
+    descriptor, instead of the frozen dataclass's `object.__setattr__`.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_coeffs(self, coeffs)
         if not coeffs:
             raise NotCanonicalizable("coefficient sequence is empty")
         if any(not isinstance(c, int) for c in coeffs):
@@ -82,8 +84,8 @@ class ContinuedFraction:
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...]) -> ContinuedFraction:
         """Wrap a tuple that is canonical by construction, without checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", coeffs)
+        self = _new(cls)
+        _set_coeffs(self, coeffs)
         return self
 
     def __iter__(self) -> Iterator[int]:
@@ -94,6 +96,12 @@ class ContinuedFraction:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+
+
+# `_trusted` writes through the slot's member descriptor, which the frozen
+# `__setattr__` does not guard; it and `object.__new__` are bound once here.
+_new = object.__new__
+_set_coeffs = ContinuedFraction.coeffs.__set__
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ checked by module verify and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -88,12 +87,13 @@ EXACT_BY_COLLAPSE = "interval-collapse"
 EXACT_UNKNOWN = "none"
 
 
-@dataclass(frozen=True)
-class OddSplit:
+class OddSplit(NamedTuple):
     """Decomposition of an odd-parameter T(p,q) into two torus knots.
 
     `first` comes from the second-to-last convergent of p/q, `second` from
     the complementary parameters; each piece has exactly one even parameter.
+    A split is a tuple, so it compares equal to the plain tuple
+    (first, second).
     """
 
     first: TorusKnot
@@ -389,7 +389,10 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         # too (ROADMAP item 2) made about 8x more calls per deep_quotient
         # run, 111,898 against 13,823, and raised its peak RSS from 24.47
         # to 45.73 MiB, far past the metric's 0.1 bound.  Speeding up the
-        # trace printing leaves this alone for the same reason.
+        # trace printing leaves this alone for the same reason.  A
+        # constant-factor speed-up of each step, such as building its
+        # `ContinuedFraction` through the slot, fits that memory per call;
+        # a 10x one does not.
         gamma3 = cf.steps_to_zero(expansion)
     return GenusReport(
         knot,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import cf
 from .errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
@@ -80,7 +80,7 @@ class StopRule(Enum):
     ZERO = auto()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TorusKnot:
     """A normalized torus knot T(p,q).
 
@@ -92,7 +92,9 @@ class TorusKnot:
     results through `_trusted` instead: a pinch result is a nonnegative,
     coprime pair of ints by construction, and `pinch` puts it in order
     itself.  `normalized_knots` does the same with the pairs its loop
-    admits.  The tests re-validate both through the constructor.
+    admits.  `_trusted` writes the `p` and `q` slots directly, through their
+    member descriptors, and checks nothing: only the constructor validates.
+    The tests re-validate both routes' knots through the constructor.
     """
 
     p: int
@@ -114,30 +116,40 @@ class TorusKnot:
     @classmethod
     def _trusted(cls, p: int, q: int) -> TorusKnot:
         """Wrap a pair that is normalized by construction, without checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self = _new(cls)
+        _set_p(self, p)
+        _set_q(self, q)
         return self
 
     def __str__(self) -> str:
         return f"T({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class PinchWitness:
-    """The residues (t, h) that locate a pinch move."""
+# `_trusted` writes through the slots' member descriptors, which the frozen
+# `__setattr__` does not guard; they and `object.__new__` are bound once here.
+_new = object.__new__
+_set_p = TorusKnot.p.__set__
+_set_q = TorusKnot.q.__set__
+
+
+class PinchWitness(NamedTuple):
+    """The residues (t, h) that locate a pinch move.
+
+    A witness is a tuple, so it compares equal to the plain tuple (t, h).
+    """
 
     t: int
     h: int
 
 
-@dataclass(frozen=True)
-class PinchRecord:
+class PinchRecord(NamedTuple):
     """One pinch move: source knot, resulting knot, witness and sign.
 
     `sign` is None only for moves between unknots T(l,1) with l >= 3, where
     p-2t and q-2h have opposite signs and the classification does not apply.
-    Such moves occur only in the tail of a ZERO-stopped sequence.
+    Such moves occur only in the tail of a ZERO-stopped sequence.  A record
+    is a tuple, so it compares equal to a plain tuple of its fields, in this
+    order.
     """
 
     source: TorusKnot

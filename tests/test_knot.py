@@ -6,8 +6,10 @@ the records `pinch_sequence` reads off the run-length `PinchTrace` against
 one residue pinch per move.
 """
 
+import copy
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -36,6 +38,7 @@ from crosscap import (
 )
 from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
+from crosscap.genus import odd_split
 from oracles import expand_segments, oracle_sequence
 from strategies import knots_of_long_expansions
 
@@ -659,6 +662,44 @@ def test_trace_is_an_immutable_value():
         trace.moves = 0
     assert list(PinchTrace(TorusKnot(0, 1), StopRule.ZERO).segments()) == []
     assert pinch_sequence(TorusKnot(0, 1), StopRule.ZERO) == []
+
+
+def test_per_move_types_keep_their_value_semantics():
+    # knots and expansions are slotted frozen dataclasses whose `_trusted`
+    # builders write the slots directly; witnesses, records and splits are
+    # tuples.  All five keep their reprs, equality, hashing, immutability,
+    # pickling and order.
+    knot, expansion = TorusKnot(16, 5), cf.ContinuedFraction((3, 5))
+    record, split = pinch(knot), odd_split(TorusKnot(7, 3))
+    assert repr(knot) == "TorusKnot(p=16, q=5)"
+    assert repr(expansion) == "ContinuedFraction(coeffs=(3, 5))"
+    assert repr(record) == (
+        "PinchRecord(source=TorusKnot(p=16, q=5), result=TorusKnot(p=10, q=3), "
+        "witness=PinchWitness(t=3, h=1), sign=<PinchSign.POSITIVE: 'positive'>)"
+    )
+    assert repr(split) == "OddSplit(first=TorusKnot(p=2, q=1), second=TorusKnot(p=2, q=5))"
+    for trusted, validated in (
+        (TorusKnot._trusted(16, 5), knot),
+        (cf.ContinuedFraction._trusted((3, 5)), expansion),
+        (expand(Fraction(16, 5)), expansion),
+        (step(cf.ContinuedFraction((3, 7))), expansion),
+    ):
+        assert trusted == validated and hash(trusted) == hash(validated)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        knot.p = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expansion.coeffs = (1,)
+    for value, name in ((record.witness, "t"), (record, "sign"), (split, "first")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for value in (knot, expansion, record.witness, record, split):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    knots = [TorusKnot(9, 7), TorusKnot(4, 3), TorusKnot(4, 1), TorusKnot(16, 5)]
+    assert [(k.p, k.q) for k in sorted(knots)] == [(4, 1), (4, 3), (9, 7), (16, 5)]
+    assert not hasattr(knot, "__dict__") and not hasattr(expansion, "__dict__")
+    assert all(isinstance(value, tuple) for value in (record.witness, record, split))
+    assert record.witness == (3, 1) and split == (TorusKnot(2, 1), TorusKnot(2, 5))
 
 
 def test_trace_preconditions_match_pinch_sequence():

@@ -1,7 +1,6 @@
 """Verification harness: counting semantics, outcome shape, failure capture."""
 
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -276,7 +275,7 @@ def test_a_walk_missing_from_the_table_is_a_failed_claim(monkeypatch):
     bad, off = TorusKnot(2, 3), TorusKnot(42, 41)
     real = verify.pinch
     monkeypatch.setattr(
-        verify, "pinch", lambda knot: replace(real(knot), result=off) if knot == bad else real(knot)
+        verify, "pinch", lambda knot: real(knot)._replace(result=off) if knot == bad else real(knot)
     )
     outcomes = {outcome.check_name: outcome for outcome in run_all(40)}
     failed = [name for name in ALL_CHECK_NAMES if not outcomes[name].passed]
@@ -367,7 +366,7 @@ def with_witness(monkeypatch, bad, t, h):
 
     def patched(knot):
         record = real(knot)
-        return replace(record, witness=replace(record.witness, t=t, h=h)) if knot == bad else record
+        return record._replace(witness=record.witness._replace(t=t, h=h)) if knot == bad else record
 
     monkeypatch.setattr(verify, "pinch", patched)
 
@@ -426,7 +425,7 @@ def with_split_piece(monkeypatch):
     monkeypatch.setattr(
         verify,
         "odd_split",
-        lambda knot: replace(split(knot), first=off) if knot == T73 else split(knot),
+        lambda knot: split(knot)._replace(first=off) if knot == T73 else split(knot),
     )
 
 
