@@ -5,29 +5,31 @@ prints its pinch sequence, `table` tabulates reports over a parameter box,
 and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot with a walk of more than MAX_STEPS
-moves, counted exactly from one `PinchTrace`: `trace` by the walk it
-prints, `report` by the longest walk it runs: for even p the walk to
-T(0,1) that `genus_report` steps for gamma3, and for odd p its printed
-trace.  A CSV `report` of an odd-p knot prints no trace and steps nothing,
-so it is never refused by a walk.  `table` and `verify` exit 2, before
-any knot is built, on a box of more than MAX_BOX parameter pairs: pmax*qmax
-for `table`, max*max for `verify`.  `report` exits 2, before any
-output, when gamma3 or the orientable genus has more digits than Python
-converts to text.  A `GenusReport` holds no trace: `report` hands its
-printers the `PinchTrace` it built for the refusal, a JSON `table` builds
-one per knot from `GenusReport.trace`, and CSV and human tables build
-none.  `trace` and a human `report` format their trace lines a segment at
-a time from the plain integers `PinchTrace.segments` yields, so no object
-is built per move, and write them in blocks of at most `_BLOCK` lines as
-the walk goes on; a JSON `report` writes its invariants and then its
-trace rows the same way, one f-string per row.  A reader that closes the
-pipe early ends the command quietly, with its own exit code.
+moves: `trace` by the `moves` of the `PinchTrace` it prints, `report` by
+the library's count of the longest walk it runs, `crosscap_number` for
+even p (the walk to T(0,1) that `genus_report` steps for gamma3) and
+`pinches_to_unknot` for odd p (the printed trace).  A CSV `report` of an
+odd-p knot prints no trace and steps nothing, so it is never refused by a
+walk.  `table` and `verify` exit 2, before any knot is built, on a box of
+more than MAX_BOX parameter pairs: pmax*qmax for `table`, max*max for
+`verify`.  `report` exits 2, before any output, when gamma3 or the
+orientable genus has more digits than Python converts to text.
+
+This module formats what the library computes and computes nothing
+itself.  A report's printers read its trace from `GenusReport.trace`,
+the one place a report's `PinchTrace` is built, so CSV and human tables,
+which print no trace, build none.  CSV and the human table turn every
+field into text by one route, `_report_cells`.  `trace` and a human or
+JSON `report` format the moves a segment at a time from the plain
+integers `PinchTrace.segments` yields, one f-string per trace line or
+JSON row and no object per move, and write each segment in chunks of at
+most `_BLOCK` moves as the walk goes on.  A reader that closes the pipe
+early ends the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -37,7 +39,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, genus_report
+from .genus import GenusReport, crosscap_number, genus_report, pinches_to_unknot
 from .knot import (
     PinchSign,
     PinchTrace,
@@ -105,23 +107,10 @@ def _json_list(items: Iterable[str], indent: str = "") -> Iterator[str]:
     yield "[]" if separator == opening else "\n" + indent + "]"
 
 
-class _Echo:
-    """A file whose `write` returns its text: `csv.writer(_Echo).writerow`
-    returns the row's line, with no buffer to read back and clear."""
-
-    @staticmethod
-    def write(line: str) -> str:
-        return line
-
-
-def _csv_lines(rows: Iterable[Iterable[object]]) -> Iterator[str]:
-    return map(csv.writer(_Echo, lineterminator="\n").writerow, rows)
-
-
 _SIGN_JSON = {sign: json.dumps(sign.value) for sign in PinchSign} | {None: "null"}
 _SIGN_WORD = {sign: sign.value for sign in PinchSign} | {None: "n/a"}
 
-# Trace lines and JSON trace rows go out in blocks of at most this many, so a
+# Trace lines and JSON trace rows go out in chunks of at most this many, so a
 # long walk is written as it is walked and its text never held whole.
 _BLOCK = 256
 
@@ -129,30 +118,22 @@ _BLOCK = 256
 def _blocks(
     trace: PinchTrace, texts: Callable[[_Segment, int, int], list[str]]
 ) -> Iterator[list[str]]:
-    """The texts of the moves of `trace` in blocks of at most _BLOCK.
+    """The texts of the moves of `trace`, one segment at a time, in lists
+    of at most _BLOCK.
 
     `texts(segment, j, n)` is the list of the texts of moves j, ..., j+n-1
-    of one of `trace.segments()`; a segment longer than a block is cut
-    between blocks, and short ones share a block."""
-    block: list[str] = []
+    of one of `trace.segments()`.  A segment longer than _BLOCK moves is
+    cut into several lists; no list holds moves of two segments."""
     for segment in trace.segments():
         moves = segment[0]
-        j = 0
-        while j < moves:
-            n = min(moves - j, _BLOCK - len(block))
-            block += texts(segment, j, n)
-            j += n
-            if len(block) == _BLOCK:
-                yield block
-                block = []
-    if block:
-        yield block
+        for j in range(0, moves, _BLOCK):
+            yield texts(segment, j, min(_BLOCK, moves - j))
 
 
 def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
     """The JSON text of the moves of `trace`, as `_json_list` takes it for
-    a list nested at `indent`: one chunk per block of rows, joined by the
-    list's separator, with no encoder.  A row holds the move's "from" and
+    a list nested at `indent`: one chunk per list of `_blocks`, joined by
+    the list's separator, with no encoder.  A row holds the move's "from" and
     "to" pairs, its witness "t" and "h", and its sign's value or null;
     `tests/oracles.py` builds the same rows as dicts.  Each pair is
     formatted once, for the "to" of one row and the "from" of the next, and
@@ -196,31 +177,37 @@ def _report_fields(report: GenusReport) -> dict:
     return payload
 
 
-def _report_json(
-    report: GenusReport, trace: PinchTrace, indent: str = "", end: str = "\n"
-) -> Iterator[str]:
+def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
     """The text of `json.dumps(..., indent=2)` of `_report_fields(report)`
-    with the rows of `trace`, the report's walk to the first unknot, under
-    "trace", nested at `indent`, then `end`: the
-    invariants in one chunk, then one chunk per block of trace rows, so a
-    long trace is written as it is walked."""
+    with the rows of `report.trace`, the walk to the first unknot, under
+    "trace", nested at `indent`, then `end`: the invariants in one chunk,
+    then the trace rows in chunks of at most _BLOCK, so a long trace is
+    written as it is walked."""
     fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
     yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
-    yield from _json_list(_trace_rows_json(trace, indent + "  "), indent + "  ")
+    yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
     yield "\n" + indent + "}" + end
 
 
 def _report_cells(report: GenusReport) -> list[str]:
-    """The report's fields as the text the human table aligns.  A CSV row
-    is the field values themselves: `csv.writer` writes None as the empty
-    field and every other value as its `str`, as this does."""
+    """The report's fields as text, in `_FIELDS` order: None as the empty
+    string and every other value as its `str`.  This is the one route from
+    a field to text for both CSV and the human table.
+
+    A cell is a nonnegative decimal integer, empty, or one of the three
+    gamma4 provenance labels, and no column name or label holds a comma, a
+    double quote or a line break, so `_csv_line` quotes nothing."""
     return ["" if value is None else str(value) for value in _field_values(report)]
+
+
+def _csv_line(cells: list[str]) -> str:
+    return ",".join(cells) + "\n"
 
 
 def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     """One line per pinch move, with the expansions before and after, each
-    line led by `indent` and ended by a newline, in chunks of a block of
-    lines each.
+    line led by `indent` and ended by a newline, in chunks of at most
+    _BLOCK lines, one segment at a time.
 
     The lines read `PinchTrace.segments`, whose expansions are pairs
     (k, c): the text of one is that of the prefix [c0, ..., c_{k-1}] and
@@ -258,10 +245,10 @@ def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     return map("".join, _blocks(trace, lines))
 
 
-def _report_human(report: GenusReport, trace: PinchTrace) -> Iterator[str]:
-    """The human report: one chunk for the invariants, then one per block
-    of the lines of `trace`, the report's walk to the first unknot, so a
-    long trace is written as it is walked."""
+def _report_human(report: GenusReport) -> Iterator[str]:
+    """The human report: one chunk for the invariants, then the lines of
+    `report.trace`, the walk to the first unknot, in chunks of at most
+    _BLOCK, so a long trace is written as it is walked."""
     knot = report.knot
     g4 = report.gamma4
     exact = "-" if g4.exact is None else str(g4.exact)
@@ -280,7 +267,7 @@ def _report_human(report: GenusReport, trace: PinchTrace) -> Iterator[str]:
         lines.append(f"  split:             {split.first} + {split.second}")
     lines.append("  pinch trace:")
     yield "\n".join(lines) + "\n"
-    yield from _trace_lines(trace, "    ")
+    yield from _trace_lines(report.trace, "    ")
 
 
 def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -364,26 +351,19 @@ def _refuse_large_box(command: str, pairs: int) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
-    trace = PinchTrace(knot, StopRule.FIRST_UNKNOT)  # raises UnknotInput first
-    # The longest walk the report runs.  For even p, `genus_report` steps
-    # gamma3 along the ZERO walk, which is the printed trace followed by the
-    # unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1), l/2 more moves, in
-    # every format.  For odd p gamma3 is counted from runs, so the only walk
-    # is the printed trace, which a CSV report does not print.  The printers
-    # take this trace, so p/q is expanded twice, here and in `genus_report`,
-    # until even-p gamma3 is counted from runs and the refusal reads the
-    # report's own counts.
+    # Even p: gamma3's walk, which `genus_report`'s even branch steps; odd p:
+    # the printed trace, which a CSV report does not print.
     if knot.p % 2 == 0:
-        _refuse_long_walks(knot, trace.moves + trace.final.p // 2)
+        _refuse_long_walks(knot, crosscap_number(knot))
     elif args.format != "csv":
-        _refuse_long_walks(knot, trace.moves)
+        _refuse_long_walks(knot, pinches_to_unknot(knot))
     report = genus_report(knot)
     _refuse_unprintable(report)
     if args.format == "json":
-        return 0, _report_json(report, trace)
+        return 0, _report_json(report)
     if args.format == "csv":
-        return 0, _csv_lines([CSV_COLUMNS, _field_values(report)])
-    return 0, _report_human(report, trace)
+        return 0, map(_csv_line, [CSV_COLUMNS, _report_cells(report)])
+    return 0, _report_human(report)
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -401,11 +381,12 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
     reports = map(genus_report, knots)
     if args.format == "json":
-        items = ("".join(_report_json(report, report.trace, "  ", "")) for report in reports)
+        items = ("".join(_report_json(report, "  ", "")) for report in reports)
         return 0, itertools.chain(_json_list(items), ["\n"])
+    rows = map(_report_cells, reports)
     if args.format == "human":
-        return 0, _table_human(map(_report_cells, reports))
-    return 0, _csv_lines(itertools.chain([CSV_COLUMNS], map(_field_values, reports)))
+        return 0, _table_human(rows)
+    return 0, map(_csv_line, itertools.chain([CSV_COLUMNS], rows))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

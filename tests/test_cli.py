@@ -244,11 +244,11 @@ def test_trace_writes_before_the_last_record(monkeypatch, argv):
     monkeypatch.setattr(PinchTrace, "segments", logged)
     monkeypatch.setattr(sys, "stdout", LoggingSink(events))
     assert main(list(argv)) == 0
-    # a write per block of trace lines (JSON trace rows), after the report's
-    # invariants, and in JSON the closing brackets of the trace and of the
-    # report last; every block but the last is on its way out before the
-    # last segment is walked
-    blocks = -(-sum(moves) // cli._BLOCK)
+    # a write per chunk of at most _BLOCK trace lines (JSON trace rows) of
+    # one segment, after the report's invariants, and in JSON the closing
+    # brackets of the trace and of the report last; every chunk but the
+    # last is on its way out before the last segment is walked
+    blocks = sum(-(-n // cli._BLOCK) for n in moves)
     head = argv[0] == "report"
     closing = 2 if "json" in argv else 0
     last = len(events) - 1 - events[::-1].index("segment")
@@ -304,7 +304,7 @@ def test_streamed_json_report_is_one_dump():
     for knot in normalized_knots(40):
         report = cli.genus_report(knot)
         expected = cli._json_text(report_dict(report))
-        assert "".join(cli._report_json(report, report.trace)) == expected
+        assert "".join(cli._report_json(report)) == expected
     for items in ([], [1], [{"a": [1, 2]}, None, "b"]):
         texts = [json.dumps(item, indent=2).replace("\n", "\n    ") for item in items]
         nested = '{\n  "x": ' + "".join(cli._json_list(texts, "  ")) + "\n}"
@@ -491,7 +491,30 @@ def test_table_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--pmax", "10", "--qmax", "9")
     parsed = list(csv.reader(io.StringIO(out)))
     assert parsed[0] == CSV_COLUMNS
-    assert "".join(cli._csv_lines(parsed)) == out
+    assert "".join(map(cli._csv_line, parsed)) == out
+
+
+def csv_module_text(rows):
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n").writerows(rows)
+    return sink.getvalue()
+
+
+def test_csv_output_is_what_the_csv_module_writes(capsys):
+    # CSV lines are the cells joined by commas, with nothing quoted: that is
+    # what `csv.writer` writes for the same field values as long as no column
+    # name or provenance label holds a character it would quote
+    labels = [genus.EXACT_BY_POSITIVE_PINCHES, genus.EXACT_BY_COLLAPSE, genus.EXACT_UNKNOWN]
+    for text in CSV_COLUMNS + labels:
+        assert not set(text) & set(',"\r\n'), text
+    reports = list(map(genus.genus_report, normalized_knots(40, 39)))
+    assert {report.gamma4.provenance for report in reports} == set(labels)
+    _, out, _ = run_cli(capsys, "table", "--pmax", "40", "--qmax", "39")
+    assert out == csv_module_text([CSV_COLUMNS, *map(cli._field_values, reports)])
+    for p, q in [(4, 3), (2000, 1999), (12346, 7), (9, 7), (23, 21), (12345, 7)]:
+        report = genus.genus_report(TorusKnot(p, q))
+        _, out, _ = run_cli(capsys, "report", str(p), str(q), "--format", "csv")
+        assert out == csv_module_text([CSV_COLUMNS, cli._field_values(report)])
 
 
 def test_table_json_round_trip(capsys):
@@ -802,8 +825,9 @@ def test_csv_and_human_tables_build_no_trace(monkeypatch, capsys):
 
 
 # report and trace refuse, before the first step, a knot with a walk of more
-# than MAX_STEPS pinch moves, counted exactly from its `PinchTrace`: trace by
-# the walk it prints, report by the longest walk it runs.
+# than MAX_STEPS pinch moves, counted exactly: trace by the `moves` of the
+# `PinchTrace` it prints, report by the library's count of the longest walk
+# it runs (`crosscap_number` for even p, `pinches_to_unknot` for odd p).
 
 
 def forbid_steps(monkeypatch):
@@ -887,14 +911,16 @@ def test_odd_report_runs_no_gamma3_walk(monkeypatch, capsys, p, fmt):
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 @pytest.mark.parametrize("p, q", [(12345, 7), (12346, 7)])
-def test_report_expands_twice(monkeypatch, capsys, p, q, fmt):
-    # once for the trace that the refusal counts, once in `genus_report`
+def test_report_expands_once_per_walk_it_counts(monkeypatch, capsys, p, q, fmt):
+    # once in `genus_report`, and once more for the count the refusal reads
+    # (gamma3's for even p, the printed trace's for odd p); an odd-p CSV
+    # report prints no trace and is refused by no count
     expansions = []
     real_expand = cf.expand
     monkeypatch.setattr(cf, "expand", lambda x: expansions.append(x) or real_expand(x))
     code, out, err = run_cli(capsys, "report", str(p), str(q), "--format", fmt)
     assert code == 0 and out and err == ""
-    assert expansions == [(p, q), (p, q)]
+    assert expansions == [(p, q)] * (1 if p % 2 and fmt == "csv" else 2)
 
 
 @pytest.mark.parametrize(
