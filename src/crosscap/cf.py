@@ -18,8 +18,10 @@ Canonical form is validated once, where coefficients enter from outside:
 the `ContinuedFraction(...)` constructor and `canonicalize`.  The two
 producers on the hot path, `expand` (Euclid's algorithm) and `step`
 (rewriting a canonical tail), emit canonical expansions by construction and
-build them without re-validating; the tests re-validate every output of
-both against the constructor and compare `step` with `canonicalize`.
+build them without re-validating: `step` writes its result through the
+`coeffs` slot, with no classmethod call per step.  The tests re-validate
+every output of both against the constructor and compare `step` with
+`canonicalize`.
 
 Values are plain integer pairs on the hot path.  `expand` and the step
 counters read an `int`, a `Fraction` (bools included) or a pair (a, b) of
@@ -58,10 +60,11 @@ class ContinuedFraction:
     Construction validates canonical form: c0 >= 0, interior coefficients
     >= 1, final coefficient >= 2 when the expansion has more than one entry.
     The constructor is the only place that validates.  Instances are
-    immutable, hashable and slotted.  `expand` and `step` build theirs
-    through `_trusted`, which skips the checks their construction already
-    guarantees and writes the `coeffs` slot directly, through its member
-    descriptor, instead of the frozen dataclass's `object.__setattr__`.
+    immutable, hashable and slotted.  `expand` builds its own through
+    `_trusted`, and `step` does what `_trusted` does inline: both skip the
+    checks their construction already guarantees and write the `coeffs`
+    slot directly, through its member descriptor, instead of the frozen
+    dataclass's `object.__setattr__`.
     """
 
     coeffs: tuple[int, ...]
@@ -98,8 +101,9 @@ class ContinuedFraction:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-# `_trusted` writes through the slot's member descriptor, which the frozen
-# `__setattr__` does not guard; it and `object.__new__` are bound once here.
+# `_trusted` and `step` write through the slot's member descriptor, which the
+# frozen `__setattr__` does not guard; it and `object.__new__` are bound once
+# here, so a step looks up no classmethod.
 _new = object.__new__
 _set_coeffs = ContinuedFraction.coeffs.__set__
 
@@ -253,25 +257,37 @@ def step(cf: ContinuedFraction) -> ContinuedFraction:
     canonical expansion has denominator 2 exactly when it reads [c0, 2], so
     the check is structural.
 
-    The input is canonical, so only its tail needs the rewrites of
-    `canonicalize`, and at most two of them: a new last entry 1 is folded,
-    and a new last entry 0 drops the last two entries, after which a
-    trailing 1 is folded.  The entries left are untouched canonical ones,
-    so the result is canonical without validation.
+    The common move comes first: one subtraction gives the new last entry,
+    and when it is still >= 2 the result is the input with that entry
+    replaced.  That move needs no guard, since every refused input, [0],
+    [1] and [c0, 2], has a new last entry below 2.  Only then do the two
+    guards run, and after them the rewrites of `canonicalize`, at most two,
+    since the input is canonical: a lone entry needs none, a new last
+    entry 1 is folded, and a new last entry 0 drops the last two entries,
+    after which a trailing 1 is folded.  The entries left are untouched
+    canonical ones, so the result is canonical without validation; it is
+    built once, at the end, through the `coeffs` slot.
     """
     c = cf.coeffs
-    if c == (0,) or c == (1,):
-        raise StepUndefined(f"no step from {cf}")
-    if len(c) == 2 and c[1] == 2:
-        raise StepUndefined(f"step undefined for half-integer values: {cf}")
     last = c[-1] - 2
-    if last >= 2 or len(c) == 1:
-        return ContinuedFraction._trusted(c[:-1] + (last,))
-    if last == 0:
-        c = c[:-2]
-        if len(c) == 1 or c[-1] >= 2:
-            return ContinuedFraction._trusted(c)
-    return ContinuedFraction._trusted(c[:-2] + (c[-2] + 1,))
+    if last >= 2:
+        c = c[:-1] + (last,)
+    else:
+        if c == (0,) or c == (1,):
+            raise StepUndefined(f"no step from {cf}")
+        if len(c) == 2 and c[1] == 2:
+            raise StepUndefined(f"step undefined for half-integer values: {cf}")
+        if len(c) == 1:
+            c = (last,)
+        else:
+            if last == 0:
+                c = c[:-2]
+                last = c[-1]
+            if last == 1 and len(c) > 1:
+                c = c[:-2] + (c[-2] + 1,)
+    result = _new(ContinuedFraction)
+    _set_coeffs(result, c)
+    return result
 
 
 def _numerator_is_odd(coeffs: tuple[int, ...]) -> int:

@@ -165,26 +165,44 @@ def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
     return map(f",\n{i1}".join, _blocks(trace, rows))
 
 
-def _report_fields(report: GenusReport) -> dict:
-    """The JSON report without its trace."""
+@functools.cache
+def _report_layout(indent: str) -> str:
+    """The JSON text of a report's invariants, nested at `indent` and open
+    at its "trace" key, as a `str.format` template whose field {i} is the
+    value of row i of `_FIELDS`.
+
+    It is `json.dumps(..., indent=2)` of the report object, each value
+    nested by its `_FIELDS` path, encoded once with the marker "<i>" in
+    place of row i's value; a report then only formats its values."""
     payload: dict = {}
-    for (_, path, _), value in zip(_FIELDS, _field_values(report)):
+    for i, (_, path, _) in enumerate(_FIELDS):
         *parents, leaf = path
         node = payload
         for key in parents:
             node = node.setdefault(key, {})
-        node[leaf] = value
-    return payload
+        node[leaf] = f"<{i}>"
+    text = _JSON.encode(payload).replace("{", "{{").replace("}", "}}")
+    for i in range(len(_FIELDS)):
+        text = text.replace(json.dumps(f"<{i}>"), f"{{{i}}}")
+    text = text[: -len("\n}}")].replace("\n", "\n" + indent)
+    return text + f',\n{indent}  "trace": '
+
+
+def _json_scalar(value: object) -> str:
+    """The JSON text of a report field: an int, None or a provenance label."""
+    if value is None:
+        return "null"
+    return json.dumps(value) if type(value) is str else str(value)
 
 
 def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
-    """The text of `json.dumps(..., indent=2)` of `_report_fields(report)`
-    with the rows of `report.trace`, the walk to the first unknot, under
-    "trace", nested at `indent`, then `end`: the invariants in one chunk,
-    then the trace rows in chunks of at most _BLOCK, so a long trace is
-    written as it is walked."""
-    fields = _JSON.encode(_report_fields(report)).replace("\n", "\n" + indent)
-    yield fields[: -len("\n}") - len(indent)] + f',\n{indent}  "trace": '
+    """The text of `json.dumps(..., indent=2)` of the JSON report, its
+    invariants nested by their `_FIELDS` paths and the rows of
+    `report.trace`, the walk to the first unknot, under "trace", nested at
+    `indent`, then `end`: the invariants in one chunk, formatted into
+    `_report_layout` with no encoder pass, then the trace rows in chunks of
+    at most _BLOCK, so a long trace is written as it is walked."""
+    yield _report_layout(indent).format(*map(_json_scalar, _field_values(report)))
     yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
     yield "\n" + indent + "}" + end
 

@@ -4,7 +4,6 @@ Each builds, as plain Python objects, a value that the library writes or
 counts another way; no library code calls this module.
 """
 
-from crosscap import cli
 from crosscap.knot import StopRule, TorusKnot, is_unknot, pinch
 
 
@@ -56,11 +55,27 @@ def report_dict(report) -> dict:
     """The JSON report as one object: the oracle for `cli._report_json`,
     which writes the same text as it walks.  Its trace rows come from the
     residue walk, not from the segments that the report's text is read
-    from."""
-    payload = cli._report_fields(report)
+    from, and its invariants from the report's own attributes, not from
+    the CLI's field table."""
+    g4, gap = report.gamma4, report.gap_lower_bound
     trace = oracle_sequence(report.knot, StopRule.FIRST_UNKNOT)
-    payload["trace"] = [trace_row(record) for record in trace]
-    return payload
+    return {
+        "knot": {"p": report.knot.p, "q": report.knot.q},
+        "k": report.k,
+        "a": report.a,
+        "ell": report.ell,
+        "beta1_F": report.beta1_F,
+        "gamma3": report.gamma3,
+        "gamma4": {
+            "lower": g4.lower,
+            "upper": g4.upper,
+            "exact": g4.exact,
+            "provenance": g4.provenance,
+        },
+        "gap_lower_bound": {"num": gap.numerator, "den": gap.denominator},
+        "orientable_genus": report.orientable_genus,
+        "trace": [trace_row(record) for record in trace],
+    }
 
 
 def odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:

@@ -6,6 +6,7 @@ floor-and-invert on Fractions rather than integer divmod.
 """
 
 import itertools
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -224,6 +225,8 @@ def test_convergents_indices_and_final_value():
         ((3,), (1,)),
         ((7,), (5,)),
         ((0, 1, 2), (0,)),
+        ((1, 9999), (1, 9997)),
+        ((10**39 + 7,), (10**39 + 5,)),
     ],
 )
 def test_step_examples(before, after):
@@ -232,7 +235,10 @@ def test_step_examples(before, after):
 
 @pytest.mark.parametrize("coeffs", [(0,), (1,), (2, 2), (0, 2), (5, 2)])
 def test_step_undefined(coeffs):
-    with pytest.raises(StepUndefined):
+    # [0] and [1] have no step, and [c0, 2] is a half-integer
+    reason = "no step from" if len(coeffs) == 1 else "step undefined for half-integer values:"
+    text = ",".join(map(str, coeffs))
+    with pytest.raises(StepUndefined, match=f"^{re.escape(f'{reason} [{text}]')}$"):
         step(ContinuedFraction(coeffs))
 
 
