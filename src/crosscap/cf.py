@@ -18,10 +18,10 @@ Canonical form is validated once, where coefficients enter from outside:
 the `ContinuedFraction(...)` constructor and `canonicalize`.  The two
 producers on the hot path, `expand` (Euclid's algorithm) and `step`
 (rewriting a canonical tail), emit canonical expansions by construction and
-build them without re-validating: `step` writes its result through the
-`coeffs` slot, with no classmethod call per step.  The tests re-validate
-every output of both against the constructor and compare `step` with
-`canonicalize`.
+build them without re-validating: both write their result through the
+`coeffs` slot, with no classmethod call per expansion.  The tests
+re-validate every output of both against the constructor and compare
+`step` with `canonicalize`.
 
 Values are plain integer pairs on the hot path.  `expand` and the step
 counters read an `int`, a `Fraction` (bools included) or a pair (a, b) of
@@ -60,11 +60,11 @@ class ContinuedFraction:
     Construction validates canonical form: c0 >= 0, interior coefficients
     >= 1, final coefficient >= 2 when the expansion has more than one entry.
     The constructor is the only place that validates.  Instances are
-    immutable, hashable and slotted.  `expand` builds its own through
-    `_trusted`, and `step` does what `_trusted` does inline: both skip the
-    checks their construction already guarantees and write the `coeffs`
-    slot directly, through its member descriptor, instead of the frozen
-    dataclass's `object.__setattr__`.
+    immutable, hashable and slotted.  `expand` and `step` build their own
+    without it: both skip the checks their construction already guarantees
+    and write the `coeffs` slot directly, through its member descriptor
+    bound once below the class, instead of the frozen dataclass's
+    `object.__setattr__`.
     """
 
     coeffs: tuple[int, ...]
@@ -84,13 +84,6 @@ class ContinuedFraction:
             if coeffs[-1] < 2:
                 raise NotCanonicalizable(f"final coefficient must be >= 2: {list(coeffs)}")
 
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> ContinuedFraction:
-        """Wrap a tuple that is canonical by construction, without checks."""
-        self = _new(cls)
-        _set_coeffs(self, coeffs)
-        return self
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
 
@@ -101,9 +94,9 @@ class ContinuedFraction:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-# `_trusted` and `step` write through the slot's member descriptor, which the
+# `expand` and `step` write through the slot's member descriptor, which the
 # frozen `__setattr__` does not guard; it and `object.__new__` are bound once
-# here, so a step looks up no classmethod.
+# here, so an expansion looks up no classmethod.
 _new = object.__new__
 _set_coeffs = ContinuedFraction.coeffs.__set__
 
@@ -161,7 +154,9 @@ def expand(x: Union[Fraction, int, tuple[int, int]]) -> ContinuedFraction:
         c, r = divmod(a, b)
         coeffs.append(c)
         a, b = b, r
-    return ContinuedFraction._trusted(tuple(coeffs))
+    result = _new(ContinuedFraction)
+    _set_coeffs(result, tuple(coeffs))
+    return result
 
 
 def evaluate(cf: Coefficients) -> Fraction:
@@ -313,17 +308,25 @@ def steps_to_zero(x: Union[Fraction, int, tuple[int, int], ContinuedFraction]) -
 
     Coprimality makes b odd automatically once a is even.  Each step
     preserves the parities of numerator and denominator, so the walk can
-    never strand on [1] or on a denominator-2 value, and the strictly
-    decreasing numerator forces termination at [0].
+    never strand on [1] or on a denominator-2 value.
+
+    Every step lowers the sum of the coefficients by at least 2: the common
+    move by exactly 2, a fold [..., b, 3] -> [..., b+1] by 2, and a drop
+    [..., a, b, 2] -> [..., a] by b + 2, a fold after it by nothing more.
+    No sum is negative, so the walk from [c0, ..., cm] reaches [0] within
+    (c0 + ... + cm) // 2 steps, and the loop stops there whatever `step`
+    returns: a walk that has not reached [0], which only a broken `step`
+    makes, raises RuntimeError instead of looping.
     """
     cf = x if isinstance(x, ContinuedFraction) else expand(x)
     if _numerator_is_odd(cf.coeffs):
         raise OddParity(f"numerator must be even: {evaluate(cf)}")
-    n = 0
-    while cf.coeffs != (0,):
+    start = cf
+    for n in range(sum(start.coeffs) // 2 + 1):
+        if cf.coeffs == (0,):
+            return n
         cf = step(cf)
-        n += 1
-    return n
+    raise _overrun(start, "[0]")
 
 
 def steps_to_integer(x: Union[Fraction, int]) -> tuple[int, int]:
@@ -333,11 +336,23 @@ def steps_to_integer(x: Union[Fraction, int]) -> tuple[int, int]:
     all and report themselves.
 
     The library reads both from `knot.PinchTrace` (`moves` and `final`);
-    this stepwise walk is kept as the test oracle for them.
+    this stepwise walk is kept as the test oracle for them.  It is bounded
+    as `steps_to_zero` is: within sum(coeffs) // 2 steps the expansion is a
+    single entry, or `step` is broken and RuntimeError is raised.
     """
-    cf = expand(x)
-    n = 0
-    while len(cf.coeffs) > 1:
+    cf = start = expand(x)
+    for n in range(sum(start.coeffs) // 2 + 1):
+        if len(cf.coeffs) == 1:
+            return n, cf.coeffs[0]
         cf = step(cf)
-        n += 1
-    return n, cf.coeffs[0]
+    raise _overrun(start, "a single entry")
+
+
+def _overrun(start: ContinuedFraction, shape: str) -> RuntimeError:
+    """The error of a walk from `start` that has not reached `shape` within
+    its budget.  It is not a CrosscapError: the input was valid, and `step`
+    is at fault."""
+    return RuntimeError(
+        f"the walk from {start} did not reach {shape} within "
+        f"{sum(start.coeffs) // 2} steps: step is broken"
+    )

@@ -59,7 +59,7 @@ from typing import NamedTuple, Optional
 from . import cf
 from .errors import EvenParity
 from .knot import PinchTrace, StopRule, TorusKnot, _ordered, _walk_start, _walk_sums
-from .knot import _require_nontrivial
+from .knot import _new, _require_nontrivial, _set_p, _set_q
 
 __all__ = [
     "OddSplit",
@@ -85,6 +85,11 @@ __all__ = [
 EXACT_BY_POSITIVE_PINCHES = "all-positive-pinches"
 EXACT_BY_COLLAPSE = "interval-collapse"
 EXACT_UNKNOWN = "none"
+
+# The splits, bounds and reports this module builds are its tuple types,
+# written by `tuple.__new__` with no Python-level constructor run; the
+# public constructors build the same types from outside.
+_tuple_new = tuple.__new__
 
 
 class OddSplit(NamedTuple):
@@ -225,9 +230,10 @@ def odd_split(knot: TorusKnot) -> OddSplit:
 def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
     """`odd_split` of a nontrivial odd-p knot whose expansion is already at
     hand, unchecked: the caller vouches for the knot, and the pieces are
-    built through `TorusKnot._trusted`, in `_ordered` order, since both are
-    valid pairs by construction.  With p'/q' the second-to-last convergent
-    of p/q = [c0, ..., cm] (m >= 1, since q >= 3):
+    written through their slots, as `knot.pinch` writes its result, in
+    `_ordered` order, since both are valid pairs by construction.  With
+    p'/q' the second-to-last convergent of p/q = [c0, ..., cm] (m >= 1,
+    since q >= 3):
 
     * p q' - p' q = +-1, so (p', q') is a coprime pair, and so is
       (p - p', q - q'), since p (q - q') - (p - p') q = -(p q' - p' q);
@@ -239,8 +245,14 @@ def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
     The tests re-validate both pieces through the constructor."""
     ps, qs = cf.convergent_terms(expansion.coeffs[:-1])
     p1, q1 = ps[-1], qs[-1]
-    trusted = TorusKnot._trusted
-    return OddSplit(trusted(*_ordered(p1, q1)), trusted(*_ordered(knot.p - p1, knot.q - q1)))
+    first, second = _new(TorusKnot), _new(TorusKnot)
+    p, q = _ordered(p1, q1)
+    _set_p(first, p)
+    _set_q(first, q)
+    p, q = _ordered(knot.p - p1, knot.q - q1)
+    _set_p(second, p)
+    _set_q(second, q)
+    return _tuple_new(OddSplit, (first, second))
 
 
 def crosscap_by_splitting(knot: TorusKnot) -> int:
@@ -330,10 +342,10 @@ def _bounds(p: int, moves: int, all_positive: bool) -> FourGenusBounds:
     upper = moves
     lower = 1
     if p % 2 == 0 and all_positive:
-        return FourGenusBounds(lower, upper, upper, EXACT_BY_POSITIVE_PINCHES)
+        return _tuple_new(FourGenusBounds, (lower, upper, upper, EXACT_BY_POSITIVE_PINCHES))
     if lower == upper:
-        return FourGenusBounds(lower, upper, upper, EXACT_BY_COLLAPSE)
-    return FourGenusBounds(lower, upper, None, EXACT_UNKNOWN)
+        return _tuple_new(FourGenusBounds, (lower, upper, upper, EXACT_BY_COLLAPSE))
+    return _tuple_new(FourGenusBounds, (lower, upper, None, EXACT_UNKNOWN))
 
 
 def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
@@ -396,15 +408,18 @@ def genus_report(knot: TorusKnot) -> GenusReport:
         # pass, raised deep_quotient from 592 to 841 knots/s and its peak RSS
         # from 24.63 to 26.57 MiB (+7.9%, medians of 10 pairs).
         gamma3 = cf.steps_to_zero(expansion)
-    return GenusReport(
-        knot,
-        k,
-        a,
-        _ell(p, k),
-        moves,
-        gamma3,
-        _bounds(p, moves, all_positive),
-        Fraction(k, 2),
-        orientable_genus(knot),
-        expansion,
+    return _tuple_new(
+        GenusReport,
+        (
+            knot,
+            k,
+            a,
+            _ell(p, k),
+            moves,
+            gamma3,
+            _bounds(p, moves, all_positive),
+            Fraction(k, 2),
+            orientable_genus(knot),
+            expansion,
+        ),
     )

@@ -25,13 +25,21 @@ A whole walk is read off the expansion as runs of moves over which the
 expansion keeps its length, so its length, its signs and the knot it ends
 at cost O(len(expansion)) integer operations: `_walk_start` checks the
 walk's precondition and expands p/q, and `_walk_sums` sums the runs to the
-first unknot T(l,1).  The walk on to T(0,1) is that walk plus the unknot
-tail, l/2 more moves, so no run depends on where the walk stops.  A
-`PinchTrace` holds those sums for a walk that is printed.  Its `segments`
-reads the runs again as segments, stretches of moves with one sign over
-which the knots and witnesses change by a fixed step: the printers format
-a segment at a time, and `pinch_sequence`, the one loop over single moves,
-builds a chained `PinchRecord` for each move of each segment.
+first unknot T(l,1) in one loop over the coefficients, with no run built.
+The walk on to T(0,1) is that walk plus the unknot tail, l/2 more moves,
+so no run depends on where the walk stops.  A `PinchTrace` holds those
+sums for a walk that is printed.  Its `segments` reads the runs as `_runs`
+yields them, as segments, stretches of moves with one sign over which the
+knots and witnesses change by a fixed step: the printers format a segment
+at a time, and `pinch_sequence`, the one loop over single moves, builds a
+chained `PinchRecord` for each move of each segment.
+
+The values built once per knot or per move, the knots of `pinch`,
+`pinch_sequence` and `normalized_knots` and their records and witnesses,
+are written through `object.__new__` and the slots' member descriptors,
+or through `tuple.__new__`, all bound once below `TorusKnot`: no
+Python-level constructor runs for them.  The public constructors still
+build and check the same types.
 """
 
 from __future__ import annotations
@@ -89,12 +97,15 @@ class TorusKnot:
     parameters must be of type int; bools and other numbers are rejected.
     The constructor is the one place a knot's parameters are validated:
     type, then coprimality, then range, then order.  `pinch` builds its
-    results through `_trusted` instead: a pinch result is a nonnegative,
-    coprime pair of ints by construction, and `pinch` puts it in order
-    itself.  `normalized_knots` does the same with the pairs its loop
-    admits.  `_trusted` writes the `p` and `q` slots directly, through their
-    member descriptors, and checks nothing: only the constructor validates.
-    The tests re-validate both routes' knots through the constructor.
+    results without it: a pinch result is a nonnegative, coprime pair of
+    ints by construction, and `pinch` puts it in order itself.
+    `pinch_sequence` and `normalized_knots` do the same with the pairs
+    their loops admit.  They write the `p` and `q` slots directly, through
+    the member descriptors bound once below the class, and check nothing:
+    only the constructor validates.  `_trusted` does the same in one call,
+    for the callers that build a knot once per walk or per split rather
+    than once per knot of a loop.  The tests re-validate every route's
+    knots through the constructor.
     """
 
     p: int
@@ -125,11 +136,13 @@ class TorusKnot:
         return f"T({self.p},{self.q})"
 
 
-# `_trusted` writes through the slots' member descriptors, which the frozen
-# `__setattr__` does not guard; they and `object.__new__` are bound once here.
+# Knots are written through the slots' member descriptors, which the frozen
+# `__setattr__` does not guard; they and `object.__new__` are bound once here,
+# and so is `tuple.__new__`, which builds records and witnesses.
 _new = object.__new__
 _set_p = TorusKnot.p.__set__
 _set_q = TorusKnot.q.__set__
+_tuple_new = tuple.__new__
 
 
 class PinchWitness(NamedTuple):
@@ -216,7 +229,8 @@ def pinch(knot: TorusKnot) -> PinchRecord:
     gives t = l-1, h = 0 and the move lands on T(l-2,1).  The knot was
     validated when it was built, so the residues need no checks, and the
     result (|p-2t|, |q-2h|) is a nonnegative coprime pair that only needs
-    ordering; it is built without re-validation.
+    ordering; it is built without re-validation, and so are the witness and
+    the record.
     """
     p, q = knot.p, knot.q
     if p <= 1:
@@ -230,8 +244,11 @@ def pinch(knot: TorusKnot) -> PinchRecord:
         sign = PinchSign.NEGATIVE
     else:
         sign = None
-    result = TorusKnot._trusted(*_ordered(abs(dp), abs(dq)))
-    return PinchRecord(knot, result, PinchWitness(t, h), sign)
+    rp, rq = _ordered(abs(dp), abs(dq))
+    result = _new(TorusKnot)
+    _set_p(result, rp)
+    _set_q(result, rq)
+    return _tuple_new(PinchRecord, (knot, result, _tuple_new(PinchWitness, (t, h)), sign))
 
 
 def pinch_by_step(expansion: cf.ContinuedFraction) -> TorusKnot:
@@ -286,11 +303,16 @@ def _runs(coeffs: tuple[int, ...]) -> Iterator[tuple[int, int, int, int, int]]:
     run.  With P/Q and P0/Q0 the prefix's last two convergents, move j starts
     at [c0, ..., c_{k-1}, c-2j] = ((c-2j)*P + P0) / ((c-2j)*Q + Q0): each
     move subtracts 2P and 2Q.  The run has c // 2 moves; the last leaves a
-    last coefficient 0 or 1, which this loop, the only one that folds runs,
-    drops or folds as `cf.step` does, to (k_end, c_end): the next run's
-    (k, c), or (0, l) for the first unknot T(l,1), where the walk stops:
-    once k = 0 the expansion is the one-entry [l].  The walk on to T(0,1)
-    is the unknot tail, l/2 moves, which the callers add themselves.
+    last coefficient 0 or 1, which this loop drops or folds as `cf.step`
+    does, to (k_end, c_end): the next run's (k, c), or (0, l) for the first
+    unknot T(l,1), where the walk stops: once k = 0 the expansion is the
+    one-entry [l].  The walk on to T(0,1) is the unknot tail, l/2 moves,
+    which the callers add themselves.
+
+    Only `PinchTrace.segments` reads the runs one at a time.  The counts
+    read `_walk_sums`, which scans the same runs, with the same drop and
+    fold, in one loop that yields nothing; the tests check that the two
+    agree.
     """
     k = len(coeffs) - 1
     c = coeffs[k]
@@ -330,17 +352,32 @@ def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
 
 def _walk_sums(coeffs: tuple[int, ...]) -> tuple[int, bool, int]:
     """(moves, all_positive, l) of the walk from `coeffs` to its first
-    unknot T(l,1), summed over its `_runs` in O(len(coeffs)) integer
-    operations.  The walk on to T(0,1) adds the unknot tail: l/2 moves, all
-    unsigned but the positive one from T(2,1)."""
-    last = coeffs[-1]
+    unknot T(l,1), in O(len(coeffs)) integer operations.
+
+    These are the sums over the runs of `_runs`, scanned right to left in
+    one loop, with no generator and no tuple per run: the run on
+    [c0, ..., c_{k-1}, c] makes c // 2 moves, negative ones when k is even,
+    and leaves c % 2, which is dropped or folded as `cf.step` does.  Every
+    count reads this, twice per even-p knot of verify, while only the
+    printers read `_runs`.  The walk on to T(0,1) adds the unknot tail: l/2
+    moves, all unsigned but the positive one from T(2,1)."""
+    k = len(coeffs) - 1
+    c = coeffs[k]
     moves = 0
     positive = True
-    for n, k, _, _, last in _runs(coeffs):
-        moves += n
-        if k % 2 == 0:  # a negative run
+    while k:
+        moves += c // 2
+        if not k & 1:  # a negative run
             positive = False
-    return moves, positive, last
+        c &= 1
+        while k and c < 2:
+            if c:  # [..., b, 1] == [..., b+1]
+                k -= 1
+                c = coeffs[k] + 1
+            else:  # [..., a, b, 0] == [..., a]
+                k -= 2
+                c = coeffs[k]
+    return moves, positive, c
 
 
 @dataclass(frozen=True, slots=True)
@@ -483,8 +520,11 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     source = knot
     for moves, sp, sq, dp, dq, t, h, dt, dh, sign, *_ in PinchTrace(knot, stop).segments():
         for j in range(1, moves + 1):
-            result = TorusKnot._trusted(sp - j * dp, sq - j * dq)
-            records.append(PinchRecord(source, result, PinchWitness(t, h), sign))
+            result = _new(TorusKnot)
+            _set_p(result, sp - j * dp)
+            _set_q(result, sq - j * dq)
+            witness = _tuple_new(PinchWitness, (t, h))
+            records.append(_tuple_new(PinchRecord, (source, result, witness, sign)))
             source, t, h = result, t - dt, h - dh
     return records
 
@@ -495,15 +535,17 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
     Order is p ascending, then q ascending.  qmax defaults to pmax.
     Nontrivial normalized knots have odd q >= 3, with q < p in the odd-odd
     case, so that is all the loop visits.  Those tests and the gcd make
-    every pair it yields valid, so knots are built through `_trusted`; the
-    tests re-validate them through the constructor.
+    every pair it yields valid, so knots are written through their slots,
+    unchecked; the tests re-validate them through the constructor.
     """
     if qmax is None:
         qmax = pmax
-    trusted = TorusKnot._trusted
     for p in range(2, pmax + 1):
         for q in range(3, qmax + 1, 2):
             if p % 2 and q >= p:
                 break
             if math.gcd(p, q) == 1:
-                yield trusted(p, q)
+                knot = _new(TorusKnot)
+                _set_p(knot, p)
+                _set_q(knot, q)
+                yield knot

@@ -12,15 +12,20 @@ def oracle_sequence(knot, stop):
     until the stop rule is met.  The oracle for `pinch_sequence`, which
     reads the records off the walk's segments.
 
-    Checks no preconditions; call it only where the walk is defined.
+    Checks no preconditions; call it only where the walk is defined.  Every
+    move lowers max(p,q), so p + q moves bound the walk, and a walk that has
+    not stopped within them, which only a broken `pinch` makes, raises
+    instead of looping.
     """
     records = []
     current = knot
-    while not (is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0):
+    for _ in range(knot.p + knot.q + 1):
+        if is_unknot(current) if stop is StopRule.FIRST_UNKNOT else current.p == 0:
+            return records
         record = pinch(current)
         records.append(record)
         current = record.result
-    return records
+    raise RuntimeError(f"the residue walk from {knot} did not stop within {knot.p + knot.q} moves")
 
 
 def expand_segments(segments):

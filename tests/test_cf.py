@@ -7,6 +7,7 @@ floor-and-invert on Fractions rather than integer divmod.
 
 import itertools
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -27,6 +28,7 @@ from crosscap import (
     steps_to_zero,
 )
 from crosscap.errors import (
+    CrosscapError,
     InvalidParameter,
     NotCanonicalizable,
     OddParity,
@@ -557,3 +559,29 @@ def test_steps_to_zero_parity_check_reads_the_expansion(x):
     if x.numerator % 2:
         with pytest.raises(OddParity):
             steps_to_zero(expand(x))
+
+
+@pytest.mark.parametrize("walk", [steps_to_zero, steps_to_integer])
+def test_walks_raise_on_a_step_with_a_fixed_point(monkeypatch, walk):
+    # a broken `step` that returns its input: each walk gives up after its
+    # budget of sum(coeffs) // 2 steps, with an error that names where it
+    # started and is not a bad-input CrosscapError.  The stand-in fails the
+    # test itself, long after the budget, on a walk that does not give up.
+    start = expand((10**6, 3))  # [333333, 3]
+    budget = sum(start.coeffs) // 2
+    calls = 0
+
+    def stuck(expansion):
+        nonlocal calls
+        calls += 1
+        if calls > 10 * budget:
+            pytest.fail("the walk ran past its budget")
+        return expansion
+
+    monkeypatch.setattr(cf_module, "step", stuck)
+    began = time.perf_counter()
+    with pytest.raises(RuntimeError, match=re.escape(f"from {start} ")) as raised:
+        walk((10**6, 3))
+    assert time.perf_counter() - began < 1
+    assert not isinstance(raised.value, CrosscapError)
+    assert calls == budget + 1

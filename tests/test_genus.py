@@ -10,6 +10,9 @@ from crosscap import (
     EXACT_BY_COLLAPSE,
     EXACT_BY_POSITIVE_PINCHES,
     EXACT_UNKNOWN,
+    FourGenusBounds,
+    GenusReport,
+    OddSplit,
     PinchSign,
     PinchTrace,
     StopRule,
@@ -151,13 +154,21 @@ def test_odd_split_structure():
         assert split.second.p % 2 == 0 and split.second.q % 2 == 1
 
 
-# `genus._split` builds its pieces through `TorusKnot._trusted`: each one
+# `genus._split` writes its pieces through their slots: each one
 # re-validates through the constructor, and equals the piece `normalize`
-# builds from the raw convergent pair and its complement.
+# builds from the raw convergent pair and its complement.  The split is
+# built by `tuple.__new__`, which checks neither type nor field count, and
+# a NamedTuple equals any tuple of its values, so it must be an `OddSplit`
+# that rebuilds through its constructor; so must a report and its bounds.
+
+
+def assert_is_its_type(value, cls):
+    assert type(value) is cls and cls(*value) == value, value
 
 
 def assert_split_pieces_revalidate(knot):
     split = odd_split(knot)
+    assert_is_its_type(split, OddSplit)
     ps, qs = cf.convergent_terms(cf.expand((knot.p, knot.q)).coeffs[:-1])
     raw = ((ps[-1], qs[-1]), (knot.p - ps[-1], knot.q - qs[-1]))
     for piece, (a, b) in zip((split.first, split.second), raw):
@@ -505,6 +516,11 @@ def test_report_internal_consistency_random(knot):
 
 def assert_report_matches_the_routes(knot):
     report = genus_report(knot)
+    assert_is_its_type(report, GenusReport)
+    bounds = four_genus_bounds(knot)
+    assert_is_its_type(report.gamma4, FourGenusBounds)
+    assert_is_its_type(bounds, FourGenusBounds)
+    assert report.gamma4 == bounds
     assert report.gamma3 == crosscap_number(knot)
     assert report.split == (odd_split(knot) if knot.p % 2 else None)
     assert report.ell == terminal_unknot_parameter(knot)

@@ -90,20 +90,28 @@ def test_only_even_p_gamma3_steps_to_zero():
     assert list(call_lines(even_branches, "steps_to_zero")) == calls["genus.py"]
 
 
+def record_builds(nodes):
+    """Lines of the `PinchRecord` builds in the given syntax trees: calls of
+    the class, and of `_tuple_new` with the class as its first argument."""
+    yield from call_lines(nodes, "PinchRecord")
+    for node in (inner for tree in nodes for inner in ast.walk(tree)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_tuple_new":
+            if ast.unparse(node.args[0]) == "PinchRecord":
+                yield node.lineno
+
+
 def test_only_pinch_and_pinch_sequence_build_records():
     # `pinch_sequence` is the library's one loop over single moves: besides
-    # `pinch`, no code builds a `PinchRecord`, and a trace has no per-move
-    # reading of its own
+    # `pinch`, no code builds a `PinchRecord`, by its constructor or by
+    # `tuple.__new__`, and a trace has no per-move reading of its own
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    calls = {
-        (name, line) for name, tree in trees.items() for line in call_lines([tree], "PinchRecord")
-    }
+    calls = {(name, line) for name, tree in trees.items() for line in record_builds([tree])}
     builders = {
         (name, line): f"{name[:-3]}.{node.name}"
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
-        for line in call_lines([node], "PinchRecord")
+        for line in record_builds([node])
     }
     assert set(builders) == calls
     assert sorted(set(builders.values())) == ["knot.pinch", "knot.pinch_sequence"]

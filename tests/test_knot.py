@@ -18,8 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosscap import (
+    PinchRecord,
     PinchSign,
     PinchTrace,
+    PinchWitness,
     StopRule,
     TorusKnot,
     evaluate,
@@ -39,6 +41,7 @@ from crosscap import (
 from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
 from crosscap.genus import odd_split
+from crosscap.knot import _runs, _walk_sums
 from oracles import expand_segments, oracle_sequence
 from strategies import knots_of_long_expansions
 
@@ -392,12 +395,22 @@ def test_enumeration_respects_qmax():
 
 # `pinch` builds its result without re-validation; it must be the knot that
 # the validating route `normalize` builds from the witness `pinch_witness`
-# computes, pass the constructor's checks, and hash the same.
+# computes, pass the constructor's checks, and hash the same.  The record
+# and the witness are built by `tuple.__new__`, which checks neither type
+# nor field count, and a NamedTuple equals any tuple of its values: each
+# must be its type, and rebuild through its constructor.
+
+
+def assert_is_its_type(value, cls):
+    assert type(value) is cls and cls(*value) == value, value
 
 
 def assert_pinch_result_is_valid(knot):
     wit = pinch_witness(knot.p, knot.q)
-    result = pinch(knot).result
+    record = pinch(knot)
+    assert_is_its_type(record, PinchRecord)
+    assert_is_its_type(record.witness, PinchWitness)
+    result = record.result
     assert result == normalize(abs(knot.p - 2 * wit.t), abs(knot.q - 2 * wit.h))
     again = TorusKnot(result.p, result.q)
     assert again == result
@@ -441,6 +454,9 @@ def assert_trace_matches_oracle(knot, stop):
         assert trace.moves == steps_to_zero((knot.p, knot.q))
     # the records chain: each source is the previous result, the first is the knot
     assert all(a.result is b.source for a, b in zip(records, records[1:]))
+    for record in records:
+        assert_is_its_type(record, PinchRecord)
+        assert_is_its_type(record.witness, PinchWitness)
     if expected:
         assert records[0].source is knot
 
@@ -488,6 +504,7 @@ def assert_walk_matches_steps(knot, stop):
     # move, from the trace's expansion, for the expansions.
     trace = PinchTrace(knot, stop)
     coeffs = trace.expansion.coeffs
+    assert_walk_sums_match_runs(coeffs)
     moves = list(expand_segments(trace.segments()))
     expected = oracle_sequence(knot, stop)
     assert len(moves) == len(expected)
@@ -501,6 +518,16 @@ def assert_walk_matches_steps(knot, stop):
         expansion = step(expansion)
         assert coeffs[:k] + (c,) == expansion.coeffs
     assert expansion == expand((trace.final.p, trace.final.q))
+
+
+def assert_walk_sums_match_runs(coeffs):
+    # `_walk_sums` scans the runs that `_runs` yields, in a loop of its own:
+    # its moves, its sign and its l are the sums over the yielded runs
+    runs = list(_runs(coeffs))
+    moves = sum(run[0] for run in runs)
+    all_positive = all(run[1] % 2 for run in runs)
+    last = runs[-1][4] if runs else coeffs[-1]
+    assert _walk_sums(coeffs) == (moves, all_positive, last)
 
 
 def test_walk_matches_steps_on_the_box():
@@ -553,6 +580,7 @@ def test_segments_expand_to_the_walk_on_the_box():
 @settings(max_examples=200)
 @given(knots_of_long_expansions())
 def test_segments_expand_to_the_walk_large(knot):
+    assert_walk_sums_match_runs(expand((knot.p, knot.q)).coeffs)
     assert_segments_expand_to_the_walk(knot, StopRule.FIRST_UNKNOT)
     if knot.p % 2 == 0:
         assert_segments_expand_to_the_walk(knot, StopRule.ZERO)
@@ -665,10 +693,10 @@ def test_trace_is_an_immutable_value():
 
 
 def test_per_move_types_keep_their_value_semantics():
-    # knots and expansions are slotted frozen dataclasses whose `_trusted`
-    # builders write the slots directly; witnesses, records and splits are
-    # tuples.  All five keep their reprs, equality, hashing, immutability,
-    # pickling and order.
+    # knots and expansions are slotted frozen dataclasses whose unchecked
+    # builders (`TorusKnot._trusted`, `expand`, `step`) write the slots
+    # directly; witnesses, records and splits are tuples.  All five keep
+    # their reprs, equality, hashing, immutability, pickling and order.
     knot, expansion = TorusKnot(16, 5), cf.ContinuedFraction((3, 5))
     record, split = pinch(knot), odd_split(TorusKnot(7, 3))
     assert repr(knot) == "TorusKnot(p=16, q=5)"
@@ -680,7 +708,6 @@ def test_per_move_types_keep_their_value_semantics():
     assert repr(split) == "OddSplit(first=TorusKnot(p=2, q=1), second=TorusKnot(p=2, q=5))"
     for trusted, validated in (
         (TorusKnot._trusted(16, 5), knot),
-        (cf.ContinuedFraction._trusted((3, 5)), expansion),
         (expand(Fraction(16, 5)), expansion),
         (step(cf.ContinuedFraction((3, 7))), expansion),
     ):

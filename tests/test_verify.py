@@ -256,14 +256,19 @@ def test_gamma3_is_computed_only_where_it_is_read(monkeypatch, name):
 def test_run_all_catches_a_walk_count_bug(monkeypatch):
     # the library's run sums gain a move on every run of 3 or more moves
     # after the third coefficient; gamma3 and beta1_F both read those sums,
-    # so only the residue walks of the walk table can tell
+    # so only the residue walks of the walk table can tell.  The mutant sums
+    # the runs `knot._runs` yields, and both readers of the sums get it.
     runs = knot_module._runs
 
     def one_move_too_many(coeffs):
-        for moves, k, c, k_end, c_end in runs(coeffs):
-            yield (moves + 1 if k >= 3 and moves >= 3 else moves), k, c, k_end, c_end
+        moves, positive, last = 0, True, coeffs[-1]
+        for n, k, _, _, last in runs(coeffs):
+            moves += n + 1 if k >= 3 and n >= 3 else n
+            positive = positive and k % 2 == 1
+        return moves, positive, last
 
-    monkeypatch.setattr(knot_module, "_runs", one_move_too_many)
+    monkeypatch.setattr(verify, "_walk_sums", one_move_too_many)
+    monkeypatch.setattr(genus, "_walk_sums", one_move_too_many)
     failed = [outcome.check_name for outcome in run_all(60) if not outcome.passed]
     assert failed == ["terminal-unknot", "crosscap-odd-consistency", "gap-formula"]
 
