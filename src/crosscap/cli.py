@@ -6,14 +6,17 @@ and `verify` runs the exhaustive identity checks.  Exit codes: 0 success,
 1 verification found counterexamples, 2 bad input.  `report` and `trace`
 also exit 2, before any step, on a knot with a walk of more than MAX_STEPS
 moves: `trace` by the `moves` of the `PinchTrace` it prints, `report` by
-the library's count of the longest walk it runs, `crosscap_number` for
-even p (the walk to T(0,1) that `genus_report` steps for gamma3) and
-`pinches_to_unknot` for odd p (the printed trace).  A CSV `report` of an
-odd-p knot prints no trace and steps nothing, so it is never refused by a
-walk.  `table` and `verify` exit 2, before any knot is built, on a box of
-more than MAX_BOX parameter pairs: pmax*qmax for `table`, max*max for
-`verify`.  `report` exits 2, before any output, when gamma3 or the
-orientable genus has more digits than Python converts to text.
+the library's count of the longest walk it runs.  For even p that is
+`crosscap_number`, the walk to T(0,1) that `genus_report` steps for
+gamma3, read before the report is built.  For odd p it is the report's own
+`beta1_F`, the printed trace, read after `genus_report` has counted it by
+runs with no step, so an odd-p report expands p/q once in every format.  A
+CSV `report` of an odd-p knot prints no trace and steps nothing, so it is
+never refused by a walk.  `table` and `verify` exit 2, before any knot is
+built, on a box of more than MAX_BOX parameter pairs: pmax*qmax for
+`table`, max*max for `verify`.  `report` exits 2, before any output, when
+gamma3 or the orientable genus has more digits than Python converts to
+text.
 
 This module formats what the library computes and computes nothing
 itself.  A report's printers read its trace from `GenusReport.trace`,
@@ -39,7 +42,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CrosscapError, InvalidParameter
-from .genus import GenusReport, crosscap_number, genus_report, pinches_to_unknot
+from .genus import GenusReport, crosscap_number, genus_report
 from .knot import (
     PinchSign,
     PinchTrace,
@@ -322,9 +325,10 @@ def _verify_human(outcomes: list[CheckOutcome]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# table --filter: name -> which knots of the box the table keeps.
-_FILTERS: dict[str, Callable[[TorusKnot], bool]] = {
-    "all": lambda knot: True,
+# table --filter: name -> which knots of the box the table keeps; None keeps
+# every knot with no call per knot.
+_FILTERS: dict[str, Optional[Callable[[TorusKnot], bool]]] = {
+    "all": None,
     "even": lambda knot: knot.p % 2 == 0,
     "odd": lambda knot: knot.p % 2 == 1,
     "batson": lambda knot: knot.p % 2 == 0 and knot.q == knot.p - 1,
@@ -369,13 +373,14 @@ def _refuse_large_box(command: str, pairs: int) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     knot = normalize(args.p, args.q)
-    # Even p: gamma3's walk, which `genus_report`'s even branch steps; odd p:
-    # the printed trace, which a CSV report does not print.
+    # Even p: gamma3's walk, which `genus_report`'s even branch steps, so
+    # before it.  Odd p: the printed trace, which a CSV report does not
+    # print, counted by `genus_report` with no step, so after it.
     if knot.p % 2 == 0:
         _refuse_long_walks(knot, crosscap_number(knot))
-    elif args.format != "csv":
-        _refuse_long_walks(knot, pinches_to_unknot(knot))
     report = genus_report(knot)
+    if knot.p % 2 and args.format != "csv":
+        _refuse_long_walks(knot, report.beta1_F)
     _refuse_unprintable(report)
     if args.format == "json":
         return 0, _report_json(report)
@@ -396,7 +401,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
     _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
-    knots = filter(_FILTERS[args.filter], normalized_knots(args.pmax, args.qmax))
+    knots = normalized_knots(args.pmax, args.qmax)
+    keep = _FILTERS[args.filter]
+    if keep is not None:
+        knots = filter(keep, knots)
     reports = map(genus_report, knots)
     if args.format == "json":
         items = ("".join(_report_json(report, "  ", "")) for report in reports)

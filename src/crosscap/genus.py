@@ -42,9 +42,10 @@ piece's walk with `pinches_to_zero`, is the tests' oracle for it.
 expands p/q once, sums that expansion's runs for beta1_F and the gamma4
 certificate, and reads gamma3 off the same expansion: stepped when p is
 even, rearranged into the near-palindrome when p is odd.  It builds no
-`PinchTrace`: the report is one tuple of its values, the only Fraction in
-it is the gap bound k/2, and the printed trace and the odd split are built
-from the report's expansion only when `trace` and `split` are read.
+`PinchTrace`: the report is one tuple of its values, its only Fraction,
+the gap bound k/2, is shared by every report with the same quotient k
+(`_half`), and the printed trace and the odd split are built from the
+report's expansion only when `trace` and `split` are read.
 
 The library does not re-prove the paper's identities at run time: the
 gap's closed form and the agreement of overlapping gamma4 certificates are
@@ -54,6 +55,7 @@ checked by module verify and the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import cf
@@ -355,6 +357,14 @@ def four_genus_bounds(knot: TorusKnot) -> FourGenusBounds:
     return _bounds(knot.p, moves, all_positive)
 
 
+@lru_cache(maxsize=1024)
+def _half(k: int) -> Fraction:
+    """The gap bound k/2 of a knot with quotient k.  A Fraction is
+    immutable, so every report with the same k shares one; the cache keeps
+    the last 1024 quotients, so a long-running process stays bounded."""
+    return Fraction(k, 2)
+
+
 def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     """Return (gamma3 - beta1_F, k/2) for an even-parameter knot.
 
@@ -370,7 +380,7 @@ def gap_report(knot: TorusKnot) -> tuple[int, Fraction]:
     an odd p.
     """
     k, _ = euclidean_division(knot)
-    return _walk_sums(_walk_start(knot, StopRule.ZERO).coeffs)[2] // 2, Fraction(k, 2)
+    return _walk_sums(_walk_start(knot, StopRule.ZERO).coeffs)[2] // 2, _half(k)
 
 
 def orientable_genus(knot: TorusKnot) -> int:
@@ -381,32 +391,23 @@ def orientable_genus(knot: TorusKnot) -> int:
 def genus_report(knot: TorusKnot) -> GenusReport:
     """Assemble the full invariant report for a nontrivial torus knot.
 
-    p/q is expanded once, by the walk start, and every count reads that
-    expansion: beta1_F and the gamma4 certificate from its runs to the
+    The knot is checked once and p/q expanded once, and every count reads
+    that expansion: beta1_F and the gamma4 certificate from its runs to the
     first unknot, and gamma3 by the runs of its near-palindrome form when p
     is odd and one `cf.step` per move when p is even; the tests compare it
     with `crosscap_number`.  No `PinchTrace` is built.
     """
+    _require_nontrivial(knot)
     p = knot.p
     k, a = divmod(p, knot.q)
-    expansion = _walk_start(knot, StopRule.FIRST_UNKNOT)
+    expansion = cf.expand((p, knot.q))
     moves, all_positive, _ = _walk_sums(expansion.coeffs)
     if p % 2:
         gamma3 = _gamma3(p, expansion.coeffs)
     else:
-        # Even p still steps.  `pinches_to_zero(knot)` equals the count in
-        # O(len(expansion)), but then every report is short, and the
-        # benchmark harness keeps about 210 B per call until it keeps
-        # constant memory per call (ROADMAP item 1): counting even p by runs
-        # too (ROADMAP item 2) made about 8x more calls per deep_quotient
-        # run, 111,898 against 13,823, and raised its peak RSS from 24.47
-        # to 45.73 MiB, far past the metric's 0.1 bound.  Speeding up the
-        # trace printing leaves this alone for the same reason.  A
-        # constant-factor speed-up of each step fits that memory per call; a
-        # 10x one does not.  `cf.step` settling its common move with one
-        # subtraction, together with JSON reports written without an encoder
-        # pass, raised deep_quotient from 592 to 841 knots/s and its peak RSS
-        # from 24.63 to 26.57 MiB (+7.9%, medians of 10 pairs).
+        # Even p still steps: `pinches_to_zero` counts it by runs (ROADMAP
+        # item 2), which waits until the benchmark harness keeps constant
+        # memory per call (item 1).
         gamma3 = cf.steps_to_zero(expansion)
     return _tuple_new(
         GenusReport,
@@ -418,7 +419,7 @@ def genus_report(knot: TorusKnot) -> GenusReport:
             moves,
             gamma3,
             _bounds(p, moves, all_positive),
-            Fraction(k, 2),
+            _half(k),
             orientable_genus(knot),
             expansion,
         ),

@@ -337,8 +337,9 @@ def _walk_start(knot: TorusKnot, stop: StopRule) -> cf.ContinuedFraction:
     FIRST_UNKNOT needs a nontrivial knot (UnknotInput) and ZERO an even p
     (OddParity).  Every walk from a knot that may miss its precondition, a
     `PinchTrace` or a bare count, starts here, so each precondition has one
-    class and one message; verify's records, built only for the nontrivial
-    knots of its box, expand p/q directly.
+    class and one message.  Two callers expand p/q directly: verify's
+    records, built only for the nontrivial knots of its box, and
+    `genus.genus_report`, which checks its knot with `_require_nontrivial`.
     """
     if stop is StopRule.FIRST_UNKNOT:
         _require_nontrivial(knot)

@@ -526,6 +526,13 @@ def assert_report_matches_the_routes(knot):
     assert report.ell == terminal_unknot_parameter(knot)
     assert report.beta1_F == pinches_to_unknot(knot)
     assert (report.k, report.a) == euclidean_division(knot)
+    assert_gap_bound_is_half_of_k(report)
+
+
+def assert_gap_bound_is_half_of_k(report):
+    # reports with one quotient share one k/2, which is still a Fraction
+    assert type(report.gap_lower_bound) is Fraction, report.knot
+    assert report.gap_lower_bound == Fraction(report.k, 2), report.knot
 
 
 def test_genus_report_matches_the_routes_on_the_box():
@@ -545,6 +552,27 @@ def knots_below(draw, bound):
 @given(knots_below(10**5))
 def test_genus_report_matches_the_routes_large(knot):
     assert_report_matches_the_routes(knot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots_of_long_expansions(), st.integers(min_value=0, max_value=10**30))
+def test_gap_bound_is_half_of_k_large(knot, shift):
+    # an odd p moves by 2*shift*q, which keeps it odd and coprime to q and
+    # raises k by 2*shift; an even p keeps its k, since its gamma3 steps
+    if knot.p % 2:
+        knot = TorusKnot(knot.p + 2 * shift * knot.q, knot.q)
+    assert_gap_bound_is_half_of_k(genus_report(knot))
+
+
+def test_gap_bound_cache_stays_bounded():
+    # T(6j+1, 3) has quotient 2j: more distinct quotients than the cache
+    # holds leave it full, not larger
+    maxsize = genus._half.cache_info().maxsize
+    assert maxsize is not None
+    for j in range(1, maxsize + 100):
+        report = genus_report(TorusKnot(6 * j + 1, 3))
+        assert report.gap_lower_bound is genus._half(2 * j)
+    assert genus._half.cache_info().currsize == maxsize
 
 
 def test_genus_report_expands_once_per_walk(monkeypatch):
