@@ -58,8 +58,9 @@ class ContinuedFraction:
     """A canonical expansion [c0, ..., cm] of a nonnegative rational.
 
     Construction validates canonical form: c0 >= 0, interior coefficients
-    >= 1, final coefficient >= 2 when the expansion has more than one entry.
-    The constructor is the only place that validates.  Instances are
+    >= 1, final coefficient >= 2 when the expansion has more than one entry,
+    and every coefficient of type int (a bool raises TypeError).  The
+    constructor is the only place that validates.  Instances are
     immutable, hashable and slotted.  `expand` and `step` build their own
     without it: both skip the checks their construction already guarantees
     and write the `coeffs` slot directly, through its member descriptor
@@ -74,7 +75,7 @@ class ContinuedFraction:
         _set_coeffs(self, coeffs)
         if not coeffs:
             raise NotCanonicalizable("coefficient sequence is empty")
-        if any(not isinstance(c, int) for c in coeffs):
+        if any(type(c) is not int for c in coeffs):
             raise TypeError("coefficients must be integers")
         if coeffs[0] < 0:
             raise NotCanonicalizable(f"leading coefficient must be >= 0: {list(coeffs)}")

@@ -60,8 +60,8 @@ from typing import NamedTuple, Optional
 
 from . import cf
 from .errors import EvenParity
-from .knot import PinchTrace, StopRule, TorusKnot, _ordered, _walk_start, _walk_sums
-from .knot import _new, _require_nontrivial, _set_p, _set_q
+from .knot import PinchTrace, StopRule, TorusKnot, _normalized, _require_nontrivial
+from .knot import _walk_start, _walk_sums
 
 __all__ = [
     "OddSplit",
@@ -231,11 +231,9 @@ def odd_split(knot: TorusKnot) -> OddSplit:
 
 def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
     """`odd_split` of a nontrivial odd-p knot whose expansion is already at
-    hand, unchecked: the caller vouches for the knot, and the pieces are
-    written through their slots, as `knot.pinch` writes its result, in
-    `_ordered` order, since both are valid pairs by construction.  With
-    p'/q' the second-to-last convergent of p/q = [c0, ..., cm] (m >= 1,
-    since q >= 3):
+    hand, unchecked: the caller vouches for the knot, and the pieces, valid
+    pairs by construction, are built by `knot._normalized`.  With p'/q' the
+    second-to-last convergent of p/q = [c0, ..., cm] (m >= 1, since q >= 3):
 
     * p q' - p' q = +-1, so (p', q') is a coprime pair, and so is
       (p - p', q - q'), since p (q - q') - (p - p') q = -(p q' - p' q);
@@ -247,14 +245,7 @@ def _split(knot: TorusKnot, expansion: cf.ContinuedFraction) -> OddSplit:
     The tests re-validate both pieces through the constructor."""
     ps, qs = cf.convergent_terms(expansion.coeffs[:-1])
     p1, q1 = ps[-1], qs[-1]
-    first, second = _new(TorusKnot), _new(TorusKnot)
-    p, q = _ordered(p1, q1)
-    _set_p(first, p)
-    _set_q(first, q)
-    p, q = _ordered(knot.p - p1, knot.q - q1)
-    _set_p(second, p)
-    _set_q(second, q)
-    return _tuple_new(OddSplit, (first, second))
+    return _tuple_new(OddSplit, (_normalized(p1, q1), _normalized(knot.p - p1, knot.q - q1)))
 
 
 def crosscap_by_splitting(knot: TorusKnot) -> int:

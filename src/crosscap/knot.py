@@ -34,12 +34,8 @@ knots and witnesses change by a fixed step: the printers format a segment
 at a time, and `pinch_sequence`, the one loop over single moves, builds a
 chained `PinchRecord` for each move of each segment.
 
-The values built once per knot or per move, the knots of `pinch`,
-`pinch_sequence` and `normalized_knots` and their records and witnesses,
-are written through `object.__new__` and the slots' member descriptors,
-or through `tuple.__new__`, all bound once below `TorusKnot`: no
-Python-level constructor runs for them.  The public constructors still
-build and check the same types.
+Every knot that is valid by construction is built, unchecked, by one
+builder, `_normalized`, and records and witnesses by `tuple.__new__`.
 """
 
 from __future__ import annotations
@@ -70,6 +66,13 @@ __all__ = [
 ]
 
 
+def _require_ints(a: object, b: object) -> None:
+    """Reject a parameter pair unless both are ints (a bool is not): the one
+    type check of `TorusKnot`, `normalize` and `pinch_witness`."""
+    if type(a) is not int or type(b) is not int:
+        raise InvalidParameter(f"parameters must be integers: ({a!r},{b!r})")
+
+
 class PinchSign(Enum):
     """The sign of a pinch move.  Its value is the word the outputs print,
     and `str()` returns it as stored."""
@@ -96,24 +99,15 @@ class TorusKnot:
     construction insists the pair is already in normalized order.  Both
     parameters must be of type int; bools and other numbers are rejected.
     The constructor is the one place a knot's parameters are validated:
-    type, then coprimality, then range, then order.  `pinch` builds its
-    results without it: a pinch result is a nonnegative, coprime pair of
-    ints by construction, and `pinch` puts it in order itself.
-    `pinch_sequence` and `normalized_knots` do the same with the pairs
-    their loops admit.  They write the `p` and `q` slots directly, through
-    the member descriptors bound once below the class, and check nothing:
-    only the constructor validates.  `_trusted` does the same in one call,
-    for the callers that build a knot once per walk or per split rather
-    than once per knot of a loop.  The tests re-validate every route's
-    knots through the constructor.
+    type, then coprimality, then range, then order.  The knots that are
+    valid by construction are built by `_normalized` instead, unchecked.
     """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
-        if type(self.p) is not int or type(self.q) is not int:
-            raise InvalidParameter(f"parameters must be integers: ({self.p!r},{self.q!r})")
+        _require_ints(self.p, self.q)
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"({self.p},{self.q}) is not a coprime pair")
         if self.p < 0 or self.q < 1:
@@ -124,25 +118,38 @@ class TorusKnot:
         elif self.p < self.q:
             raise InvalidParameter(f"({self.p},{self.q}): larger odd parameter must come first")
 
-    @classmethod
-    def _trusted(cls, p: int, q: int) -> TorusKnot:
-        """Wrap a pair that is normalized by construction, without checks."""
-        self = _new(cls)
-        _set_p(self, p)
-        _set_q(self, q)
-        return self
-
     def __str__(self) -> str:
         return f"T({self.p},{self.q})"
 
 
-# Knots are written through the slots' member descriptors, which the frozen
-# `__setattr__` does not guard; they and `object.__new__` are bound once here,
-# and so is `tuple.__new__`, which builds records and witnesses.
+# `_normalized` writes a knot through the slots' member descriptors, which
+# the frozen `__setattr__` does not guard; they and `object.__new__` are bound
+# once here, and so is `tuple.__new__`, which builds records and witnesses.
 _new = object.__new__
 _set_p = TorusKnot.p.__set__
 _set_q = TorusKnot.q.__set__
 _tuple_new = tuple.__new__
+
+
+def _normalized(a: int, b: int) -> TorusKnot:
+    """The knot with parameter pair {a, b} in normalized order, unchecked.
+
+    An odd a gives way to an even or a larger b: even parameter first, else
+    the larger first.  This is the one builder of the knots that are valid
+    by construction: a pinch's result, each move of a walk, the knots of
+    the enumerated box and the two pieces of an odd split.  Those are built
+    once per knot or per move, on the paths that walk a whole box or a
+    whole walk, so no constructor runs for them: the slots are written
+    directly and nothing is checked.  `normalize` builds through it too,
+    then validates.  The tests re-validate every route's knots through the
+    constructor.
+    """
+    if a % 2 and (b % 2 == 0 or a < b):
+        a, b = b, a
+    knot = _new(TorusKnot)
+    _set_p(knot, a)
+    _set_q(knot, b)
+    return knot
 
 
 class PinchWitness(NamedTuple):
@@ -176,19 +183,14 @@ def normalize(a: int, b: int) -> TorusKnot:
 
     Even parameter first when the product is even, larger first when both
     are odd.  Non-int parameters (bools included) are rejected here, before
-    the ordering compares them; `TorusKnot` rejects the ordered pair when it
-    is not coprime, including (0,0), or has a negative parameter.
+    the ordering compares them; the constructor's own checks then reject
+    the ordered pair when it is not coprime, including (0,0), or has a
+    negative parameter.
     """
-    if type(a) is not int or type(b) is not int:
-        raise InvalidParameter(f"parameters must be integers: ({a!r},{b!r})")
-    return TorusKnot(*_ordered(a, b))
-
-
-def _ordered(a: int, b: int) -> tuple[int, int]:
-    """The pair {a, b} in normalized order: even first, else larger first."""
-    if a * b % 2 == 0:
-        return (a, b) if a % 2 == 0 else (b, a)
-    return (a, b) if a >= b else (b, a)
+    _require_ints(a, b)
+    knot = _normalized(a, b)
+    knot.__post_init__()
+    return knot
 
 
 def is_unknot(knot: TorusKnot) -> bool:
@@ -209,7 +211,10 @@ def pinch_witness(p: int, q: int) -> PinchWitness:
 
     Works on raw pairs in either order; no normalization is applied.  For a
     modulus of 1 the only residue is 0, which pow() already returns.
+    Non-int parameters (bools included) are rejected as `TorusKnot` rejects
+    them.
     """
+    _require_ints(p, q)
     if p < 1 or q < 1:
         raise InvalidParameter(f"parameters must be positive: ({p},{q})")
     if math.gcd(p, q) != 1:
@@ -228,9 +233,8 @@ def pinch(knot: TorusKnot) -> PinchRecord:
     Defined for every knot except T(0,1) and T(1,1).  On T(l,1) the formula
     gives t = l-1, h = 0 and the move lands on T(l-2,1).  The knot was
     validated when it was built, so the residues need no checks, and the
-    result (|p-2t|, |q-2h|) is a nonnegative coprime pair that only needs
-    ordering; it is built without re-validation, and so are the witness and
-    the record.
+    result (|p-2t|, |q-2h|) is a nonnegative coprime pair, built by
+    `_normalized`.
     """
     p, q = knot.p, knot.q
     if p <= 1:
@@ -244,10 +248,7 @@ def pinch(knot: TorusKnot) -> PinchRecord:
         sign = PinchSign.NEGATIVE
     else:
         sign = None
-    rp, rq = _ordered(abs(dp), abs(dq))
-    result = _new(TorusKnot)
-    _set_p(result, rp)
-    _set_q(result, rq)
+    result = _normalized(abs(dp), abs(dq))
     return _tuple_new(PinchRecord, (knot, result, _tuple_new(PinchWitness, (t, h)), sign))
 
 
@@ -454,7 +455,7 @@ class PinchTrace:
     @property
     def final(self) -> TorusKnot:
         """The knot the walk ends at: the first unknot T(l,1), or T(0,1)."""
-        return TorusKnot._trusted(self._last, 1)
+        return _normalized(self._last, 1)
 
     def segments(self) -> Iterator[_Segment]:
         """Yield the walk as segments, each a tuple
@@ -512,7 +513,8 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     decreases max(p,q), so both walks terminate.
 
     This is the library's one loop over single moves: move j of each of
-    the trace's `segments` is built from the segment's first move and step.
+    the trace's `segments` is built from the segment's first move and step,
+    its knot by `_normalized`.
     A caller that needs only the length, the signs or the last knot reads
     them from the `PinchTrace` instead.  One `pinch` per move, residues and
     all, is the test oracle.
@@ -521,9 +523,7 @@ def pinch_sequence(knot: TorusKnot, stop: StopRule) -> list[PinchRecord]:
     source = knot
     for moves, sp, sq, dp, dq, t, h, dt, dh, sign, *_ in PinchTrace(knot, stop).segments():
         for j in range(1, moves + 1):
-            result = _new(TorusKnot)
-            _set_p(result, sp - j * dp)
-            _set_q(result, sq - j * dq)
+            result = _normalized(sp - j * dp, sq - j * dq)
             witness = _tuple_new(PinchWitness, (t, h))
             records.append(_tuple_new(PinchRecord, (source, result, witness, sign)))
             source, t, h = result, t - dt, h - dh
@@ -536,8 +536,7 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
     Order is p ascending, then q ascending.  qmax defaults to pmax.
     Nontrivial normalized knots have odd q >= 3, with q < p in the odd-odd
     case, so that is all the loop visits.  Those tests and the gcd make
-    every pair it yields valid, so knots are written through their slots,
-    unchecked; the tests re-validate them through the constructor.
+    every pair it yields valid, so its knots are built by `_normalized`.
     """
     if qmax is None:
         qmax = pmax
@@ -546,7 +545,4 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
             if p % 2 and q >= p:
                 break
             if math.gcd(p, q) == 1:
-                knot = _new(TorusKnot)
-                _set_p(knot, p)
-                _set_q(knot, q)
-                yield knot
+                yield _normalized(p, q)

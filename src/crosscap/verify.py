@@ -247,15 +247,18 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 def _scan(max_param: int, rows: list[_Row]) -> list[CheckOutcome]:
     """Evaluate the given checks on every knot of the box, in a single pass.
 
-    A bound below 3 holds no nontrivial knot and is refused, for every
-    entry point alike.  The checks are grouped by the parity of p they run
-    on before the pass, and the knots of each parity are tallied; a knot
-    whose parity has no check gets no record.  Each check's case count is
-    its parity's tally, or both tallies, after the pass.  The knots with a
-    record are walked as the record is built, and the even knots also
-    without one, for the split pieces of odd-p checks (see `_Walks`).
-    Each (expected, actual) pair a predicate returns is one failure of its
-    check, and the first MAX_COUNTEREXAMPLES become its counterexamples."""
+    A bound that is not an int (bools included), or is below 3 and so
+    holds no nontrivial knot, is refused, for every entry point alike.
+    The checks are grouped by the parity of p they run on before the pass,
+    and the knots of each parity are tallied; a knot whose parity has no
+    check gets no record.  Each check's case count is its parity's tally,
+    or both tallies, after the pass.  The knots with a record are walked as
+    the record is built, and the even knots also without one, for the split
+    pieces of odd-p checks (see `_Walks`).  Each (expected, actual) pair a
+    predicate returns is one failure of its check, and the first
+    MAX_COUNTEREXAMPLES become its counterexamples."""
+    if type(max_param) is not int:
+        raise InvalidParameter(f"verify bound must be an int: {max_param!r}")
     if max_param < 3:
         raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]

@@ -182,6 +182,15 @@ def test_canonicalize_preserves_value_when_tail_is_one():
             assert evaluate(canonicalize(raw)) == oracle_value(raw)
 
 
+@pytest.mark.parametrize("coeffs", [(True, 3), (1, True, 3), (2.0, 3)])
+def test_constructor_rejects_coefficients_that_are_not_ints(coeffs):
+    # a bool is an int subclass, yet no coefficient: it would print as
+    # [True,3]; `expand` still reads a bool as the Fraction it stands for
+    with pytest.raises(TypeError, match="^coefficients must be integers$"):
+        ContinuedFraction(coeffs)
+    assert expand(True) == ContinuedFraction((1,))
+
+
 def test_constructor_enforces_canonical_form():
     with pytest.raises(NotCanonicalizable):
         ContinuedFraction((1, 1))

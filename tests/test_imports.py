@@ -7,7 +7,8 @@ count walks with no stop rule: the walk to T(0,1) is the walk to the first
 unknot plus its unknot tail, so the stop rule is only a walk's precondition.
 Module verify reads its walks from the box induction of its walk table and
 compares pinches as expansion keys, so it calls none of the slow routes
-kept as test oracles."""
+kept as test oracles.  A knot's slots are written by one builder,
+`knot._normalized`, and no other module knows the knot's layout."""
 
 import ast
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from crosscap import errors
+from crosscap import errors, knot
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "crosscap").glob("*.py"))
 
@@ -181,3 +182,59 @@ def test_each_knot_precondition_is_raised_once():
     sites = [(path.name, name) for path in SOURCES for name in raised_names(path)]
     assert [path for path, name in sites if name == "UnknotInput"] == ["knot.py"]
     assert ("genus.py", "OddParity") not in sites
+
+
+def test_one_builder_writes_a_knot():
+    # only `knot._normalized` lays a knot out: `object.__new__` and the
+    # slots' setters are bound once, at the top level of module knot, and
+    # read nowhere else; no other module names them, `_ordered` is gone and
+    # `TorusKnot` has no `_trusted`
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    knot_tree = trees["knot.py"]
+    (builder,) = (
+        node
+        for node in knot_tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_normalized"
+    )
+    layout = {"_new", "_set_p", "_set_q"}
+    bindings = [
+        node
+        for node in knot_tree.body
+        if isinstance(node, ast.Assign) and {ast.unparse(t) for t in node.targets} & layout
+    ]
+    assert sorted(ast.unparse(node) for node in bindings) == [
+        "_new = object.__new__",
+        "_set_p = TorusKnot.p.__set__",
+        "_set_q = TorusKnot.q.__set__",
+    ]
+    allowed = {id(node) for root in [builder, *bindings] for node in ast.walk(root)}
+    strays = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                word = node.id
+            elif isinstance(node, ast.alias):
+                word = node.name
+            elif isinstance(node, ast.FunctionDef):
+                word = node.name
+            elif isinstance(node, ast.Attribute):
+                word = ast.unparse(node)
+            elif isinstance(node, ast.Call) and node.args:
+                word = f"{ast.unparse(node.func)}({ast.unparse(node.args[0])})"
+            else:
+                continue
+            named = word in {"_set_p", "_set_q", "_ordered"} or (
+                name == "knot.py" and word == "_new"
+            )
+            touched = word in {
+                "TorusKnot.p.__set__",
+                "TorusKnot.q.__set__",
+                "TorusKnot._trusted",
+                "object.__new__(TorusKnot)",
+                "_new(TorusKnot)",
+            }
+            if (named or touched) and (name != "knot.py" or id(node) not in allowed):
+                strays.append((name, node.lineno, word))
+    assert strays == []
+    assert not hasattr(knot.TorusKnot, "_trusted")
+    assert not hasattr(knot, "_ordered")

@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -41,7 +42,7 @@ from crosscap import (
 from crosscap import cf
 from crosscap.errors import InvalidParameter, NotCoprime, OddParity, PinchUndefined, UnknotInput
 from crosscap.genus import odd_split
-from crosscap.knot import _runs, _walk_sums
+from crosscap.knot import _normalized, _runs, _walk_sums
 from oracles import expand_segments, oracle_sequence
 from strategies import knots_of_long_expansions
 
@@ -108,10 +109,12 @@ def test_normalize_rejects_negatives():
 
 @pytest.mark.parametrize("pair", [(True, 4), (4, True), (4.0, 3), (4, 3.0), ("4", 3), (None, 3)])
 def test_non_int_parameters_are_rejected(pair):
-    with pytest.raises(InvalidParameter):
-        normalize(*pair)
-    with pytest.raises(InvalidParameter):
-        TorusKnot(*pair)
+    # one type check serves all three: a bool or a float is refused with the
+    # same class and message, also by `pinch_witness`, which takes raw pairs
+    message = f"parameters must be integers: ({pair[0]!r},{pair[1]!r})"
+    for build in (normalize, TorusKnot, pinch_witness):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            build(*pair)
 
 
 def test_direct_construction_enforces_convention():
@@ -123,6 +126,28 @@ def test_direct_construction_enforces_convention():
         TorusKnot(6, 3)
     with pytest.raises(NotCoprime):
         TorusKnot(0, 0)  # coprimality is checked before range
+
+
+def test_normalized_builds_what_normalize_builds_on_the_box():
+    # `_normalized` checks nothing: on every pair with 0 <= a, b <= 60 that
+    # `normalize` accepts, it builds the same knot from either order
+    built = 0
+    for a in range(61):
+        for b in range(61):
+            try:
+                expected = normalize(a, b)
+            except (InvalidParameter, NotCoprime):
+                continue
+            assert _normalized(a, b) == _normalized(b, a) == expected
+            built += 1
+    assert built > 2000
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**100), st.integers(0, 10**100))
+def test_normalized_builds_what_normalize_builds_at_100_digits(a, b):
+    assume(gcd(a, b) == 1)
+    assert _normalized(a, b) == _normalized(b, a) == normalize(a, b)
 
 
 @pytest.mark.parametrize(
@@ -694,7 +719,7 @@ def test_trace_is_an_immutable_value():
 
 def test_per_move_types_keep_their_value_semantics():
     # knots and expansions are slotted frozen dataclasses whose unchecked
-    # builders (`TorusKnot._trusted`, `expand`, `step`) write the slots
+    # builders (`knot._normalized`, `expand`, `step`) write the slots
     # directly; witnesses, records and splits are tuples.  All five keep
     # their reprs, equality, hashing, immutability, pickling and order.
     knot, expansion = TorusKnot(16, 5), cf.ContinuedFraction((3, 5))
@@ -707,7 +732,7 @@ def test_per_move_types_keep_their_value_semantics():
     )
     assert repr(split) == "OddSplit(first=TorusKnot(p=2, q=1), second=TorusKnot(p=2, q=5))"
     for trusted, validated in (
-        (TorusKnot._trusted(16, 5), knot),
+        (_normalized(5, 16), knot),
         (expand(Fraction(16, 5)), expansion),
         (step(cf.ContinuedFraction((3, 7))), expansion),
     ):

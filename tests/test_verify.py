@@ -84,6 +84,15 @@ def test_every_entry_point_rejects_tiny_bounds(entry, bound):
         entry(bound)
 
 
+@pytest.mark.parametrize("bound", [150.0, True, "150"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda entry: entry.__name__)
+def test_every_entry_point_rejects_a_bound_that_is_not_an_int(entry, bound):
+    # a float or a bool is no verify bound, as it is no knot parameter
+    message = f"verify bound must be an int: {bound!r}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        entry(bound)
+
+
 def test_counterexamples_are_capped_in_a_real_check(monkeypatch):
     # every knot then "pinches" to itself by the step route, so every case
     # fails; stepping to [0] would not do, since some knots below 40 really
