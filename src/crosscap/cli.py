@@ -21,8 +21,10 @@ text.
 This module formats what the library computes and computes nothing
 itself.  A report's printers read its trace from `GenusReport.trace`,
 the one place a report's `PinchTrace` is built, so CSV and human tables,
-which print no trace, build none.  CSV and the human table turn every
-field into text by one route, `_report_cells`.  `trace` and a human or
+which print no trace, build none.  Every format reads a report's fields
+through one function, `_flat_values`, in `_FIELDS` order: a CSV row is one
+`%` template over them, a human table row is their `str`s, and a JSON
+report formats them into one cached layout.  `trace` and a human or
 JSON `report` format the moves a segment at a time from the plain
 integers `PinchTrace.segments` yields, one f-string per trace line or
 JSON row and no object per move, and write each segment in chunks of at
@@ -36,7 +38,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from typing import Callable, Iterable, Iterator, Optional
@@ -62,29 +63,48 @@ MAX_STEPS = 10**6
 # The largest box, in parameter pairs (p, q), that `table` and `verify` take on.
 MAX_BOX = 10**6
 
-# One row per report field: its CSV column, its path in the JSON report and
-# its dotted `GenusReport` attribute.  CSV, JSON and the human table all
-# read this table, in its order, so a new field is one new row.
+# One row per report field: its CSV column and its path in the JSON report.
+# `_flat_values` returns the fields in this order, and CSV, JSON and the
+# human table all read them through it, so a new field is one new row here
+# and one new name in its unpacking.
 _FIELDS = [
-    ("p", ("knot", "p"), "knot.p"),
-    ("q", ("knot", "q"), "knot.q"),
-    ("k", ("k",), "k"),
-    ("a", ("a",), "a"),
-    ("ell", ("ell",), "ell"),
-    ("beta1_F", ("beta1_F",), "beta1_F"),
-    ("gamma3", ("gamma3",), "gamma3"),
-    ("gamma4_lower", ("gamma4", "lower"), "gamma4.lower"),
-    ("gamma4_upper", ("gamma4", "upper"), "gamma4.upper"),
-    ("gamma4_exact", ("gamma4", "exact"), "gamma4.exact"),
-    ("gamma4_provenance", ("gamma4", "provenance"), "gamma4.provenance"),
-    ("gap_lb_num", ("gap_lower_bound", "num"), "gap_lower_bound.numerator"),
-    ("gap_lb_den", ("gap_lower_bound", "den"), "gap_lower_bound.denominator"),
-    ("orientable_genus", ("orientable_genus",), "orientable_genus"),
+    ("p", ("knot", "p")),
+    ("q", ("knot", "q")),
+    ("k", ("k",)),
+    ("a", ("a",)),
+    ("ell", ("ell",)),
+    ("beta1_F", ("beta1_F",)),
+    ("gamma3", ("gamma3",)),
+    ("gamma4_lower", ("gamma4", "lower")),
+    ("gamma4_upper", ("gamma4", "upper")),
+    ("gamma4_exact", ("gamma4", "exact")),
+    ("gamma4_provenance", ("gamma4", "provenance")),
+    ("gap_lb_num", ("gap_lower_bound", "num")),
+    ("gap_lb_den", ("gap_lower_bound", "den")),
+    ("orientable_genus", ("orientable_genus",)),
 ]
 
-CSV_COLUMNS = [column for column, _, _ in _FIELDS]
+CSV_COLUMNS = [column for column, _ in _FIELDS]
 
-_field_values = operator.attrgetter(*(attribute for _, _, attribute in _FIELDS))
+
+def _flat_values(report: GenusReport) -> tuple:
+    """The report's fields in `_FIELDS` order, read by unpacking the report
+    and its gamma4 bounds in one statement.  An unknown exact gamma4, None,
+    is "", so every value is an int, a provenance label or "", and `%s`
+    writes each as its CSV cell."""
+    knot, k, a, ell, beta1_F, gamma3, (lower, upper, exact, provenance), gap, genus, _ = report
+    if exact is None:
+        exact = ""
+    return (knot.p, knot.q, k, a, ell, beta1_F, gamma3, lower, upper, exact, provenance,
+            gap.numerator, gap.denominator, genus)
+
+
+# A CSV line: the `%s` of each of the _FIELDS values, joined by commas.  No
+# column name or provenance label holds a comma, a double quote or a line
+# break, so a line quotes nothing; the header is this template over
+# CSV_COLUMNS.
+_CSV_ROW = ",".join(["%s"] * len(_FIELDS)) + "\n"
+_CSV_HEADER = _CSV_ROW % tuple(CSV_COLUMNS)
 
 
 # `json.dumps(payload, indent=2)` is `_JSON.encode(payload)`; one encoder
@@ -172,13 +192,13 @@ def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
 def _report_layout(indent: str) -> str:
     """The JSON text of a report's invariants, nested at `indent` and open
     at its "trace" key, as a `str.format` template whose field {i} is the
-    value of row i of `_FIELDS`.
+    value of row i of `_FIELDS`, item i of `_flat_values`.
 
     It is `json.dumps(..., indent=2)` of the report object, each value
     nested by its `_FIELDS` path, encoded once with the marker "<i>" in
     place of row i's value; a report then only formats its values."""
     payload: dict = {}
-    for i, (_, path, _) in enumerate(_FIELDS):
+    for i, (_, path) in enumerate(_FIELDS):
         *parents, leaf = path
         node = payload
         for key in parents:
@@ -192,10 +212,11 @@ def _report_layout(indent: str) -> str:
 
 
 def _json_scalar(value: object) -> str:
-    """The JSON text of a report field: an int, None or a provenance label."""
-    if value is None:
-        return "null"
-    return json.dumps(value) if type(value) is str else str(value)
+    """The JSON text of one of `_flat_values`: an int, a provenance label,
+    or the "" that stands for an unknown exact gamma4, which is null."""
+    if type(value) is str:
+        return json.dumps(value) if value else "null"
+    return str(value)
 
 
 def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iterator[str]:
@@ -205,24 +226,15 @@ def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iter
     `indent`, then `end`: the invariants in one chunk, formatted into
     `_report_layout` with no encoder pass, then the trace rows in chunks of
     at most _BLOCK, so a long trace is written as it is walked."""
-    yield _report_layout(indent).format(*map(_json_scalar, _field_values(report)))
+    yield _report_layout(indent).format(*map(_json_scalar, _flat_values(report)))
     yield from _json_list(_trace_rows_json(report.trace, indent + "  "), indent + "  ")
     yield "\n" + indent + "}" + end
 
 
 def _report_cells(report: GenusReport) -> list[str]:
-    """The report's fields as text, in `_FIELDS` order: None as the empty
-    string and every other value as its `str`.  This is the one route from
-    a field to text for both CSV and the human table.
-
-    A cell is a nonnegative decimal integer, empty, or one of the three
-    gamma4 provenance labels, and no column name or label holds a comma, a
-    double quote or a line break, so `_csv_line` quotes nothing."""
-    return ["" if value is None else str(value) for value in _field_values(report)]
-
-
-def _csv_line(cells: list[str]) -> str:
-    return ",".join(cells) + "\n"
+    """The cells of the report's human table row: the `str` of each of its
+    `_flat_values`, the text `%s` writes into its CSV row."""
+    return list(map(str, _flat_values(report)))
 
 
 def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
@@ -385,7 +397,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.format == "json":
         return 0, _report_json(report)
     if args.format == "csv":
-        return 0, map(_csv_line, [CSV_COLUMNS, _report_cells(report)])
+        return 0, [_CSV_HEADER, _CSV_ROW % _flat_values(report)]
     return 0, _report_human(report)
 
 
@@ -409,10 +421,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.format == "json":
         items = ("".join(_report_json(report, "  ", "")) for report in reports)
         return 0, itertools.chain(_json_list(items), ["\n"])
-    rows = map(_report_cells, reports)
     if args.format == "human":
-        return 0, _table_human(rows)
-    return 0, map(_csv_line, itertools.chain([CSV_COLUMNS], rows))
+        return 0, _table_human(map(_report_cells, reports))
+    return 0, itertools.chain([_CSV_HEADER], map(_CSV_ROW.__mod__, map(_flat_values, reports)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

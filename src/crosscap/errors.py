@@ -6,7 +6,8 @@ semantics still apply.  Each precondition has one class, raised by the
 layer that owns its check; the functions above that layer let it through:
 
 * InvalidParameter: bad type, range or order; `TorusKnot`, `normalize`,
-  `pinch_witness`, `cf.expand`, `run_all` and the CLI's bounds.
+  `pinch_witness`, `normalized_knots`, `cf.expand`, `run_all` and the
+  CLI's bounds.
 * NotCoprime: a pair with a common factor; `TorusKnot`, `pinch_witness`.
 * ZeroDenominator: a zero denominator; `cf.evaluate`.
 * NotCanonicalizable: no canonical form; `ContinuedFraction`,

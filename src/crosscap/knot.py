@@ -537,9 +537,20 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
     Nontrivial normalized knots have odd q >= 3, with q < p in the odd-odd
     case, so that is all the loop visits.  Those tests and the gcd make
     every pair it yields valid, so its knots are built by `_normalized`.
+    A bound that is not an int, bools included, raises InvalidParameter
+    naming it when the function is called, before anything is iterated.
     """
     if qmax is None:
         qmax = pmax
+    for name, bound in (("pmax", pmax), ("qmax", qmax)):
+        if type(bound) is not int:
+            raise InvalidParameter(f"{name} must be an int: {bound!r}")
+    return _box(pmax, qmax)
+
+
+def _box(pmax: int, qmax: int) -> Iterator[TorusKnot]:
+    """The knots `normalized_knots(pmax, qmax)` yields, once it has checked
+    both bounds."""
     for p in range(2, pmax + 1):
         for q in range(3, qmax + 1, 2):
             if p % 2 and q >= p:

@@ -4,6 +4,8 @@ Each builds, as plain Python objects, a value that the library writes or
 counts another way; no library code calls this module.
 """
 
+import functools
+
 from crosscap.knot import StopRule, TorusKnot, is_unknot, pinch
 
 
@@ -81,6 +83,34 @@ def report_dict(report) -> dict:
         "orientable_genus": report.orientable_genus,
         "trace": [trace_row(record) for record in trace],
     }
+
+
+# Each CSV column of a report and the dotted `GenusReport` attribute it
+# holds, in column order, written out apart from the CLI's field table.
+REPORT_COLUMNS = [
+    ("p", "knot.p"),
+    ("q", "knot.q"),
+    ("k", "k"),
+    ("a", "a"),
+    ("ell", "ell"),
+    ("beta1_F", "beta1_F"),
+    ("gamma3", "gamma3"),
+    ("gamma4_lower", "gamma4.lower"),
+    ("gamma4_upper", "gamma4.upper"),
+    ("gamma4_exact", "gamma4.exact"),
+    ("gamma4_provenance", "gamma4.provenance"),
+    ("gap_lb_num", "gap_lower_bound.numerator"),
+    ("gap_lb_den", "gap_lower_bound.denominator"),
+    ("orientable_genus", "orientable_genus"),
+]
+
+
+def report_row(report) -> list:
+    """The report's CSV row as values, each read through its dotted
+    attribute in `REPORT_COLUMNS`: the oracle for `cli._flat_values`.  An
+    unknown exact gamma4 stays None, which `csv.writer` writes as an empty
+    cell."""
+    return [functools.reduce(getattr, path.split("."), report) for _, path in REPORT_COLUMNS]
 
 
 def odd_crosscap_pair(p: int, q: int) -> tuple[int, int]:

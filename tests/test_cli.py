@@ -1,8 +1,8 @@
 """CLI behaviour: output schemas, filters, exit codes, round-trips."""
 
 import argparse
+import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscap import cf, cli, genus
 from crosscap import knot as knot_module
@@ -33,7 +34,14 @@ from crosscap.knot import (
     pinch_sequence,
 )
 from crosscap.verify import CheckOutcome, Counterexample
-from oracles import crosscap_knot, oracle_sequence, report_dict, trace_row
+from oracles import (
+    REPORT_COLUMNS,
+    crosscap_knot,
+    oracle_sequence,
+    report_dict,
+    report_row,
+    trace_row,
+)
 from strategies import knots_of_long_expansions
 
 
@@ -388,23 +396,24 @@ def test_trace_unknot_rejected(capsys):
 
 
 def test_table_formats_read_one_field_table(capsys):
+    # every format writes each report's values as the oracles read them off
+    # the report's attributes
     argv = ("table", "--pmax", "40", "--qmax", "39")
     _, csv_out, _ = run_cli(capsys, *argv)
     _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
     _, human_out, _ = run_cli(capsys, *argv, "--format", "human")
+    reports = list(map(genus.genus_report, normalized_knots(40, 39)))
     header, *rows = list(csv.reader(io.StringIO(csv_out)))
     payloads = json.loads(json_out)
     upper, *human_lines = human_out.splitlines()
     # cells are right-aligned, so each ends where its column name ends
     ends = [match.end() for match in re.finditer(r"\S+", upper)]
-    assert header == CSV_COLUMNS == [column for column, _, _ in cli._FIELDS]
-    assert len(rows) == len(payloads) == len(human_lines) > 300
-    for row, payload, line in zip(rows, payloads, human_lines):
+    assert header == CSV_COLUMNS == [column for column, _ in REPORT_COLUMNS]
+    assert len(rows) == len(payloads) == len(human_lines) == len(reports) > 300
+    for row, payload, line, report in zip(rows, payloads, human_lines, reports):
         human = [line[start:end].strip() for start, end in zip([0, *ends], ends)]
-        assert human == row
-        for cell, (_, path, _) in zip(row, cli._FIELDS):
-            value = functools.reduce(dict.__getitem__, path, payload)
-            assert cell == ("" if value is None else str(value))
+        assert human == row == ["" if value is None else str(value) for value in report_row(report)]
+        assert payload == report_dict(report)
         assert len(payload["trace"]) == payload["beta1_F"] > 0
 
 
@@ -491,7 +500,7 @@ def test_table_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--pmax", "10", "--qmax", "9")
     parsed = list(csv.reader(io.StringIO(out)))
     assert parsed[0] == CSV_COLUMNS
-    assert "".join(map(cli._csv_line, parsed)) == out
+    assert "".join(",".join(row) + "\n" for row in parsed) == out
 
 
 def csv_module_text(rows):
@@ -507,14 +516,32 @@ def test_csv_output_is_what_the_csv_module_writes(capsys):
     labels = [genus.EXACT_BY_POSITIVE_PINCHES, genus.EXACT_BY_COLLAPSE, genus.EXACT_UNKNOWN]
     for text in CSV_COLUMNS + labels:
         assert not set(text) & set(',"\r\n'), text
-    reports = list(map(genus.genus_report, normalized_knots(40, 39)))
+    reports = list(map(genus.genus_report, normalized_knots(150, 149)))
     assert {report.gamma4.provenance for report in reports} == set(labels)
-    _, out, _ = run_cli(capsys, "table", "--pmax", "40", "--qmax", "39")
-    assert out == csv_module_text([CSV_COLUMNS, *map(cli._field_values, reports)])
+    _, out, _ = run_cli(capsys, "table", "--pmax", "150", "--qmax", "149")
+    assert out == csv_module_text([CSV_COLUMNS, *map(report_row, reports)])
     for p, q in [(4, 3), (2000, 1999), (12346, 7), (9, 7), (23, 21), (12345, 7)]:
-        report = genus.genus_report(TorusKnot(p, q))
-        _, out, _ = run_cli(capsys, "report", str(p), str(q), "--format", "csv")
-        assert out == csv_module_text([CSV_COLUMNS, cli._field_values(report)])
+        assert_csv_report_is_what_the_csv_module_writes(TorusKnot(p, q))
+
+
+def assert_csv_report_is_what_the_csv_module_writes(knot):
+    report = genus.genus_report(knot)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(["report", str(knot.p), str(knot.q), "--format", "csv"])
+    assert (code, sink.getvalue()) == (0, csv_module_text([CSV_COLUMNS, report_row(report)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(knots_of_long_expansions(), st.integers(min_value=10**99, max_value=10**100))
+def test_csv_report_is_what_the_csv_module_writes_large(knot, shift):
+    # an odd p moves by 2*shift*q to 100 digits, which keeps it odd and
+    # coprime to q; its CSV report steps nothing.  An even p keeps the drawn
+    # knot, of up to about 30 digits, whose gamma3 walk the report steps.
+    if knot.p % 2:
+        knot = TorusKnot(knot.p + 2 * shift * knot.q, knot.q)
+        assert len(str(knot.p)) >= 100
+    assert_csv_report_is_what_the_csv_module_writes(knot)
 
 
 def test_table_json_round_trip(capsys):

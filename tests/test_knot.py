@@ -117,6 +117,19 @@ def test_non_int_parameters_are_rejected(pair):
             build(*pair)
 
 
+@pytest.mark.parametrize("bound", [150.0, True, "150"])
+@pytest.mark.parametrize("position", ["pmax", "qmax"])
+def test_normalized_knots_rejects_a_bound_that_is_not_an_int(position, bound):
+    # refused at the call, naming the bound, not once the box is iterated
+    bounds = (bound, 10) if position == "pmax" else (10, bound)
+    message = f"{position} must be an int: {bound!r}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        normalized_knots(*bounds)
+    if position == "pmax":
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            normalized_knots(bound)
+
+
 def test_direct_construction_enforces_convention():
     with pytest.raises(ValueError):
         TorusKnot(3, 4)  # even parameter must come first
