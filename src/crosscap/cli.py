@@ -23,13 +23,29 @@ itself.  A report's printers read its trace from `GenusReport.trace`,
 the one place a report's `PinchTrace` is built, so CSV and human tables,
 which print no trace, build none.  Every format reads a report's fields
 through one function, `_flat_values`, in `_FIELDS` order: a CSV row is one
-`%` template over them, a human table row is their `str`s, and a JSON
-report formats them into one cached layout.  `trace` and a human or
+`%` template over them, a human table row is its CSV row's cells, and a
+JSON report formats them into one cached layout.  `trace` and a human or
 JSON `report` format the moves a segment at a time from the plain
 integers `PinchTrace.segments` yields, one f-string per trace line or
 JSON row and no object per move, and write each segment in chunks of at
 most `_BLOCK` moves as the walk goes on.  A reader that closes the pipe
 early ends the command quietly, with its own exit code.
+
+`table` splits its kept knots into contiguous slices of about equal
+length: one per CPU the process may use, and at most one per `_MIN_SLICE`
+knots or part of that.  This process renders the first slice and streams
+it, then copies out, in order, the text of each other slice, which a
+forked child renders.  A child writes its chunks as it renders them to an
+anonymous temporary file, so no process holds a slice's text, and this
+process copies the file out once the child is done.  A table runs in one
+process, with its knots never listed, when the process may use one CPU,
+when there is no `os.fork` and when another thread runs; it also runs in
+one process when it holds at most `_MIN_SLICE` knots, and this process
+renders every slice it could not fork.  A child that fails fails the
+command, and no child outlives `main`.  Every format is text that
+concatenates across slices: CSV rows, JSON items joined by the list's
+separator, and the human table, read back from the CSV lines.  An
+`error:` line writes each number of more than 60 digits as `<N digits>`.
 """
 
 from __future__ import annotations
@@ -39,8 +55,14 @@ import functools
 import itertools
 import json
 import os
+import re
+import signal
 import sys
-from typing import Callable, Iterable, Iterator, Optional
+import tempfile
+import threading
+import traceback
+import types
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, crosscap_number, genus_report
@@ -231,12 +253,6 @@ def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iter
     yield "\n" + indent + "}" + end
 
 
-def _report_cells(report: GenusReport) -> list[str]:
-    """The cells of the report's human table row: the `str` of each of its
-    `_flat_values`, the text `%s` writes into its CSV row."""
-    return list(map(str, _flat_values(report)))
-
-
 def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     """One line per pinch move, with the expansions before and after, each
     line led by `indent` and ended by a newline, in chunks of at most
@@ -303,8 +319,16 @@ def _report_human(report: GenusReport) -> Iterator[str]:
     yield from _trace_lines(report.trace, "    ")
 
 
-def _table_human(rows: Iterable[list[str]]) -> Iterator[str]:
-    rows = [CSV_COLUMNS, *rows]  # every row is needed for the column widths
+def _table_human(csv_chunks: Iterable[str]) -> Iterator[str]:
+    """The human table of the CSV table whose text is `csv_chunks`, cut
+    anywhere: its cells, each the `str` of a report value, right-aligned in
+    columns.  No cell holds a comma (see `_CSV_ROW`), so a line's cells are
+    its comma-split."""
+    rows: list[list[str]] = []  # every row sets the widths
+    tail = ""
+    for chunk in csv_chunks:
+        *lines, tail = (tail + chunk).split("\n")
+        rows.extend(line.split(",") for line in lines)
     widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
     for row in rows:
         yield "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) + "\n"
@@ -410,6 +434,15 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    """The table of the box's kept knots, lazy: nothing is enumerated or
+    forked until its first chunk is read.
+
+    `_table_slices` splits the knots into contiguous slices, one per CPU
+    and at most one per _MIN_SLICE knots or part of that.  This process
+    streams the first; a forked child renders each other one into a
+    temporary file, which this process copies out in order.  With one
+    slice (at most _MIN_SLICE knots, one CPU, no `os.fork`, or another
+    thread running) no child is forked."""
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
     _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
@@ -417,13 +450,156 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     keep = _FILTERS[args.filter]
     if keep is not None:
         knots = filter(keep, knots)
-    reports = map(genus_report, knots)
-    if args.format == "json":
-        items = ("".join(_report_json(report, "  ", "")) for report in reports)
-        return 0, itertools.chain(_json_list(items), ["\n"])
-    if args.format == "human":
-        return 0, _table_human(map(_report_cells, reports))
-    return 0, itertools.chain([_CSV_HEADER], map(_CSV_ROW.__mod__, map(_flat_values, reports)))
+    return 0, _table(args.format, knots)
+
+
+def _table(fmt: str, knots: Iterable[TorusKnot]) -> Iterator[str]:
+    """The chunks of the table of `knots` in format `fmt`.
+
+    Its slices are CSV rows or JSON items, texts that concatenate: a JSON
+    table is an opening bracket, its items with the first one's comma
+    dropped, and a closing bracket on a line of its own.  A human table
+    is read back from the CSV text."""
+    if fmt == "json":
+        items = _table_slices(_json_items, knots)
+        first = next(items, None)
+        if first is None:
+            yield "[]\n"
+            return
+        yield "[" + first[1:]
+        yield from items
+        yield "\n]\n"
+    elif fmt == "human":
+        yield from _table_human(itertools.chain([_CSV_HEADER], _table_slices(_csv_rows, knots)))
+    else:
+        yield _CSV_HEADER
+        yield from _table_slices(_csv_rows, knots)
+
+
+def _csv_rows(knots: Iterable[TorusKnot]) -> Iterator[str]:
+    return map(_CSV_ROW.__mod__, map(_flat_values, map(genus_report, knots)))
+
+
+def _json_items(knots: Iterable[TorusKnot]) -> Iterator[str]:
+    """The JSON text of each knot's report as an item of a table's list,
+    led by the list's separator."""
+    for report in map(genus_report, knots):
+        yield ",\n  " + "".join(_report_json(report, "  ", ""))
+
+
+# A table takes at most one slice per _MIN_SLICE knots or part of that, so
+# that a child has more than _MIN_SLICE/2 knots to render and a table of at
+# most _MIN_SLICE knots forks none.  On 2 CPUs a child cost about 5 ms (its
+# fork, exit and copy-on-write faults) and a knot about 8 us, so two slices
+# pay from about 1,300 knots; measured, they were slower below 1,000 knots
+# and within the noise up to 2,600 (CHANGES.md).
+_MIN_SLICE = 2048
+
+
+# The longest text, in characters, copied out of a child's file at once.
+_COPY_CHUNK = 1 << 16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _processes() -> int:
+    """The most processes a table is rendered in: one per CPU, and one
+    where there is no `os.fork` or another thread runs, since a fork copies
+    no thread but the caller's (and warns of that from Python 3.12)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return _cpus()
+
+
+def _table_slices(
+    render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: Iterable[TorusKnot]
+) -> Iterator[str]:
+    """The chunks of `render(knots)`, rendered in contiguous slices of
+    about equal length, one per process: the first in this process, each
+    other one in a forked child.  There are at most `_processes()` slices
+    and one per _MIN_SLICE knots or part of that.
+
+    With one slice the knots stream through `render` unlisted.  Otherwise
+    they are listed once, to be counted, and the children forked, at the
+    first read; this process keeps its own slice and the slices it could
+    not fork.  It streams its slice, then copies out each child's file in
+    order, in chunks of at most _COPY_CHUNK, once it has reaped that child.
+    A child that exits with a nonzero status raises RuntimeError.  On every
+    early exit, an exception, a closed pipe or this generator closed, the
+    `finally` kills and reaps each child not yet reaped, so none outlives
+    the command."""
+    n = _processes()
+    if n > 1:
+        knots = list(knots)
+        n = min(n, -(-len(knots) // _MIN_SLICE))
+    if n <= 1:
+        yield from render(knots)
+        return
+    bounds = [len(knots) * i // n for i in range(n + 1)]
+    children: list[tuple[int, TextIO]] = []  # (pid, its file), not yet reaped
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            child = _fork_slice(render, knots[start:stop])
+            if child is None:
+                break
+            children.append(child)
+        own, rest = knots[: bounds[1]], knots[bounds[len(children) + 1] :]
+        del knots
+        yield from render(own)
+        while children:
+            pid, text = children[0]
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            with text:
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise RuntimeError(f"table: the process of a slice exited with code {code}")
+                text.seek(0)
+                yield from iter(functools.partial(text.read, _COPY_CHUNK), "")
+        yield from render(rest)
+    finally:
+        for pid, text in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            text.close()
+
+
+def _fork_slice(
+    render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: list[TorusKnot]
+) -> Optional[tuple[int, TextIO]]:
+    """Fork a child that writes the text of `render(knots)` to a new
+    anonymous temporary file, and return its pid and that file, or None,
+    with nothing left open, if no file could be made or no child forked.
+
+    The child writes its chunks as they are rendered, so it holds no more
+    than a buffer of its text, and leaves through `os._exit`: it never
+    returns into the caller nor flushes the stdio it inherited."""
+    try:
+        text = tempfile.TemporaryFile("w+", encoding="utf-8")
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        text.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            text.writelines(render(knots))
+            text.flush()
+            status = 0
+        except Exception:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    return pid, text
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -476,20 +652,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LONG_NUMBER = re.compile(r"\d{61,}")
+
+
+def _short_error(exc: CrosscapError) -> str:
+    """The `error:` line of `exc`, each run of more than 60 digits in its
+    message written as `<N digits>`, so that a huge knot keeps it short."""
+    return "error: " + _LONG_NUMBER.sub(lambda digits: f"<{len(digits[0])} digits>", str(exc))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command.  Its handler returns the exit code and the output
-    chunks, which may be lazy; only this function writes them."""
+    chunks, which may be lazy; only this function writes them, and it
+    closes a generator of them however the writing ends, so that a table
+    reaps its child processes before this function returns."""
     args = _build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
         code, chunks = args.handler(args)
-        if out is None:
-            sys.stdout.writelines(chunks)
-        else:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+        try:
+            if out is None:
+                sys.stdout.writelines(chunks)
+            else:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+        finally:
+            if isinstance(chunks, types.GeneratorType):
+                chunks.close()
     except CrosscapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_short_error(exc), file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader has gone.  Point stdout at the null device, so that the

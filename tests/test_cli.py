@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -580,6 +582,196 @@ def test_table_human_is_aligned(capsys):
     assert all(len(line) == len(upper) for line in rest)
 
 
+def split_tables(monkeypatch, cpus):
+    """Make a table take one slice per knot, up to `cpus` slices, and copy
+    a child's text out 7 characters at a time, so that chunks cut lines
+    anywhere; return the list that records each `os.fork` call this
+    process makes."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_MIN_SLICE", 1)
+    monkeypatch.setattr(cli, "_COPY_CHUNK", 7)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "min_slice, children", [(14, 0), (100, 0), (13, 1), (7, 1), (6, 2), (1, 2)]
+)
+def test_a_table_takes_a_slice_per_cpu_and_per_minimum_slice(
+    monkeypatch, capsys, min_slice, children
+):
+    # the 8 box holds 14 knots: ceil(14 / min_slice) slices, at most 3 CPUs
+    argv = ("table", "--pmax", "8", "--qmax", "7")
+    expected = run_cli(capsys, *argv)
+    forks = split_tables(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
+    assert run_cli(capsys, *argv) == expected
+    assert len(forks) == children
+    assert_no_child_left()
+
+
+def test_a_table_without_fork_renders_in_one_process(monkeypatch, capsys):
+    argv = ("table", "--pmax", "40", "--qmax", "39", "--format", "json")
+    expected = run_cli(capsys, *argv)
+    split_tables(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, *argv) == expected
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_fork_that_fails_leaves_its_slices_to_this_process(monkeypatch, capsys, failing):
+    # fork number `failing` raises, as on EAGAIN; its slice and those after
+    # it are rendered here, in order, and its temporary file is closed
+    argv = ("table", "--pmax", "40", "--qmax", "39", "--format", "json")
+    expected = run_cli(capsys, *argv)
+    fork = os.fork
+    forks = split_tables(monkeypatch, 3)
+
+    def fails():
+        if len(forks) == failing - 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fails)
+    fds = open_fds()
+    assert run_cli(capsys, *argv) == expected
+    assert len(forks) == failing - 1
+    assert open_fds() == fds
+    assert_no_child_left()
+
+
+TABLES = [
+    ("table", "--pmax", pmax, "--qmax", qmax, "--filter", keep, "--format", fmt)
+    for pmax, qmax in (("40", "39"), ("3", "2"))
+    for keep in ("all", "even")
+    for fmt in ("csv", "json", "human")
+]
+
+
+@pytest.mark.parametrize("argv", TABLES, ids=" ".join)
+def test_a_table_split_across_processes_is_byte_identical(monkeypatch, capsys, argv):
+    code, expected, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    empty = argv[2] == "3"
+    forks = split_tables(monkeypatch, 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        forks.clear()
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        assert len(forks) == (0 if empty else cpus - 1)
+        assert_no_child_left()
+
+
+def test_a_failed_child_fails_the_table(monkeypatch, capsys):
+    # T(40,39) is the last knot of the box, so a child renders it
+    build = cli.genus_report
+
+    def fails_on_the_last_knot(knot):
+        if knot == TorusKnot(40, 39):
+            raise ArithmeticError("planted")
+        return build(knot)
+
+    forks = split_tables(monkeypatch, 2)
+    monkeypatch.setattr(cli, "genus_report", fails_on_the_last_knot)
+    with pytest.raises(RuntimeError, match="exited with code 1"):
+        main(["table", "--pmax", "40", "--qmax", "39"])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+class BreaksAfterOneChunk:
+    """A stdout whose reader goes after the first chunk.  It keeps the
+    chunks it was handed, as a traceback's frame can, so that only `main`
+    closing them stops a table's children."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.chunks = []
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        if self.chunks:
+            raise BrokenPipeError
+        self.chunks.append(text)
+
+    def writelines(self, chunks):
+        self.source = chunks
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_closed_pipe_leaves_no_child(monkeypatch, fmt):
+    # the children are still rendering, each held 30 s at its first knot,
+    # when the reader goes: they are killed, not waited for
+    parent = os.getpid()
+    build = cli.genus_report
+    held = []
+
+    def slow_in_a_child(knot):
+        if os.getpid() != parent and not held:
+            held.append(knot)
+            time.sleep(30)
+        return build(knot)
+
+    forks = split_tables(monkeypatch, 3)
+    monkeypatch.setattr(cli, "genus_report", slow_in_a_child)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        sink = BreaksAfterOneChunk(devnull)
+        monkeypatch.setattr(sys, "stdout", sink)
+        start = time.monotonic()
+        assert main(["table", "--pmax", "40", "--qmax", "39", "--format", fmt]) == 0
+        assert time.monotonic() - start < 10
+    finally:
+        os.close(devnull)
+    assert len(sink.chunks) == 1 and len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_table_forks_nothing_while_another_thread_runs(monkeypatch, capsys):
+    argv = ("table", "--pmax", "40", "--qmax", "39")
+    expected = run_cli(capsys, *argv)
+    forks = split_tables(monkeypatch, 3)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert run_cli(capsys, *argv) == expected
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_an_unwritable_out_forks_nothing(monkeypatch, tmp_path, capsys):
+    forks = split_tables(monkeypatch, 3)
+    target = tmp_path / "missing" / "table.csv"
+    code, _, err = run_cli(capsys, "table", "--pmax", "40", "--qmax", "39", "--out", str(target))
+    assert (code, forks) == (2, [])
+    assert err.startswith(f"error: cannot write {target}")
+
+
 def test_verify_human_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max", "10")
     assert code == 0
@@ -1100,7 +1292,9 @@ needs_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="no int string con
 
 
 def unprintable(knot, name, limit):
-    """The one line `report` writes on stderr when `name` is too long to print."""
+    """The one line `report` writes on stderr when `name` is too long to
+    print; `knot` is its text, in which each parameter of more than 60
+    digits reads as its number of digits."""
     return f"error: {knot}: {name} has more than {limit} digits, the most Python converts to text\n"
 
 
@@ -1113,10 +1307,18 @@ def test_report_too_long_to_print_exits_2(capsys, fmt):
     sys.set_int_max_str_digits(4300)
     try:
         code, out, err = run_cli(capsys, "report", str(p), str(q), "--format", fmt)
-        expected = unprintable(TorusKnot(p, q), "orientable genus", 4300)
+        expected = unprintable("T(<3000 digits>,<2999 digits>)", "orientable genus", 4300)
     finally:
         sys.set_int_max_str_digits(limit)
     assert (code, out, err) == (2, "", expected)
+
+
+def test_an_error_line_writes_a_number_of_more_than_60_digits_as_its_length(capsys):
+    p = 10**60
+    gamma3 = crosscap_number(TorusKnot(p, 3))
+    assert (len(str(p)), len(str(gamma3))) == (61, 60)
+    expected = f"error: T(<61 digits>,3) takes {gamma3} pinch moves; report and trace stop at {MAX_STEPS}\n"
+    assert run_cli(capsys, "report", str(p), "3") == (2, "", expected)
 
 
 @needs_digit_limit
@@ -1134,7 +1336,7 @@ def test_report_prints_up_to_the_digit_limit(capsys, fmt):
         sys.set_int_max_str_digits(limit)
     assert at[0] == 0 and at[2] == ""
     assert str((10**320 * (10**320 - 2)) // 2) in at[1]
-    assert over == (2, "", unprintable(TorusKnot(p, q), "orientable genus", 640))
+    assert over == (2, "", unprintable("T(<321 digits>,<321 digits>)", "orientable genus", 640))
 
 
 @needs_digit_limit
