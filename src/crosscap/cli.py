@@ -31,26 +31,32 @@ JSON row and no object per move, and write each segment in chunks of at
 most `_BLOCK` moves as the walk goes on.  A reader that closes the pipe
 early ends the command quietly, with its own exit code.
 
-`table` splits its kept knots into contiguous slices of about equal
-length: one per CPU the process may use, and at most one per `_MIN_SLICE`
-knots or part of that.  This process renders the first slice and streams
-it, then copies out, in order, the text of each other slice, which a
-forked child renders.  A child writes its chunks as it renders them to an
-anonymous temporary file, so no process holds a slice's text, and this
-process copies the file out once the child is done.  A table runs in one
-process, with its knots never listed, when the process may use one CPU,
-when there is no `os.fork` and when another thread runs; it also runs in
-one process when it holds at most `_MIN_SLICE` knots, and this process
-renders every slice it could not fork.  A child that fails fails the
-command, and no child outlives `main`.  Every format is text that
+`table` and `verify` split their boxes into contiguous slices: one per
+CPU the process may use, and at most one per `_MIN_SLICE` knots or part
+of that.  `_in_processes`, the one fork path, runs the first slice in
+this process and each other one in a forked child, which writes its text
+as it goes to an anonymous temporary file, so no process holds a slice's
+text; this process copies each file out, in order, once its child is
+done.  A box runs in one process when the process may use one CPU, when
+there is no `os.fork`, when another thread runs, and when it holds at
+most `_MIN_SLICE` knots; this process runs every slice it could not fork.
+A child that fails fails the command, and no child outlives `main`.
+
+`table` cuts its kept knots into slices of about equal length, and a
+table in one process never lists its knots.  Every format is text that
 concatenates across slices: CSV rows, JSON items joined by the list's
-separator, and the human table, read back from the CSV lines.  An
+separator, and the human table, read back from the CSV lines.  `verify`
+cuts its box at values of p (`verify._slice_bounds`), so that each slice
+costs about the same although a later slice first walks the knots before
+it; each slice's outcomes come back as JSON and are merged into those of
+one pass, so the output is the same whatever the number of slices.  An
 `error:` line writes each number of more than 60 digits as `<N digits>`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -75,7 +81,7 @@ from .knot import (
     normalize,
     normalized_knots,
 )
-from .verify import CheckOutcome, run_all
+from .verify import CheckOutcome, Counterexample, _merge, _run_slice, _slice_bounds, run_all
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_BOX", "MAX_STEPS"]
 
@@ -348,6 +354,17 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
     }
 
 
+def _outcome_of(entry: dict) -> CheckOutcome:
+    """The outcome whose `_outcome_dict` is `entry`."""
+    return CheckOutcome(
+        entry["check"],
+        entry["range"],
+        entry["cases_checked"],
+        [Counterexample(**case) for case in entry["counterexamples"]],
+        entry["failures"],
+    )
+
+
 def _verify_human(outcomes: list[CheckOutcome]) -> str:
     name_width = max(len(o.check_name) for o in outcomes)
     lines = []
@@ -521,19 +538,11 @@ def _table_slices(
     render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: Iterable[TorusKnot]
 ) -> Iterator[str]:
     """The chunks of `render(knots)`, rendered in contiguous slices of
-    about equal length, one per process: the first in this process, each
-    other one in a forked child.  There are at most `_processes()` slices
+    about equal length by `_in_processes`: at most `_processes()` slices
     and one per _MIN_SLICE knots or part of that.
 
     With one slice the knots stream through `render` unlisted.  Otherwise
-    they are listed once, to be counted, and the children forked, at the
-    first read; this process keeps its own slice and the slices it could
-    not fork.  It streams its slice, then copies out each child's file in
-    order, in chunks of at most _COPY_CHUNK, once it has reaped that child.
-    A child that exits with a nonzero status raises RuntimeError.  On every
-    early exit, an exception, a closed pipe or this generator closed, the
-    `finally` kills and reaps each child not yet reaped, so none outlives
-    the command."""
+    they are listed once, to be counted, at the first read."""
     n = _processes()
     if n > 1:
         knots = list(knots)
@@ -542,16 +551,35 @@ def _table_slices(
         yield from render(knots)
         return
     bounds = [len(knots) * i // n for i in range(n + 1)]
+    jobs = [functools.partial(render, knots[a:b]) for a, b in zip(bounds, bounds[1:])]
+    del knots
+    with contextlib.closing(_in_processes(jobs)) as texts:
+        for text in texts:
+            yield from text
+
+
+def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[str]]:
+    """The text of each of `jobs`, in order, as the chunks it yields; each
+    text must be read whole before the next is asked for.
+
+    At the first read a child is forked for each job but the first, in
+    order, each writing its text to a temporary file (`_fork_job`); this
+    process runs the first job and every job it could not fork a child
+    for.  It yields the first job's chunks as they come, then copies out
+    each child's file in order, in chunks of at most _COPY_CHUNK, once it
+    has reaped that child.  A child that exits with a nonzero status
+    raises RuntimeError.  On every early exit, an exception, a closed pipe
+    or this generator closed, the `finally` kills and reaps each child not
+    yet reaped, so none outlives the command."""
     children: list[tuple[int, TextIO]] = []  # (pid, its file), not yet reaped
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            child = _fork_slice(render, knots[start:stop])
+        for job in jobs[1:]:
+            child = _fork_job(job)
             if child is None:
                 break
             children.append(child)
-        own, rest = knots[: bounds[1]], knots[bounds[len(children) + 1] :]
-        del knots
-        yield from render(own)
+        rest = jobs[len(children) + 1 :]
+        yield jobs[0]()
         while children:
             pid, text = children[0]
             status = os.waitpid(pid, 0)[1]
@@ -559,10 +587,11 @@ def _table_slices(
             with text:
                 if status:
                     code = os.waitstatus_to_exitcode(status)
-                    raise RuntimeError(f"table: the process of a slice exited with code {code}")
+                    raise RuntimeError(f"the process of a slice exited with code {code}")
                 text.seek(0)
-                yield from iter(functools.partial(text.read, _COPY_CHUNK), "")
-        yield from render(rest)
+                yield iter(functools.partial(text.read, _COPY_CHUNK), "")
+        for job in rest:
+            yield job()
     finally:
         for pid, text in children:
             os.kill(pid, signal.SIGKILL)
@@ -570,14 +599,12 @@ def _table_slices(
             text.close()
 
 
-def _fork_slice(
-    render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: list[TorusKnot]
-) -> Optional[tuple[int, TextIO]]:
-    """Fork a child that writes the text of `render(knots)` to a new
-    anonymous temporary file, and return its pid and that file, or None,
-    with nothing left open, if no file could be made or no child forked.
+def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
+    """Fork a child that writes the text of `job()` to a new anonymous
+    temporary file, and return its pid and that file, or None, with
+    nothing left open, if no file could be made or no child forked.
 
-    The child writes its chunks as they are rendered, so it holds no more
+    The child writes the chunks as they are yielded, so it holds no more
     than a buffer of its text, and leaves through `os._exit`: it never
     returns into the caller nor flushes the stdio it inherited."""
     try:
@@ -592,7 +619,7 @@ def _fork_slice(
     if pid == 0:
         status = 1
         try:
-            text.writelines(render(knots))
+            text.writelines(job())
             text.flush()
             status = 0
         except Exception:
@@ -603,13 +630,34 @@ def _fork_slice(
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    """The verify report of the box, checked in contiguous slices of p by
+    `_in_processes`: at most `_processes()` slices and one per _MIN_SLICE
+    knots or part of that, cut by `verify._slice_bounds` so that each
+    costs about the same, the knots a later slice walks before its own
+    included.  Each slice's outcomes come back as JSON and are merged
+    into those of one pass.  With one slice (at most _MIN_SLICE knots, one
+    CPU, no `os.fork`, or another thread running) `run_all` runs here."""
     # a bound below 3 is left to run_all, which refuses it as such
     _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
-    outcomes = run_all(args.max)
+    bounds = _slice_bounds(args.max, _processes(), _MIN_SLICE)
+    if len(bounds) <= 2:
+        outcomes = run_all(args.max)
+    else:
+        jobs = [
+            functools.partial(_slice_json, args.max, lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        with contextlib.closing(_in_processes(jobs)) as texts:
+            outcomes = _merge([list(map(_outcome_of, json.loads("".join(text)))) for text in texts])
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":
         return code, [_json_text([_outcome_dict(outcome) for outcome in outcomes])]
     return code, [_verify_human(outcomes)]
+
+
+def _slice_json(bound: int, lo: int, hi: int) -> list[str]:
+    """The JSON text of the outcomes of the knots of the `verify --max
+    bound` box with lo <= p < hi."""
+    return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, lo, hi)])]
 
 
 @functools.cache

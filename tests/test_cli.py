@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosscap import cf, cli, genus
+from crosscap import cf, cli, genus, verify
 from crosscap import knot as knot_module
 from crosscap.cli import CSV_COLUMNS, MAX_BOX, MAX_STEPS, main
 from crosscap.genus import (
@@ -583,10 +583,10 @@ def test_table_human_is_aligned(capsys):
 
 
 def split_tables(monkeypatch, cpus):
-    """Make a table take one slice per knot, up to `cpus` slices, and copy
-    a child's text out 7 characters at a time, so that chunks cut lines
-    anywhere; return the list that records each `os.fork` call this
-    process makes."""
+    """Make a table or a verify box take one slice per knot, up to `cpus`
+    slices, and copy a child's text out 7 characters at a time, so that
+    chunks cut lines anywhere; return the list that records each `os.fork`
+    call this process makes."""
     forks = []
     fork = os.fork
 
@@ -770,6 +770,141 @@ def test_an_unwritable_out_forks_nothing(monkeypatch, tmp_path, capsys):
     code, _, err = run_cli(capsys, "table", "--pmax", "40", "--qmax", "39", "--out", str(target))
     assert (code, forks) == (2, [])
     assert err.startswith(f"error: cannot write {target}")
+
+
+VERIFIES = [("verify", "--max", "60"), ("verify", "--max", "60", "--format", "json")]
+
+
+@pytest.mark.parametrize("argv", VERIFIES, ids=" ".join)
+def test_a_verify_split_across_processes_is_byte_identical(monkeypatch, capsys, argv):
+    forks = split_tables(monkeypatch, 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        forks.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, len(forks)) == (0, "", cpus - 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_SHA256)[argv]
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "min_slice, children", [(22, 0), (100, 0), (21, 1), (11, 1), (8, 2), (1, 2)]
+)
+def test_a_verify_takes_a_slice_per_cpu_and_per_minimum_slice(
+    monkeypatch, capsys, min_slice, children
+):
+    # the 10 box holds 22 knots: ceil(22 / min_slice) slices, at most 3 CPUs
+    expected = run_cli(capsys, "verify", "--max", "10")
+    forks = split_tables(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
+    assert run_cli(capsys, "verify", "--max", "10") == expected
+    assert len(forks) == children
+    assert_no_child_left()
+
+
+def every_pinch_fails(monkeypatch):
+    # every knot "pinches" to itself by the step route: more than
+    # MAX_COUNTEREXAMPLES failures in each slice
+    monkeypatch.setattr(cf, "step", lambda expansion: expansion)
+
+
+def gamma3_fails_at_multiples_of_7(monkeypatch):
+    # a few failures of two checks in every slice
+    gamma3 = verify._gamma3
+    monkeypatch.setattr(verify, "_gamma3", lambda p, coeffs: gamma3(p, coeffs) + (p % 7 == 0))
+
+
+@pytest.mark.parametrize("mutate", [every_pinch_fails, gamma3_fails_at_multiples_of_7])
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_a_failing_verify_prints_the_same_bytes_in_any_split(monkeypatch, capsys, mutate, fmt):
+    argv = ("verify", "--max", "60", "--format", fmt)
+    mutate(monkeypatch)
+    forks = split_tables(monkeypatch, 1)
+    expected = run_cli(capsys, *argv)  # one process: run_all
+    assert expected[0] == 1 and forks == []
+    for cpus in (2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        forks.clear()
+        assert run_cli(capsys, *argv) == expected
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+
+def test_a_failed_child_fails_the_verify(monkeypatch, capsys):
+    # T(60,59) is the last knot of the box, so a child checks it
+    real = verify.pinch
+
+    def fails_on_the_last_knot(knot):
+        if knot == TorusKnot(60, 59):
+            raise ArithmeticError("planted")
+        return real(knot)
+
+    forks = split_tables(monkeypatch, 2)
+    monkeypatch.setattr(verify, "pinch", fails_on_the_last_knot)
+    with pytest.raises(RuntimeError, match="exited with code 1"):
+        main(["verify", "--max", "60"])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_verify_that_fails_here_leaves_no_child(monkeypatch, capsys):
+    # T(2,3) is the first knot of the box: this process's slice raises
+    # while the two children run, and they are killed and reaped
+    real = verify.pinch
+
+    def fails_on_the_first_knot(knot):
+        if knot == TorusKnot(2, 3):
+            raise ArithmeticError("planted")
+        return real(knot)
+
+    forks = split_tables(monkeypatch, 3)
+    monkeypatch.setattr(verify, "pinch", fails_on_the_first_knot)
+    with pytest.raises(ArithmeticError, match="planted"):
+        main(["verify", "--max", "60"])
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_verify_fork_that_fails_leaves_its_slices_to_this_process(
+    monkeypatch, capsys, failing
+):
+    # fork number `failing` raises, as on EAGAIN; its slice and those after
+    # it are checked here, and its temporary file is closed
+    argv = ("verify", "--max", "60", "--format", "json")
+    expected = run_cli(capsys, *argv)
+    fork = os.fork
+    forks = split_tables(monkeypatch, 3)
+
+    def fails():
+        if len(forks) == failing - 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fails)
+    fds = open_fds()
+    assert run_cli(capsys, *argv) == expected
+    assert len(forks) == failing - 1
+    assert open_fds() == fds
+    assert_no_child_left()
+
+
+def test_a_verify_forks_nothing_while_another_thread_runs(monkeypatch, capsys):
+    argv = ("verify", "--max", "60")
+    expected = run_cli(capsys, *argv)
+    forks = split_tables(monkeypatch, 3)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert run_cli(capsys, *argv) == expected
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert_no_child_left()
 
 
 def test_verify_human_pass(capsys):
@@ -1233,8 +1368,9 @@ OVERSIZE_BOXES = [
 
 
 def record_boxes(monkeypatch):
-    """The list of bounds the box commands enumerate knots with; they
-    build none."""
+    """The list of bounds the box commands enumerate knots with in this
+    process; they build none.  A verify box split across processes is
+    recorded by the slice this process checks."""
     boxes = []
 
     def enumerate_box(*bounds):
@@ -1247,6 +1383,7 @@ def record_boxes(monkeypatch):
 
     monkeypatch.setattr(cli, "normalized_knots", enumerate_box)
     monkeypatch.setattr(cli, "run_all", run_all)
+    monkeypatch.setattr(cli, "_run_slice", lambda bound, lo, hi: run_all(bound))
     return boxes
 
 

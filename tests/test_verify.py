@@ -1,5 +1,6 @@
 """Verification harness: counting semantics, outcome shape, failure capture."""
 
+import itertools
 import re
 
 import pytest
@@ -168,6 +169,82 @@ def test_run_all_enumerates_the_box_once(monkeypatch):
     monkeypatch.setattr(verify, "normalized_knots", counting)
     run_all(40)
     assert calls == [(40,)]
+
+
+def slices_of(bound, *cuts):
+    """The outcomes of the contiguous slices of the box cut at `cuts`."""
+    bounds = [0, *cuts, bound + 1]
+    return [verify._run_slice(bound, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def assert_every_split_merges_to_run_all(bound):
+    whole = run_all(bound)
+    for cut in range(bound + 2):
+        assert verify._merge(slices_of(bound, cut)) == whole, cut
+    assert verify._merge(slices_of(bound, 17, 29)) == whole
+
+
+def test_merged_slices_are_run_all():
+    assert_every_split_merges_to_run_all(40)
+
+
+def test_merged_slices_keep_the_first_counterexamples(monkeypatch):
+    # every knot fails pinch-equivalence: both sides of most cuts hold
+    # failures, and a cut at p = 30 leaves more than MAX_COUNTEREXAMPLES
+    # on each side, so the merge must drop the second side's
+    monkeypatch.setattr(cf, "step", lambda expansion: expansion)
+    whole = run_all(40)
+    assert whole[0].failures_total > MAX_COUNTEREXAMPLES
+    halves = slices_of(40, 30)
+    assert [len(half[0].counterexamples) for half in halves] == [MAX_COUNTEREXAMPLES] * 2
+    assert_every_split_merges_to_run_all(40)
+
+
+def test_a_slice_needs_the_walks_of_the_knots_before_it(monkeypatch):
+    # without its prefix walked, a slice's walks find no entry for the
+    # knots it pinches onto below it, and the checks reading them fail
+    assert all(outcome.passed for outcome in verify._run_slice(40, 20, 41))
+    box = verify.normalized_knots
+    monkeypatch.setattr(
+        verify, "normalized_knots", lambda bound: (k for k in box(bound) if k.p >= 20)
+    )
+    outcomes = {outcome.check_name: outcome for outcome in verify._run_slice(40, 20, 41)}
+    failed = sorted(name for name, outcome in outcomes.items() if not outcome.passed)
+    assert failed == ["crosscap-odd-consistency", "gap-formula", "terminal-unknot"]
+    for name in failed:
+        for case in outcomes[name].counterexamples:
+            assert case.expected.startswith("a walk from T(") and case.actual == "none"
+
+
+@pytest.mark.parametrize("bound", [-1, 2, 3, 10, 40, 61])
+def test_row_sizes_count_the_box_by_first_parameter(bound):
+    rows = [0] * max(bound + 1, 0)
+    for knot in normalized_knots(bound):
+        rows[knot.p] += 1
+    assert verify._row_sizes(bound) == rows
+
+
+@pytest.mark.parametrize("most, min_slice", [(2, 1), (3, 1), (8, 1), (3, 2048), (2, 300)])
+def test_slice_bounds_balance_the_walk_and_check_costs(most, min_slice):
+    # a slice costs its knots plus _WALK_SHARE of the knots before it; the
+    # slices cost the same up to the rows the cuts fall between
+    bound = 150
+    sizes = verify._row_sizes(bound)
+    before = list(itertools.accumulate(sizes, initial=0))
+    bounds = verify._slice_bounds(bound, most, min_slice)
+    n = min(most, -(-before[-1] // min_slice))
+    assert bounds == sorted(set(bounds)) and len(bounds) == n + 1
+    assert bounds[0] == 0 and bounds[-1] == bound + 1
+    costs = [
+        verify._WALK_SHARE * before[lo] + before[hi] - before[lo]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert max(costs) - min(costs) <= 2 * max(sizes)
+
+
+def test_one_process_takes_the_whole_box():
+    assert verify._slice_bounds(150, 1, 1) == [0, 151]
+    assert verify._slice_bounds(2, 3, 1) == [0, 3]  # no knot: run_all refuses it
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
