@@ -31,26 +31,29 @@ JSON row and no object per move, and write each segment in chunks of at
 most `_BLOCK` moves as the walk goes on.  A reader that closes the pipe
 early ends the command quietly, with its own exit code.
 
-`table` and `verify` split their boxes into contiguous slices: one per
-CPU the process may use, and at most one per `_MIN_SLICE` knots or part
-of that.  `_in_processes`, the one fork path, runs the first slice in
-this process and each other one in a forked child, which writes its text
-as it goes to an anonymous temporary file, so no process holds a slice's
-text; this process copies each file out, in order, once its child is
-done.  A box runs in one process when the process may use one CPU, when
-there is no `os.fork`, when another thread runs, and when it holds at
-most `_MIN_SLICE` knots; this process runs every slice it could not fork.
-A child that fails fails the command, and no child outlives `main`.
+`table` and `verify` split their boxes in one way, `_in_slices`.  Where
+the process may use more than one CPU, the box's knots are listed once
+and cut by position (`_cut`) into contiguous slices, one per CPU and at
+most one per `_MIN_SLICE` knots or part of that, slice i taking a part of
+the knots proportional to (1 - share)^i.  `_in_processes`, the one fork
+path, runs the first slice in this process and each other one in a
+forked child, which writes its text as it goes to an anonymous temporary
+file, so no process holds a slice's text; this process copies each file
+out, in order, once its child is done, and runs every slice it could not
+fork.  A box is one slice when it holds at most `_MIN_SLICE` knots, and
+when the process may use one CPU, has no `os.fork` or runs another
+thread, which three stream its knots unlisted.  A child that fails fails
+the command, and no child outlives `main`.
 
-`table` cuts its kept knots into slices of about equal length, and a
-table in one process never lists its knots.  Every format is text that
-concatenates across slices: CSV rows, JSON items joined by the list's
-separator, and the human table, read back from the CSV lines.  `verify`
-cuts its box at values of p (`verify._slice_bounds`), so that each slice
-costs about the same although a later slice first walks the knots before
-it; each slice's outcomes come back as JSON and are merged into those of
-one pass, so the output is the same whatever the number of slices.  An
-`error:` line writes each number of more than 60 digits as `<N digits>`.
+A `table` slice renders its knots, with share 0.  Every format is text
+that concatenates across slices: CSV rows, JSON items joined by the
+list's separator, and the human table, read back from the CSV lines.  A
+`verify` slice first walks the knots before it, each at the share
+`verify._WALK_SHARE` of the cost of a knot it checks, so that each slice
+costs about the same; its outcomes come back as JSON and are merged into
+those of one pass, so the output is the same whatever the number of
+slices.  An `error:` line writes each number of more than 60 digits as
+`<N digits>`.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from .knot import (
     normalize,
     normalized_knots,
 )
-from .verify import CheckOutcome, Counterexample, _merge, _run_slice, _slice_bounds, run_all
+from .verify import _WALK_SHARE, CheckOutcome, Counterexample, _merge, _run_slice
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_BOX", "MAX_STEPS"]
 
@@ -454,12 +457,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     """The table of the box's kept knots, lazy: nothing is enumerated or
     forked until its first chunk is read.
 
-    `_table_slices` splits the knots into contiguous slices, one per CPU
-    and at most one per _MIN_SLICE knots or part of that.  This process
-    streams the first; a forked child renders each other one into a
-    temporary file, which this process copies out in order.  With one
-    slice (at most _MIN_SLICE knots, one CPU, no `os.fork`, or another
-    thread running) no child is forked."""
+    `_table_slices` renders the knots in slices of about equal length (see
+    `_in_slices`).  This process streams the first; a forked child renders
+    each other one into a temporary file, which this process copies out in
+    order."""
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
     _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
@@ -504,12 +505,16 @@ def _json_items(knots: Iterable[TorusKnot]) -> Iterator[str]:
         yield ",\n  " + "".join(_report_json(report, "  ", ""))
 
 
-# A table takes at most one slice per _MIN_SLICE knots or part of that, so
-# that a child has more than _MIN_SLICE/2 knots to render and a table of at
-# most _MIN_SLICE knots forks none.  On 2 CPUs a child cost about 5 ms (its
-# fork, exit and copy-on-write faults) and a knot about 8 us, so two slices
-# pay from about 1,300 knots; measured, they were slower below 1,000 knots
-# and within the noise up to 2,600 (CHANGES.md).
+# A box takes at most one slice per _MIN_SLICE knots or part of that, so
+# that a child has more than _MIN_SLICE/2 knots and a box of at most
+# _MIN_SLICE knots forks none.  It was measured for `table`: on 2 CPUs a
+# child cost about 5 ms (its fork, exit and copy-on-write faults) and a knot
+# about 8 us, so two slices pay from about 1,300 knots; measured, they were
+# slower below 1,000 knots and within the noise up to 2,600 (CHANGES.md).
+# `verify` shares it, though at about 12 us a knot its two slices already
+# paid from about 1,500 knots: a box of 1,500 to 2,048 knots misses a
+# 10-20% gain of a few ms there (CHANGES.md).  One constant serves
+# both commands.
 _MIN_SLICE = 2048
 
 
@@ -526,7 +531,7 @@ def _cpus() -> int:
 
 
 def _processes() -> int:
-    """The most processes a table is rendered in: one per CPU, and one
+    """The most processes a box is split across: one per CPU, and one
     where there is no `os.fork` or another thread runs, since a fork copies
     no thread but the caller's (and warns of that from Python 3.12)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -537,25 +542,52 @@ def _processes() -> int:
 def _table_slices(
     render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: Iterable[TorusKnot]
 ) -> Iterator[str]:
-    """The chunks of `render(knots)`, rendered in contiguous slices of
-    about equal length by `_in_processes`: at most `_processes()` slices
-    and one per _MIN_SLICE knots or part of that.
+    """The chunks of `render(knots)`, rendered a slice at a time by
+    `_in_slices`, with slices of about equal length."""
 
-    With one slice the knots stream through `render` unlisted.  Otherwise
-    they are listed once, to be counted, at the first read."""
-    n = _processes()
-    if n > 1:
-        knots = list(knots)
-        n = min(n, -(-len(knots) // _MIN_SLICE))
-    if n <= 1:
-        yield from render(knots)
-        return
-    bounds = [len(knots) * i // n for i in range(n + 1)]
-    jobs = [functools.partial(render, knots[a:b]) for a, b in zip(bounds, bounds[1:])]
-    del knots
-    with contextlib.closing(_in_processes(jobs)) as texts:
+    def job(part: Iterable[TorusKnot], lo: int) -> Iterable[str]:
+        return render(itertools.islice(part, lo, None))
+
+    with contextlib.closing(_in_slices(job, knots, 0.0)) as texts:
         for text in texts:
             yield from text
+
+
+def _in_slices(
+    job: Callable[[Iterable[TorusKnot], int], Iterable[str]],
+    knots: Iterable[TorusKnot],
+    share: float,
+) -> Iterator[Iterable[str]]:
+    """The texts of the slices of `knots`, in order, from `_in_processes`:
+    slice [lo, hi) is the job `job(first hi knots, lo)`, the text of the
+    knots from position lo on, which may read the ones before it.
+
+    With one process the knots stream unlisted into one job, `job(knots,
+    0)`.  Otherwise they are listed once and cut by `_cut`."""
+    most = _processes()
+    if most == 1:
+        return _in_processes([functools.partial(job, knots, 0)])
+    knots = list(knots)
+    cuts = itertools.pairwise(_cut(len(knots), most, share))
+    return _in_processes([functools.partial(job, itertools.islice(knots, b), a) for a, b in cuts])
+
+
+def _cut(size: int, most: int, share: float) -> list[int]:
+    """The bounds 0 = b_0 < ... < b_n = size of n = min(most, ceil(size /
+    _MIN_SLICE)) contiguous slices of `size` knots (one empty slice of none).
+
+    Slice i takes a part of the knots proportional to (1 - share)^i, each
+    bound rounded to the nearest knot: with share 0, slices of equal length
+    up to one knot.  With share r, slice i costs r * b_i + b_{i+1} - b_i
+    knots, the same for every slice before rounding and within (2 - r) / 2
+    of that after.  A bound moves further only where a slice would be
+    empty."""
+    n = max(1, min(most, -(-size // _MIN_SLICE)))
+    parts = list(itertools.accumulate(((1 - share) ** i for i in range(n)), initial=0))
+    bounds = [0]
+    for i, part in enumerate(parts[1:], 1):
+        bounds.append(min(max(round(size * part / parts[-1]), bounds[-1] + 1), size - n + i))
+    return bounds
 
 
 def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[str]]:
@@ -630,34 +662,25 @@ def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    """The verify report of the box, checked in contiguous slices of p by
-    `_in_processes`: at most `_processes()` slices and one per _MIN_SLICE
-    knots or part of that, cut by `verify._slice_bounds` so that each
-    costs about the same, the knots a later slice walks before its own
-    included.  Each slice's outcomes come back as JSON and are merged
-    into those of one pass.  With one slice (at most _MIN_SLICE knots, one
-    CPU, no `os.fork`, or another thread running) `run_all` runs here."""
-    # a bound below 3 is left to run_all, which refuses it as such
+    """The verify report of the box, checked a slice at a time by
+    `_in_slices` with the share `_WALK_SHARE`, since a slice first walks
+    the knots before it.  Each slice's outcomes come back as JSON and are
+    merged into those of one pass."""
+    # a bound below 3 is left to the checks, which refuse it as such
     _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
-    bounds = _slice_bounds(args.max, _processes(), _MIN_SLICE)
-    if len(bounds) <= 2:
-        outcomes = run_all(args.max)
-    else:
-        jobs = [
-            functools.partial(_slice_json, args.max, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-        ]
-        with contextlib.closing(_in_processes(jobs)) as texts:
-            outcomes = _merge([list(map(_outcome_of, json.loads("".join(text)))) for text in texts])
+    job = functools.partial(_slice_json, args.max)
+    with contextlib.closing(_in_slices(job, normalized_knots(args.max), _WALK_SHARE)) as texts:
+        outcomes = _merge([list(map(_outcome_of, json.loads("".join(text)))) for text in texts])
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":
         return code, [_json_text([_outcome_dict(outcome) for outcome in outcomes])]
     return code, [_verify_human(outcomes)]
 
 
-def _slice_json(bound: int, lo: int, hi: int) -> list[str]:
-    """The JSON text of the outcomes of the knots of the `verify --max
-    bound` box with lo <= p < hi."""
-    return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, lo, hi)])]
+def _slice_json(bound: int, knots: Iterable[TorusKnot], lo: int) -> list[str]:
+    """The JSON text of the outcomes of `knots`, the first knots of the
+    `verify --max bound` box, from position lo on."""
+    return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, knots, lo)])]
 
 
 @functools.cache

@@ -26,22 +26,20 @@ gamma3 with: terminal-unknot, gap-formula and crosscap-odd-consistency
 compare the two routes, and pinch-equivalence checks the residue pinch
 against one `cf.step`, so every move of every walk in the box is checked.
 
-A pass can also check one slice of the box, the knots with p in a range
-(`_run_slice`).  It first walks the knots before the slice, and only walks
-them, so the induction holds inside the slice; the outcomes of contiguous
-slices merge (`_merge`) into those of one pass.  `crosscap verify` checks
-its slices in parallel processes, cut by `_slice_bounds`.
+A pass can also check one slice of the box, the knots from a position
+on in `normalized_knots` order (`_run_slice`).  It first walks the knots
+before that position, and only walks them, so the induction holds inside
+the slice; the outcomes of contiguous slices merge (`_merge`) into those
+of one pass.  `crosscap verify` checks its slices in parallel processes.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import cf
 from .errors import InvalidParameter
@@ -124,10 +122,12 @@ class _Walks:
     even knots also when only odd-p checks run, since those read their
     pieces' walks.
 
-    A pass over a slice of the box, the knots with lo <= p < hi, first
-    walks every knot with p < lo of the parities read, in the same order
+    A pass over a slice of the box, its knots from position lo on, first
+    walks those of the lo knots before it of a parity read, in the same order
     and with no check, so the table holds every walk the slice reads and
-    the induction holds inside the slice as in the whole box.
+    the induction holds inside the slice as in the whole box.  The slice
+    may start inside a row of p: `add` grows the table to the row of the
+    knot it stores, so a row walked in part is completed in place.
 
     A lookup misses only when a broken `pinch` or `odd_split` leaves the
     order above, or when a slice is checked without the knots before it
@@ -260,10 +260,11 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 
 
 def _scan(
-    max_param: int, rows: list[_Row], lo: int = 0, hi: Optional[int] = None
+    max_param: int, rows: list[_Row], knots: Optional[Iterable[TorusKnot]] = None, lo: int = 0
 ) -> list[CheckOutcome]:
-    """Evaluate the given checks on every knot of the box with lo <= p < hi
-    (hi None: the whole box), in a single pass.
+    """Evaluate the given checks on `knots`, the box's knots in
+    `normalized_knots` order (None: the whole box) from position lo on, in
+    a single pass.
 
     A bound that is not an int (bools included), or is below 3 and so
     holds no nontrivial knot, is refused, for every entry point alike.
@@ -272,7 +273,7 @@ def _scan(
     check gets no record.  Each check's case count is its parity's tally,
     or both tallies, after the pass.  The knots with a record are walked as
     the record is built, and the even knots also without one, for the split
-    pieces of odd-p checks (see `_Walks`).  The knots with p < lo are only
+    pieces of odd-p checks (see `_Walks`).  The first lo knots are only
     walked, for the parities the checks read, so that the table holds every
     walk the slice's knots read; they are neither tallied nor checked.
     Each (expected, actual) pair a predicate returns is one failure of its
@@ -281,8 +282,7 @@ def _scan(
         raise InvalidParameter(f"verify bound must be an int: {max_param!r}")
     if max_param < 3:
         raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
-    if hi is None:
-        hi = max_param + 1
+    knots = iter(normalized_knots(max_param) if knots is None else knots)
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
     by_parity: tuple[list, list] = ([], [])  # (predicate, outcome) for even p, odd p
     for (_, _, parity, predicate), outcome in zip(rows, outcomes):
@@ -293,14 +293,14 @@ def _scan(
     # any check runs, since odd-p checks read those of their split pieces
     walked = (bool(rows), bool(by_parity[1]))
     walks = _Walks(max_param)
+    for knot in itertools.islice(knots, lo):
+        if walked[knot.p % 2]:
+            walks.add(pinch(knot))
     tallies = [0, 0]
-    for knot in normalized_knots(max_param):
-        p = knot.p
-        if p >= hi:
-            break
-        parity = p % 2
+    for knot in knots:
+        parity = knot.p % 2
         checks = by_parity[parity]
-        if p < lo or not checks:
+        if not checks:
             if walked[parity]:
                 walks.add(pinch(knot))
             continue
@@ -433,12 +433,13 @@ def run_all(max_param: int) -> list[CheckOutcome]:
     return _scan(max_param, _CHECKS)
 
 
-def _run_slice(max_param: int, lo: int, hi: int) -> list[CheckOutcome]:
-    """`run_all(max_param)` on the knots with lo <= p < hi alone: each
-    outcome's cases, failures and counterexamples are the slice's.  The
-    knots before the slice are walked first (see `_scan`), so `_merge` of
-    the outcomes of contiguous slices that cover the box is `run_all`."""
-    return _scan(max_param, _CHECKS, lo, hi)
+def _run_slice(max_param: int, knots: Iterable[TorusKnot], lo: int) -> list[CheckOutcome]:
+    """`run_all(max_param)` on `knots`, the box's first knots in
+    `normalized_knots` order, from position lo on: each outcome's cases,
+    failures and counterexamples are the slice's.  The lo knots before the
+    slice are walked first (see `_scan`), so `_merge` of the outcomes of
+    contiguous slices that cover the box is `run_all`."""
+    return _scan(max_param, _CHECKS, knots, lo)
 
 
 def _merge(slices: list[list[CheckOutcome]]) -> list[CheckOutcome]:
@@ -459,46 +460,11 @@ def _merge(slices: list[list[CheckOutcome]]) -> list[CheckOutcome]:
     return merged
 
 
-def _row_sizes(max_param: int) -> list[int]:
-    """The number of knots of the box with first parameter p, for p in
-    0, ..., max_param, counted without building them: `normalized_knots`
-    yields, for each p, the odd q >= 3 coprime to p with q <= max_param,
-    and q < p for odd p."""
-    sizes = [0] * (max_param + 1)
-    for p in range(2, max_param + 1):
-        qs = range(3, max_param + 1 if p % 2 == 0 else p, 2)
-        sizes[p] = list(map(math.gcd, itertools.repeat(p, len(qs)), qs)).count(1)
-    return sizes
-
-
 # A slice walks the knots before it (`_scan`), at this share r of the cost
-# of a knot it checks.  `_run_slice(150, 151, 151)`, which walks every knot
-# of the 150 box and checks none, took 0.24 to 0.30 of the time of
-# `run_all(150)` (best of 7, five rounds, one process, Python 3.11.7 on a
-# 2-CPU VM): r = 0.28.
+# of a knot it checks.  `_run_slice(150, knots, len(knots))`, which walks
+# every knot of the 150 box and checks none, took 0.24 to 0.30 of the time
+# of `run_all(150)` (best of 7, five rounds, one process, Python 3.11.7 on
+# a 2-CPU VM): r = 0.28.  So `cli._cut` gives slice i of a verify box a
+# share of its knots proportional to (1 - r)^i, and each slice costs about
+# the same.
 _WALK_SHARE = 0.28
-
-
-def _slice_bounds(max_param: int, most: int, min_slice: int) -> list[int]:
-    """The bounds 0 = b_0 < b_1 < ... < b_n = max_param + 1 of n
-    contiguous slices of the box, b_i <= p < b_{i+1}, with n at most
-    `most` and at most one per `min_slice` knots or part of that.
-
-    A slice costs its own knots and, at r = _WALK_SHARE of a knot each,
-    the knots before it.  Each slice costs about the same when the knots
-    before b_i number N (1 - s^i) / (1 - s^n), for N knots in the box and
-    s = 1 - r; each b_i is the first p with at least that many knots
-    before it, and two b_i that fall on the same p are one.  So of two
-    slices the first takes N / (2 - r) of the knots, about 58%.  A bound
-    below 3 is one slice, for `_scan` to refuse."""
-    whole = [0, max_param + 1]
-    if most <= 1:
-        return whole
-    before = list(itertools.accumulate(_row_sizes(max_param), initial=0))
-    total = before[-1]
-    n = min(most, -(-total // min_slice))
-    if n <= 1:
-        return whole
-    s = 1 - _WALK_SHARE
-    cuts = (bisect.bisect_left(before, total * (1 - s**i) / (1 - s**n)) for i in range(1, n))
-    return sorted({*whole, *cuts})

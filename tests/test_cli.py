@@ -939,7 +939,7 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
         counterexamples=[Counterexample("T(9,9)", "left", "right")],
         failures_total=1,
     )
-    monkeypatch.setattr(cli, "run_all", lambda max_param: [broken])
+    monkeypatch.setattr(cli, "_run_slice", lambda bound, knots, lo: [broken])
     code, out, _ = run_cli(capsys, "verify", "--max", "10")
     assert code == 1
     assert "FAIL (1 failures)" in out
@@ -1369,21 +1369,17 @@ OVERSIZE_BOXES = [
 
 def record_boxes(monkeypatch):
     """The list of bounds the box commands enumerate knots with in this
-    process; they build none.  A verify box split across processes is
-    recorded by the slice this process checks."""
+    process; they build none, and a verify slice checks none."""
     boxes = []
 
     def enumerate_box(*bounds):
         boxes.append(bounds)
         return iter(())
 
-    def run_all(bound):
-        boxes.append((bound,))
-        return [CheckOutcome("demo", "synthetic")]
-
     monkeypatch.setattr(cli, "normalized_knots", enumerate_box)
-    monkeypatch.setattr(cli, "run_all", run_all)
-    monkeypatch.setattr(cli, "_run_slice", lambda bound, lo, hi: run_all(bound))
+    monkeypatch.setattr(
+        cli, "_run_slice", lambda bound, knots, lo: [CheckOutcome("demo", "synthetic")]
+    )
     return boxes
 
 

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from crosscap import cf, genus, verify
+from crosscap import cf, cli, genus, verify
 from crosscap import knot as knot_module
 from crosscap.errors import InvalidParameter
 from crosscap.genus import odd_split
@@ -172,16 +172,20 @@ def test_run_all_enumerates_the_box_once(monkeypatch):
 
 
 def slices_of(bound, *cuts):
-    """The outcomes of the contiguous slices of the box cut at `cuts`."""
-    bounds = [0, *cuts, bound + 1]
-    return [verify._run_slice(bound, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    """The outcomes of the contiguous slices of the box's knots, in
+    `normalized_knots` order, cut at the positions `cuts`."""
+    knots = list(normalized_knots(bound))
+    bounds = [0, *cuts, len(knots)]
+    return [verify._run_slice(bound, knots[:hi], lo) for lo, hi in itertools.pairwise(bounds)]
 
 
 def assert_every_split_merges_to_run_all(bound):
+    # every cut in two, most of them inside a row of p, and one in three
     whole = run_all(bound)
-    for cut in range(bound + 2):
+    size = len(list(normalized_knots(bound)))
+    for cut in range(size + 1):
         assert verify._merge(slices_of(bound, cut)) == whole, cut
-    assert verify._merge(slices_of(bound, 17, 29)) == whole
+    assert verify._merge(slices_of(bound, 151, 302)) == whole
 
 
 def test_merged_slices_are_run_all():
@@ -190,25 +194,24 @@ def test_merged_slices_are_run_all():
 
 def test_merged_slices_keep_the_first_counterexamples(monkeypatch):
     # every knot fails pinch-equivalence: both sides of most cuts hold
-    # failures, and a cut at p = 30 leaves more than MAX_COUNTEREXAMPLES
-    # on each side, so the merge must drop the second side's
+    # failures, and a cut at position 300 of the 450 knots leaves more than
+    # MAX_COUNTEREXAMPLES on each side, so the merge must drop the second
+    # side's
     monkeypatch.setattr(cf, "step", lambda expansion: expansion)
     whole = run_all(40)
     assert whole[0].failures_total > MAX_COUNTEREXAMPLES
-    halves = slices_of(40, 30)
+    halves = slices_of(40, 300)
     assert [len(half[0].counterexamples) for half in halves] == [MAX_COUNTEREXAMPLES] * 2
     assert_every_split_merges_to_run_all(40)
 
 
-def test_a_slice_needs_the_walks_of_the_knots_before_it(monkeypatch):
+def test_a_slice_needs_the_walks_of_the_knots_before_it():
     # without its prefix walked, a slice's walks find no entry for the
     # knots it pinches onto below it, and the checks reading them fail
-    assert all(outcome.passed for outcome in verify._run_slice(40, 20, 41))
-    box = verify.normalized_knots
-    monkeypatch.setattr(
-        verify, "normalized_knots", lambda bound: (k for k in box(bound) if k.p >= 20)
-    )
-    outcomes = {outcome.check_name: outcome for outcome in verify._run_slice(40, 20, 41)}
+    knots = list(normalized_knots(40))
+    lo = next(i for i, knot in enumerate(knots) if knot.p >= 20)
+    assert all(outcome.passed for outcome in verify._run_slice(40, knots, lo))
+    outcomes = {outcome.check_name: outcome for outcome in verify._run_slice(40, knots[lo:], 0)}
     failed = sorted(name for name, outcome in outcomes.items() if not outcome.passed)
     assert failed == ["crosscap-odd-consistency", "gap-formula", "terminal-unknot"]
     for name in failed:
@@ -216,35 +219,24 @@ def test_a_slice_needs_the_walks_of_the_knots_before_it(monkeypatch):
             assert case.expected.startswith("a walk from T(") and case.actual == "none"
 
 
-@pytest.mark.parametrize("bound", [-1, 2, 3, 10, 40, 61])
-def test_row_sizes_count_the_box_by_first_parameter(bound):
-    rows = [0] * max(bound + 1, 0)
-    for knot in normalized_knots(bound):
-        rows[knot.p] += 1
-    assert verify._row_sizes(bound) == rows
-
-
-@pytest.mark.parametrize("most, min_slice", [(2, 1), (3, 1), (8, 1), (3, 2048), (2, 300)])
-def test_slice_bounds_balance_the_walk_and_check_costs(most, min_slice):
-    # a slice costs its knots plus _WALK_SHARE of the knots before it; the
-    # slices cost the same up to the rows the cuts fall between
-    bound = 150
-    sizes = verify._row_sizes(bound)
-    before = list(itertools.accumulate(sizes, initial=0))
-    bounds = verify._slice_bounds(bound, most, min_slice)
-    n = min(most, -(-before[-1] // min_slice))
-    assert bounds == sorted(set(bounds)) and len(bounds) == n + 1
-    assert bounds[0] == 0 and bounds[-1] == bound + 1
-    costs = [
-        verify._WALK_SHARE * before[lo] + before[hi] - before[lo]
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    assert max(costs) - min(costs) <= 2 * max(sizes)
-
-
-def test_one_process_takes_the_whole_box():
-    assert verify._slice_bounds(150, 1, 1) == [0, 151]
-    assert verify._slice_bounds(2, 3, 1) == [0, 3]  # no knot: run_all refuses it
+@pytest.mark.parametrize("min_slice", [1, 300, 2048])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("share", [0.0, verify._WALK_SHARE])
+def test_one_cut_serves_table_and_verify(monkeypatch, share, cpus, min_slice):
+    # `cli._cut` cuts a table's knots with share 0 and a verify box's with
+    # _WALK_SHARE: slice i costs share * (knots before it) + its own knots
+    monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
+    for size in (0, 1, 2, 3, 7, 14, 100, 450, 2049, 6708, 303192):
+        bounds = cli._cut(size, cpus, share)
+        n = max(1, min(cpus, -(-size // min_slice)))
+        assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[-1] == size
+        assert size == 0 or all(lo < hi for lo, hi in itertools.pairwise(bounds))
+        if size < 100:
+            continue  # a slice may hold a knot only because none may be empty
+        costs = [share * lo + hi - lo for lo, hi in itertools.pairwise(bounds)]
+        equal = size / sum((1 - share) ** i for i in range(n))
+        assert all(abs(cost - equal) <= (2 - share) / 2 + 1e-9 for cost in costs), bounds
+        assert share or max(costs) - min(costs) <= 1
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
