@@ -33,27 +33,27 @@ early ends the command quietly, with its own exit code.
 
 `table` and `verify` split their boxes in one way, `_in_slices`.  Where
 the process may use more than one CPU, the box's knots are listed once
-and cut by position (`_cut`) into contiguous slices, one per CPU and at
-most one per `_MIN_SLICE` knots or part of that, slice i taking a part of
-the knots proportional to (1 - share)^i.  `_in_processes`, the one fork
-path, runs the first slice in this process and each other one in a
-forked child, which writes its text as it goes to an anonymous temporary
-file, so no process holds a slice's text; this process copies each file
-out, in order, once its child is done, and runs every slice it could not
-fork.  A box is one slice when it holds at most `_MIN_SLICE` knots, and
-when the process may use one CPU, has no `os.fork` or runs another
-thread, which three stream its knots unlisted.  A child that fails fails
-the command, and no child outlives `main`.
+and cut by position (`_cut`) into contiguous slices of equal length up to
+one knot, one per CPU and at most one per `_MIN_SLICE` knots or part of
+that.  `_in_processes`, the one fork path, runs the first slice in this
+process and each other one in a forked child, which writes its text as
+it goes to an anonymous temporary file, so no process holds a slice's
+text; this process copies each file out, in order, once its child is
+done, and runs every slice it could not fork.  A box is one slice when it
+holds at most `_MIN_SLICE` knots, and when the process may use one CPU,
+has no `os.fork` or runs another thread, which three stream its knots
+unlisted.  A child that fails fails the command, and no child outlives
+`main`.
 
-A `table` slice renders its knots, with share 0.  Every format is text
-that concatenates across slices: CSV rows, JSON items joined by the
-list's separator, and the human table, read back from the CSV lines.  A
-`verify` slice first walks the knots before it, each at the share
-`verify._WALK_SHARE` of the cost of a knot it checks, so that each slice
-costs about the same; its outcomes come back as JSON and are merged into
-those of one pass, so the output is the same whatever the number of
-slices.  An `error:` line writes each number of more than 60 digits as
-`<N digits>`.
+A `table` slice renders its knots.  Every format is text that
+concatenates across slices: CSV rows, JSON items joined by the list's
+separator, and the human table, read back from the CSV lines.  A `verify`
+box is cut into equal slices too; a later slice first walks the knots
+before it.  Its outcomes come back as JSON and are merged into those of
+one pass, so the output is the same whatever the number of slices.
+
+An `error:` line, argparse's too, writes each number of more than 60
+digits as `<N digits>`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import tempfile
 import threading
 import traceback
 import types
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, TextIO
 
 from .errors import CrosscapError, InvalidParameter
 from .genus import GenusReport, crosscap_number, genus_report
@@ -84,7 +84,7 @@ from .knot import (
     normalize,
     normalized_knots,
 )
-from .verify import _WALK_SHARE, CheckOutcome, Counterexample, _merge, _run_slice
+from .verify import CheckOutcome, Counterexample, _merge, _run_slice
 
 __all__ = ["main", "CSV_COLUMNS", "MAX_BOX", "MAX_STEPS"]
 
@@ -513,8 +513,10 @@ def _json_items(knots: Iterable[TorusKnot]) -> Iterator[str]:
 # slower below 1,000 knots and within the noise up to 2,600 (CHANGES.md).
 # `verify` shares it, though at about 12 us a knot its two slices already
 # paid from about 1,500 knots: a box of 1,500 to 2,048 knots misses a
-# 10-20% gain of a few ms there (CHANGES.md).  One constant serves
-# both commands.
+# 10-20% gain of a few ms there (CHANGES.md).  That crossover was measured
+# under a weighted cut, which gave the first slice more knots than the
+# second to pay for the second's walk of them; with equal slices it is
+# not measured again.  One constant serves both commands.
 _MIN_SLICE = 2048
 
 
@@ -548,7 +550,7 @@ def _table_slices(
     def job(part: Iterable[TorusKnot], lo: int) -> Iterable[str]:
         return render(itertools.islice(part, lo, None))
 
-    with contextlib.closing(_in_slices(job, knots, 0.0)) as texts:
+    with contextlib.closing(_in_slices(job, knots)) as texts:
         for text in texts:
             yield from text
 
@@ -556,38 +558,28 @@ def _table_slices(
 def _in_slices(
     job: Callable[[Iterable[TorusKnot], int], Iterable[str]],
     knots: Iterable[TorusKnot],
-    share: float,
 ) -> Iterator[Iterable[str]]:
     """The texts of the slices of `knots`, in order, from `_in_processes`:
     slice [lo, hi) is the job `job(first hi knots, lo)`, the text of the
     knots from position lo on, which may read the ones before it.
 
     With one process the knots stream unlisted into one job, `job(knots,
-    0)`.  Otherwise they are listed once and cut by `_cut`."""
+    0)`.  Otherwise they are listed once and cut by `_cut` into equal
+    slices; a later slice's job may first walk the knots before it."""
     most = _processes()
     if most == 1:
         return _in_processes([functools.partial(job, knots, 0)])
     knots = list(knots)
-    cuts = itertools.pairwise(_cut(len(knots), most, share))
+    cuts = itertools.pairwise(_cut(len(knots), most))
     return _in_processes([functools.partial(job, itertools.islice(knots, b), a) for a, b in cuts])
 
 
-def _cut(size: int, most: int, share: float) -> list[int]:
+def _cut(size: int, most: int) -> list[int]:
     """The bounds 0 = b_0 < ... < b_n = size of n = min(most, ceil(size /
-    _MIN_SLICE)) contiguous slices of `size` knots (one empty slice of none).
-
-    Slice i takes a part of the knots proportional to (1 - share)^i, each
-    bound rounded to the nearest knot: with share 0, slices of equal length
-    up to one knot.  With share r, slice i costs r * b_i + b_{i+1} - b_i
-    knots, the same for every slice before rounding and within (2 - r) / 2
-    of that after.  A bound moves further only where a slice would be
-    empty."""
+    _MIN_SLICE)) contiguous slices of `size` knots (one empty slice of
+    none): equal slices, of lengths that differ by at most one knot."""
     n = max(1, min(most, -(-size // _MIN_SLICE)))
-    parts = list(itertools.accumulate(((1 - share) ** i for i in range(n)), initial=0))
-    bounds = [0]
-    for i, part in enumerate(parts[1:], 1):
-        bounds.append(min(max(round(size * part / parts[-1]), bounds[-1] + 1), size - n + i))
-    return bounds
+    return [size * i // n for i in range(n + 1)]
 
 
 def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[str]]:
@@ -663,13 +655,13 @@ def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     """The verify report of the box, checked a slice at a time by
-    `_in_slices` with the share `_WALK_SHARE`, since a slice first walks
-    the knots before it.  Each slice's outcomes come back as JSON and are
-    merged into those of one pass."""
+    `_in_slices` in equal slices; a later slice first walks the knots
+    before it.  Each slice's outcomes come back as JSON and are merged
+    into those of one pass."""
     # a bound below 3 is left to the checks, which refuse it as such
     _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
     job = functools.partial(_slice_json, args.max)
-    with contextlib.closing(_in_slices(job, normalized_knots(args.max), _WALK_SHARE)) as texts:
+    with contextlib.closing(_in_slices(job, normalized_knots(args.max))) as texts:
         outcomes = _merge([list(map(_outcome_of, json.loads("".join(text)))) for text in texts])
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":
@@ -683,13 +675,30 @@ def _slice_json(bound: int, knots: Iterable[TorusKnot], lo: int) -> list[str]:
     return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, knots, lo)])]
 
 
+_LONG_NUMBER = re.compile(r"\d{61,}")
+
+
+def _shorten(message: str) -> str:
+    """`message` with each run of more than 60 digits written as `<N
+    digits>`, so that a huge knot keeps an `error:` line short."""
+    return _LONG_NUMBER.sub(lambda digits: f"<{len(digits[0])} digits>", message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose `error:` line is shortened by `_shorten`.
+    Its subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_shorten(message))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first `main` call of a process.
 
     Parsing reads the parser without changing it, so one serves every call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crosscap",
         description="Exact crosscap numbers and nonorientable four-genus bounds of torus knots.",
     )
@@ -723,15 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LONG_NUMBER = re.compile(r"\d{61,}")
-
-
-def _short_error(exc: CrosscapError) -> str:
-    """The `error:` line of `exc`, each run of more than 60 digits in its
-    message written as `<N digits>`, so that a huge knot keeps it short."""
-    return "error: " + _LONG_NUMBER.sub(lambda digits: f"<{len(digits[0])} digits>", str(exc))
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command.  Its handler returns the exit code and the output
     chunks, which may be lazy; only this function writes them, and it
@@ -751,7 +751,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if isinstance(chunks, types.GeneratorType):
                 chunks.close()
     except CrosscapError as exc:
-        print(_short_error(exc), file=sys.stderr)
+        print("error: " + _shorten(str(exc)), file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader has gone.  Point stdout at the null device, so that the

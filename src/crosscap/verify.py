@@ -30,7 +30,9 @@ A pass can also check one slice of the box, the knots from a position
 on in `normalized_knots` order (`_run_slice`).  It first walks the knots
 before that position, and only walks them, so the induction holds inside
 the slice; the outcomes of contiguous slices merge (`_merge`) into those
-of one pass.  `crosscap verify` checks its slices in parallel processes.
+of one pass.  `crosscap verify` cuts its box into equal slices, a later
+slice first walking the knots before it, and checks them in parallel
+processes.
 """
 
 from __future__ import annotations
@@ -459,12 +461,3 @@ def _merge(slices: list[list[CheckOutcome]]) -> list[CheckOutcome]:
         merged.append(outcome)
     return merged
 
-
-# A slice walks the knots before it (`_scan`), at this share r of the cost
-# of a knot it checks.  `_run_slice(150, knots, len(knots))`, which walks
-# every knot of the 150 box and checks none, took 0.24 to 0.30 of the time
-# of `run_all(150)` (best of 7, five rounds, one process, Python 3.11.7 on
-# a 2-CPU VM): r = 0.28.  So `cli._cut` gives slice i of a verify box a
-# share of its knots proportional to (1 - r)^i, and each slice costs about
-# the same.
-_WALK_SHARE = 0.28

@@ -1454,6 +1454,32 @@ def test_an_error_line_writes_a_number_of_more_than_60_digits_as_its_length(caps
     assert run_cli(capsys, "report", str(p), "3") == (2, "", expected)
 
 
+LONG_TOKEN = "1" * 5000
+
+
+# A plain run of 5000 digits is a bad int only under the digit limit.
+@pytest.mark.parametrize(
+    "token",
+    [
+        pytest.param(LONG_TOKEN + "x", id="digits-then-x"),
+        pytest.param(LONG_TOKEN, id="digits", marks=needs_digit_limit),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("report", "{}", "3"), ("trace", "4", "{}"), ("{}",), ("verify", "--max", "40", "{}")],
+    ids=["report-p", "trace-q", "command", "extra-argument"],
+)
+def test_an_argparse_error_writes_a_number_of_more_than_60_digits_as_its_length(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(token) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: crosscap") and "error: " in error
+    assert "<5000 digits>" in error and len(err) < 200
+
+
 @needs_digit_limit
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 def test_report_prints_up_to_the_digit_limit(capsys, fmt):

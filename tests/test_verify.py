@@ -220,23 +220,21 @@ def test_a_slice_needs_the_walks_of_the_knots_before_it():
 
 
 @pytest.mark.parametrize("min_slice", [1, 300, 2048])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-@pytest.mark.parametrize("share", [0.0, verify._WALK_SHARE])
-def test_one_cut_serves_table_and_verify(monkeypatch, share, cpus, min_slice):
-    # `cli._cut` cuts a table's knots with share 0 and a verify box's with
-    # _WALK_SHARE: slice i costs share * (knots before it) + its own knots
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 32, 64])
+def test_one_cut_serves_table_and_verify(monkeypatch, cpus, min_slice):
+    # `cli._cut` cuts a table's knots and a verify box's alike: equal
+    # slices, none of them small, however many CPUs there are
     monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
-    for size in (0, 1, 2, 3, 7, 14, 100, 450, 2049, 6708, 303192):
-        bounds = cli._cut(size, cpus, share)
+    for size in (0, 1, 2, 3, 7, 14, 100, 300, 301, 450, 2048, 2049, 6708, 303192):
+        bounds = cli._cut(size, cpus)
         n = max(1, min(cpus, -(-size // min_slice)))
         assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[-1] == size
-        assert size == 0 or all(lo < hi for lo, hi in itertools.pairwise(bounds))
-        if size < 100:
-            continue  # a slice may hold a knot only because none may be empty
-        costs = [share * lo + hi - lo for lo, hi in itertools.pairwise(bounds)]
-        equal = size / sum((1 - share) ** i for i in range(n))
-        assert all(abs(cost - equal) <= (2 - share) / 2 + 1e-9 for cost in costs), bounds
-        assert share or max(costs) - min(costs) <= 1
+        lengths = [hi - lo for lo, hi in itertools.pairwise(bounds)]
+        assert max(lengths) - min(lengths) <= 1, bounds
+        if n > 1:
+            # M + 1 knots in two slices leave the first M/2 for an even M
+            assert 2 * lengths[0] >= min_slice, bounds
+            assert all(2 * length > min_slice for length in lengths[1:]), bounds
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
