@@ -28,8 +28,11 @@ JSON report formats them into one cached layout.  `trace` and a human or
 JSON `report` format the moves a segment at a time from the plain
 integers `PinchTrace.segments` yields, one f-string per trace line or
 JSON row and no object per move, and write each segment in chunks of at
-most `_BLOCK` moves as the walk goes on.  A reader that closes the pipe
-early ends the command quietly, with its own exit code.
+most `_BLOCK` moves as the walk goes on.  A trace line reads its knots,
+last coefficients and stepping witnesses from integer progressions
+(`_steps`), so no line computes a move's values by multiplication.  A
+reader that closes the pipe early ends the command quietly, with its own
+exit code.
 
 `table` and `verify` split their boxes in one way, `_in_slices`.  Where
 the process may use more than one CPU, the box's knots are listed once
@@ -262,6 +265,14 @@ def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iter
     yield "\n" + indent + "}" + end
 
 
+def _steps(start: int, step: int, n: int) -> Iterable[int]:
+    """The n integers start, start - step, ..., start - (n-1)*step: a
+    `range`, or `itertools.repeat` for a zero step."""
+    if step:
+        return range(start, start - n * step, -step)
+    return itertools.repeat(start, n)
+
+
 def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     """One line per pinch move, with the expansions before and after, each
     line led by `indent` and ended by a newline, in chunks of at most
@@ -270,10 +281,14 @@ def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     The lines read `PinchTrace.segments`, whose expansions are pairs
     (k, c): the text of one is that of the prefix [c0, ..., c_{k-1}] and
     then c.  k never rises along a walk, so the prefix text is built once
-    per k and only the last two are kept.  Each knot and each expansion is formatted once, for the
-    after of one line and the before of the next, and a positive segment's
-    witness and sign once for the whole segment, so a line costs O(1) work
-    besides its text, with no object built per move.
+    per k and only the last two are kept.  A block of moves j, ..., j+n-1
+    reads its n+1 knots, its n+1 last coefficients and, on a stepping
+    segment, its n witnesses from `_steps` progressions that start at move
+    j, each zipped into one f-string, so no line computes `sp - i*dp`.
+    Each knot and each expansion is formatted once, for the after of one
+    line and the before of the next, and a positive segment's witness and
+    sign once for the whole segment, so a line costs O(1) work besides its
+    text, with no object built per move.
     """
     coeffs = trace.expansion.coeffs
 
@@ -284,13 +299,15 @@ def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     def lines(segment: _Segment, j: int, n: int) -> list[str]:
         moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end = segment
         signed = f" sign={_SIGN_WORD[sign]}   "
-        knots = [f"T({sp - i * dp},{sq - i * dq})" for i in range(j, j + n + 1)]
+        ps, qs = _steps(sp - j * dp, dp, n + 1), _steps(sq - j * dq, dq, n + 1)
+        knots = [f"T({a},{b})" for a, b in zip(ps, qs)]
         head = prefix(k)
-        expansions = [f"{head}{c - 2 * i}]" for i in range(j, j + n + 1)]
+        expansions = [f"{head}{x}]" for x in _steps(c - 2 * j, 2, n + 1)]
         if j + n == moves:
             expansions[-1] = f"{prefix(k_end)}{c_end}]"
         if dt:
-            witnesses = [f"   t={t - i * dt} h={h - i * dh}{signed}" for i in range(j, j + n)]
+            ts, hs = _steps(t - j * dt, dt, n), _steps(h - j * dh, dh, n)
+            witnesses = [f"   t={a} h={b}{signed}" for a, b in zip(ts, hs)]
         else:
             witnesses = itertools.repeat(f"   t={t} h={h}{signed}", n)
         after = itertools.islice(expansions, 1, None)

@@ -127,9 +127,7 @@ class _Walks:
     A pass over a slice of the box, its knots from position lo on, first
     walks those of the lo knots before it of a parity read, in the same order
     and with no check, so the table holds every walk the slice reads and
-    the induction holds inside the slice as in the whole box.  The slice
-    may start inside a row of p: `add` grows the table to the row of the
-    knot it stores, so a row walked in part is completed in place.
+    the induction holds inside the slice as in the whole box.
 
     A lookup misses only when a broken `pinch` or `odd_split` leaves the
     order above, or when a slice is checked without the knots before it
@@ -140,9 +138,10 @@ class _Walks:
 
     Layout: two flat `array("i")`s, of moves and of l, indexed by
     p * (bound // 2 + 1) + q // 2 for odd q, where 0 moves marks a slot
-    with no entry.  They grow one row of p at a time as the pass reaches
-    it: 8 bytes per (p, odd q) slot, about 4 MB at the largest box
-    `verify --max` accepts.
+    with no entry.  Both are allocated whole, for every p of the box, when
+    the table is made, so a slot not yet written reads as no entry: 8 bytes
+    per (p, odd q) slot, about 4 MB at the largest box `verify --max`
+    accepts.
     """
 
     __slots__ = ("_max", "_width", "_moves", "_ells")
@@ -150,8 +149,9 @@ class _Walks:
     def __init__(self, max_param: int):
         self._max = max_param
         self._width = max_param // 2 + 1
-        self._moves = array("i")
-        self._ells = array("i")
+        size = (max_param + 1) * self._width
+        self._moves = array("i", [0]) * size
+        self._ells = array("i", [0]) * size
 
     def get(self, knot: TorusKnot) -> Optional[tuple[int, int]]:
         """(moves, l) of the walk from `knot` to its first unknot T(l,1):
@@ -160,9 +160,9 @@ class _Walks:
         p, q = knot.p, knot.q
         if q == 1:
             return (0, p) if 0 <= p <= self._max else None
-        if q & 1 and 3 <= q <= self._max and p >= 0:
+        if q & 1 and 3 <= q <= self._max and 0 <= p <= self._max:
             i = p * self._width + (q >> 1)
-            if i < len(self._moves) and self._moves[i]:
+            if self._moves[i]:
                 return self._moves[i], self._ells[i]
         return None
 
@@ -174,14 +174,9 @@ class _Walks:
         if walk is None:
             return None
         knot = first.source
-        moves, ells = self._moves, self._ells
         i = knot.p * self._width + (knot.q >> 1)
-        if i >= len(moves):  # the first knot of its p: add the rows up to p's
-            row = bytes(((knot.p + 1) * self._width - len(moves)) * moves.itemsize)
-            moves.frombytes(row)
-            ells.frombytes(row)
         walk = walk[0] + 1, walk[1]
-        moves[i], ells[i] = walk
+        self._moves[i], self._ells[i] = walk
         return walk
 
 

@@ -356,6 +356,23 @@ def test_trace_rows_json_match_the_oracle_large(knot):
     assert_trace_rows_match_the_oracle(knot)
 
 
+# Walks with a stepping run longer than a block of `_BLOCK` (256) moves, so a
+# block starts inside the run with the knot, expansion and witness of its
+# move, not of the run's first.
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (1201, 601),  # [1,1,600]: one negative run of 300 moves, odd p
+        (1802, 601),  # [2,1,600]: 300 negative moves, even p, both stop rules
+        (2000, 3),  # under ZERO, an unknot tail of 332 unsigned moves, dq = dh = 0
+    ],
+)
+def test_a_block_inside_a_stepping_run_matches_the_oracle(p, q):
+    knot = TorusKnot(p, q)
+    assert_trace_lines_match_oracle(knot)
+    assert_trace_rows_match_the_oracle(knot)
+
+
 def test_trace_rows_match_the_records_on_the_box():
     for knot in normalized_knots(60):
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
