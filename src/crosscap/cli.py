@@ -21,16 +21,16 @@ text.
 This module formats what the library computes and computes nothing
 itself.  A report's printers read its trace from `GenusReport.trace`,
 the one place a report's `PinchTrace` is built, so CSV and human tables,
-which print no trace, build none.  Every format reads a report's fields
-through one function, `_flat_values`, in `_FIELDS` order: a CSV row is one
-`%` template over them, a human table row is its CSV row's cells, and a
-JSON report formats them into one cached layout.  `trace` and a human or
-JSON `report` format the moves a segment at a time from the plain
-integers `PinchTrace.segments` yields, one f-string per trace line or
-JSON row and no object per move, and write each segment in chunks of at
-most `_BLOCK` moves as the walk goes on.  A trace line reads its knots,
-last coefficients and stepping witnesses from integer progressions
-(`_steps`), so no line computes a move's values by multiplication.  A
+which print no trace, build none.  CSV and JSON, report and table, and the
+human table read a report's fields through one function, `_flat_values`,
+in `_FIELDS` order: a CSV row is one `%` template over them, a human table
+row is its CSV row's cells, and a JSON report formats them into one cached
+layout; the human `report` reads the report's own fields.  `trace` and a
+human or JSON `report` print a walk in pieces, which `_pieces` cuts from
+`PinchTrace.segments`: at most `_BLOCK` moves each, each a segment in its
+own right.  Both printers format a whole piece, one f-string per trace
+line or JSON row, from integer progressions (`_steps`), with no object
+and no multiplication per move, and write it as the walk goes on.  A
 reader that closes the pipe early ends the command quietly, with its own
 exit code.
 
@@ -172,29 +172,36 @@ _SIGN_WORD = {sign: sign.value for sign in PinchSign} | {None: "n/a"}
 _BLOCK = 256
 
 
-def _blocks(
-    trace: PinchTrace, texts: Callable[[_Segment, int, int], list[str]]
-) -> Iterator[list[str]]:
-    """The texts of the moves of `trace`, one segment at a time, in lists
-    of at most _BLOCK.
+def _pieces(trace: PinchTrace) -> Iterator[_Segment]:
+    """Each of `trace.segments()` cut into pieces of at most _BLOCK moves,
+    each a segment in its own right: it starts at its first move's knot,
+    witness and last coefficient, and its n moves end at (k, c - 2n), or
+    at the segment's (k_end, c_end) if it is the segment's last piece.  The
+    printers step from a move's index to the move here and nowhere else."""
+    n = _BLOCK
+    for moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end in trace.segments():
+        while moves > n:
+            yield n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k, c - 2 * n
+            moves -= n
+            sp, sq, t, h, c = sp - n * dp, sq - n * dq, t - n * dt, h - n * dh, c - 2 * n
+        yield moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end
 
-    `texts(segment, j, n)` is the list of the texts of moves j, ..., j+n-1
-    of one of `trace.segments()`.  A segment longer than _BLOCK moves is
-    cut into several lists; no list holds moves of two segments."""
-    for segment in trace.segments():
-        moves = segment[0]
-        for j in range(0, moves, _BLOCK):
-            yield texts(segment, j, min(_BLOCK, moves - j))
+
+def _steps(start: int, step: int, n: int) -> Iterable[int]:
+    """The n integers start, start - step, ..., start - (n-1)*step: a
+    `range`, or `itertools.repeat` for a zero step."""
+    if step:
+        return range(start, start - n * step, -step)
+    return itertools.repeat(start, n)
 
 
 def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
     """The JSON text of the moves of `trace`, as `_json_list` takes it for
-    a list nested at `indent`: one chunk per list of `_blocks`, joined by
-    the list's separator, with no encoder.  A row holds the move's "from" and
-    "to" pairs, its witness "t" and "h", and its sign's value or null;
-    `tests/oracles.py` builds the same rows as dicts.  Each pair is
-    formatted once, for the "to" of one row and the "from" of the next, and
-    a positive segment's witness and sign once for the whole segment."""
+    a list nested at `indent`: one chunk per piece of `_pieces`, its rows
+    joined by the list's separator, with no encoder.  A row holds the move's
+    "from" and "to" pairs, its witness "t" and "h", and its sign's value or
+    null; `tests/oracles.py` builds the same rows as dicts.  Pairs and
+    witnesses are read as `_trace_lines` reads knots and witnesses."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -206,12 +213,13 @@ def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
     key_sign = f',\n{i2}"sign": '
     close = f"\n{i1}}}"
 
-    def rows(segment: _Segment, j: int, n: int) -> list[str]:
-        _, sp, sq, dp, dq, t, h, dt, dh, sign, _, _, _, _ = segment
+    def rows(piece: _Segment) -> list[str]:
+        n, sp, sq, dp, dq, t, h, dt, dh, sign, *_ = piece
         signed = f"{key_sign}{_SIGN_JSON[sign]}{close}"
-        pairs = [f"{sp - i * dp}{item}{sq - i * dq}" for i in range(j, j + n + 1)]
+        pairs = [f"{a}{item}{b}" for a, b in zip(_steps(sp, dp, n + 1), _steps(sq, dq, n + 1))]
         if dt:
-            witnesses = [f"{key_t}{t - i * dt}{key_h}{h - i * dh}{signed}" for i in range(j, j + n)]
+            ts, hs = _steps(t, dt, n), _steps(h, dh, n)
+            witnesses = [f"{key_t}{a}{key_h}{b}{signed}" for a, b in zip(ts, hs)]
         else:
             witnesses = itertools.repeat(f"{key_t}{t}{key_h}{h}{signed}", n)
         return [
@@ -219,7 +227,7 @@ def _trace_rows_json(trace: PinchTrace, indent: str) -> Iterator[str]:
             for a, b, w in zip(pairs, itertools.islice(pairs, 1, None), witnesses)
         ]
 
-    return map(f",\n{i1}".join, _blocks(trace, rows))
+    return map(f",\n{i1}".join, map(rows, _pieces(trace)))
 
 
 @functools.cache
@@ -265,48 +273,36 @@ def _report_json(report: GenusReport, indent: str = "", end: str = "\n") -> Iter
     yield "\n" + indent + "}" + end
 
 
-def _steps(start: int, step: int, n: int) -> Iterable[int]:
-    """The n integers start, start - step, ..., start - (n-1)*step: a
-    `range`, or `itertools.repeat` for a zero step."""
-    if step:
-        return range(start, start - n * step, -step)
-    return itertools.repeat(start, n)
-
-
 def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
     """One line per pinch move, with the expansions before and after, each
-    line led by `indent` and ended by a newline, in chunks of at most
-    _BLOCK lines, one segment at a time.
+    line led by `indent` and ended by a newline, one chunk per piece of
+    `_pieces`.
 
-    The lines read `PinchTrace.segments`, whose expansions are pairs
-    (k, c): the text of one is that of the prefix [c0, ..., c_{k-1}] and
-    then c.  k never rises along a walk, so the prefix text is built once
-    per k and only the last two are kept.  A block of moves j, ..., j+n-1
-    reads its n+1 knots, its n+1 last coefficients and, on a stepping
-    segment, its n witnesses from `_steps` progressions that start at move
-    j, each zipped into one f-string, so no line computes `sp - i*dp`.
-    Each knot and each expansion is formatted once, for the after of one
-    line and the before of the next, and a positive segment's witness and
-    sign once for the whole segment, so a line costs O(1) work besides its
-    text, with no object built per move.
+    A piece's expansions are pairs (k, c): the text of one is that of the
+    prefix [c0, ..., c_{k-1}] and then c.  k never rises along a walk, so
+    the prefix text is built once per k and only the last two are kept.  A
+    piece of n moves reads its n+1 knots, the last coefficients before its
+    n moves and, when it steps, its n witnesses from `_steps` progressions,
+    each zipped into one f-string, then ends at (k_end, c_end).  Each knot
+    and expansion is formatted once, for the after of one line and the
+    before of the next, and a positive piece's witness and sign once for
+    the piece, so a line costs O(1) work besides its text and no object.
     """
     coeffs = trace.expansion.coeffs
 
-    @functools.lru_cache(maxsize=2)  # a segment's k and k_end, the next one's k
+    @functools.lru_cache(maxsize=2)  # a piece's k and k_end, the next one's k
     def prefix(k: int) -> str:
         return "[" + "".join(f"{x}," for x in coeffs[:k])
 
-    def lines(segment: _Segment, j: int, n: int) -> list[str]:
-        moves, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end = segment
+    def lines(piece: _Segment) -> list[str]:
+        n, sp, sq, dp, dq, t, h, dt, dh, sign, k, c, k_end, c_end = piece
         signed = f" sign={_SIGN_WORD[sign]}   "
-        ps, qs = _steps(sp - j * dp, dp, n + 1), _steps(sq - j * dq, dq, n + 1)
-        knots = [f"T({a},{b})" for a, b in zip(ps, qs)]
+        knots = [f"T({a},{b})" for a, b in zip(_steps(sp, dp, n + 1), _steps(sq, dq, n + 1))]
         head = prefix(k)
-        expansions = [f"{head}{x}]" for x in _steps(c - 2 * j, 2, n + 1)]
-        if j + n == moves:
-            expansions[-1] = f"{prefix(k_end)}{c_end}]"
+        expansions = [f"{head}{x}]" for x in _steps(c, 2, n)]
+        expansions.append(f"{prefix(k_end)}{c_end}]")
         if dt:
-            ts, hs = _steps(t - j * dt, dt, n), _steps(h - j * dh, dh, n)
+            ts, hs = _steps(t, dt, n), _steps(h, dh, n)
             witnesses = [f"   t={a} h={b}{signed}" for a, b in zip(ts, hs)]
         else:
             witnesses = itertools.repeat(f"   t={t} h={h}{signed}", n)
@@ -317,7 +313,7 @@ def _trace_lines(trace: PinchTrace, indent: str) -> Iterator[str]:
             for a, b, w, x, y in zip(knots, results, witnesses, expansions, after)
         ]
 
-    return map("".join, _blocks(trace, lines))
+    return map("".join, map(lines, _pieces(trace)))
 
 
 def _report_human(report: GenusReport) -> Iterator[str]:

@@ -30,9 +30,9 @@ The walk on to T(0,1) is that walk plus the unknot tail, l/2 more moves,
 so no run depends on where the walk stops.  A `PinchTrace` holds those
 sums for a walk that is printed.  Its `segments` reads the runs as `_runs`
 yields them, as segments, stretches of moves with one sign over which the
-knots and witnesses change by a fixed step: the printers format a segment
-at a time, and `pinch_sequence`, the one loop over single moves, builds a
-chained `PinchRecord` for each move of each segment.
+knots and witnesses change by a fixed step: the CLI's printers cut each
+segment into pieces and format a piece at a time, and `pinch_sequence`, the
+one loop over single moves, builds a chained `PinchRecord` for each move.
 
 Every knot that is valid by construction is built, unchecked, by one
 builder, `_normalized`, and records and witnesses by `tuple.__new__`.
@@ -360,9 +360,9 @@ def _walk_sums(coeffs: tuple[int, ...]) -> tuple[int, bool, int]:
     one loop, with no generator and no tuple per run: the run on
     [c0, ..., c_{k-1}, c] makes c // 2 moves, negative ones when k is even,
     and leaves c % 2, which is dropped or folded as `cf.step` does.  Every
-    count reads this, twice per even-p knot of verify, while only the
-    printers read `_runs`.  The walk on to T(0,1) adds the unknot tail: l/2
-    moves, all unsigned but the positive one from T(2,1)."""
+    count reads this, twice per even-p knot of verify, while only
+    `PinchTrace.segments` reads `_runs`.  The walk on to T(0,1) adds the
+    unknot tail: l/2 moves, all unsigned but the positive one from T(2,1)."""
     k = len(coeffs) - 1
     c = coeffs[k]
     moves = 0
@@ -397,10 +397,10 @@ class PinchTrace:
     sign-parity lemma: positive exactly when the length is even), and the
     knot is linear in the last coefficient; see `_runs`.  `segments` yields
     the walk a run at a time, as the step each move takes: the printers
-    format a whole segment at once, and `pinch_sequence` builds a
-    `PinchRecord` for each move.  The residue walk of one `pinch` per move
-    is the test oracle for the moves, and one `cf.step` per move for the
-    expansions.
+    format pieces of a segment, each a segment itself, and `pinch_sequence`
+    builds a `PinchRecord` for each move.  The residue walk of one `pinch`
+    per move is the test oracle for the moves, and one `cf.step` per move
+    for the expansions.
 
     The walk to T(0,1) is the walk to the first unknot T(l,1) followed by
     the unknot tail T(l,1) -> T(l-2,1) -> ... -> T(0,1): l/2 moves (l is
@@ -481,8 +481,9 @@ class PinchTrace:
         whose moves have t = l-1 and h = 0; only its move from T(2,1) has a
         sign, positive, so it is yielded in two segments: its l/2 - 1
         unsigned moves, when l > 2, then that one move.  This is the one
-        place that decides a move's knots, witness and sign;
-        `pinch_sequence` and the printers read them from here.
+        place that decides a move's knots, witness and sign:
+        `pinch_sequence` reads them from here, and the printers read pieces
+        of these segments.
         """
         coeffs = self.expansion.coeffs
         ps, qs = cf.convergent_terms(coeffs[:-1])

@@ -373,6 +373,22 @@ def test_a_block_inside_a_stepping_run_matches_the_oracle(p, q):
     assert_trace_rows_match_the_oracle(knot)
 
 
+# Pieces of 1, 2, 3 and 7 moves are cut at every offset of a segment: a
+# piece ends on a segment's last move, inside a stepping run and inside the
+# unknot tail, and each goes out as one chunk.
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_pieces_of_any_length_match_the_oracles(monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    for knot in [*normalized_knots(30), TorusKnot(2000, 3), TorusKnot(1802, 601)]:
+        assert_trace_lines_match_oracle(knot)
+        assert_trace_rows_match_the_oracle(knot)
+    trace = PinchTrace(TorusKnot(2000, 3), StopRule.ZERO)
+    moves = [segment[0] for segment in trace.segments()]
+    chunks = [chunk.count("\n") for chunk in cli._trace_lines(trace, "")]
+    assert len(chunks) == sum(-(-n // block) for n in moves)
+    assert max(chunks) == block and sum(chunks) == trace.moves
+
+
 def test_trace_rows_match_the_records_on_the_box():
     for knot in normalized_knots(60):
         stops = [StopRule.FIRST_UNKNOT] + ([StopRule.ZERO] if knot.p % 2 == 0 else [])
@@ -1106,6 +1122,11 @@ GOLDEN_SHA256 = [
         "5d9cb9bb74007fea1d2f37ad253cff27b40fd76a7eaeaa03b78f4d39f2747717",
     ),
     (("report", "2000", "1999"), "5674b4eb6e647ee772b60e6a7acb9a19a67ca9f54012bd20d1338e283d0be0eb"),
+    # 999 JSON trace rows of one segment, in four pieces
+    (
+        ("report", "2000", "1999", "--format", "json"),
+        "4cf324c2f8fa983ddfdbb57e934d6125a00b071127bf6a0114ac6fe5c76f6f2e",
+    ),
     (
         ("report", "12345", "7", "--format", "json"),
         "614e96abd6df66fee2cd103adf605e4f0610ff5bd6b40a1e7489b3204e10f864",
@@ -1115,6 +1136,11 @@ GOLDEN_SHA256 = [
     (
         ("trace", "292", "89", "--stop", "zero"),
         "ce342ac18a8f9a034354bdff40fb1fc8b54c7ae571144f22ed787d7124e5b59f",
+    ),
+    # an unknot tail of 332 unsigned moves, cut across a piece
+    (
+        ("trace", "2000", "3", "--stop", "zero"),
+        "463161505f5162e7464c294b62f4fa483dbea092f89e055a6db13b24a50f8bc2",
     ),
     # four runs, with drops, folds and both signs in the JSON trace rows
     (
@@ -1150,7 +1176,9 @@ def test_trace_output_builds_no_per_move_object(monkeypatch, capsys):
     for argv in [
         ("trace", "3001", "2998"),
         ("trace", "292", "89", "--stop", "zero"),
+        ("trace", "2000", "3", "--stop", "zero"),
         ("report", "2000", "1999"),
+        ("report", "2000", "1999", "--format", "json"),
         ("report", "12345", "7", "--format", "json"),
         ("report", "292", "89", "--format", "json"),
     ]:
