@@ -48,12 +48,13 @@ has no `os.fork` or runs another thread, which three stream its knots
 unlisted.  A child that fails fails the command, and no child outlives
 `main`.
 
-A `table` slice renders its knots.  Every format is text that
-concatenates across slices: CSV rows, JSON items joined by the list's
-separator, and the human table, read back from the CSV lines.  A `verify`
-box is cut into equal slices too; a later slice first walks the knots
-before it.  Its outcomes come back as JSON and are merged into those of
-one pass, so the output is the same whatever the number of slices.
+A slice is just its knots.  A `table` slice renders them, and every
+format is text that concatenates across slices: CSV rows, JSON items
+joined by the list's separator, and the human table, read back from the
+CSV lines.  A `verify` slice checks them, walking on demand the knots
+below it that its walks read, and writes its outcomes as one JSON line;
+the lines are merged into the outcomes of one pass, so the output is the
+same whatever the number of slices.
 
 An `error:` line, argparse's too, writes each number of more than 60
 digits as `<N digits>`.
@@ -62,7 +63,6 @@ digits as `<N digits>`.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -470,10 +470,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     """The table of the box's kept knots, lazy: nothing is enumerated or
     forked until its first chunk is read.
 
-    `_table_slices` renders the knots in slices of about equal length (see
-    `_in_slices`).  This process streams the first; a forked child renders
-    each other one into a temporary file, which this process copies out in
-    order."""
+    `_in_slices` renders the knots in slices of about equal length.  This
+    process streams the first; a forked child renders each other one into
+    a temporary file, which this process copies out in order."""
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
     _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
@@ -492,7 +491,7 @@ def _table(fmt: str, knots: Iterable[TorusKnot]) -> Iterator[str]:
     dropped, and a closing bracket on a line of its own.  A human table
     is read back from the CSV text."""
     if fmt == "json":
-        items = _table_slices(_json_items, knots)
+        items = _in_slices(_json_items, knots)
         first = next(items, None)
         if first is None:
             yield "[]\n"
@@ -501,10 +500,10 @@ def _table(fmt: str, knots: Iterable[TorusKnot]) -> Iterator[str]:
         yield from items
         yield "\n]\n"
     elif fmt == "human":
-        yield from _table_human(itertools.chain([_CSV_HEADER], _table_slices(_csv_rows, knots)))
+        yield from _table_human(itertools.chain([_CSV_HEADER], _in_slices(_csv_rows, knots)))
     else:
         yield _CSV_HEADER
-        yield from _table_slices(_csv_rows, knots)
+        yield from _in_slices(_csv_rows, knots)
 
 
 def _csv_rows(knots: Iterable[TorusKnot]) -> Iterator[str]:
@@ -524,12 +523,14 @@ def _json_items(knots: Iterable[TorusKnot]) -> Iterator[str]:
 # child cost about 5 ms (its fork, exit and copy-on-write faults) and a knot
 # about 8 us, so two slices pay from about 1,300 knots; measured, they were
 # slower below 1,000 knots and within the noise up to 2,600 (CHANGES.md).
-# `verify` shares it, though at about 12 us a knot its two slices already
-# paid from about 1,500 knots: a box of 1,500 to 2,048 knots misses a
-# 10-20% gain of a few ms there (CHANGES.md).  That crossover was measured
-# under a weighted cut, which gave the first slice more knots than the
-# second to pay for the second's walk of them; with equal slices it is
-# not measured again.  One constant serves both commands.
+# `verify` shares it.  Under a weighted cut, which gave the first slice
+# more knots than the second to pay for the second's walk of them, its two
+# slices paid from about 1,500 knots.  With equal slices, each walking on
+# demand only the knots below it that it reads, on a 2-CPU host that ran
+# two busy processes at 0.68 times the speed of one, two slices were 3-9
+# ms (16-41%) slower than one at every box of 1,042 to 2,679 knots
+# (CHANGES.md): the crossover depends on how much a second CPU gives.
+# One constant serves both commands.
 _MIN_SLICE = 2048
 
 
@@ -554,37 +555,22 @@ def _processes() -> int:
     return _cpus()
 
 
-def _table_slices(
-    render: Callable[[Iterable[TorusKnot]], Iterable[str]], knots: Iterable[TorusKnot]
-) -> Iterator[str]:
-    """The chunks of `render(knots)`, rendered a slice at a time by
-    `_in_slices`, with slices of about equal length."""
-
-    def job(part: Iterable[TorusKnot], lo: int) -> Iterable[str]:
-        return render(itertools.islice(part, lo, None))
-
-    with contextlib.closing(_in_slices(job, knots)) as texts:
-        for text in texts:
-            yield from text
+# The text of a slice of knots, as chunks that concatenate across slices.
+_Job = Callable[[Iterable[TorusKnot]], Iterable[str]]
 
 
-def _in_slices(
-    job: Callable[[Iterable[TorusKnot], int], Iterable[str]],
-    knots: Iterable[TorusKnot],
-) -> Iterator[Iterable[str]]:
-    """The texts of the slices of `knots`, in order, from `_in_processes`:
-    slice [lo, hi) is the job `job(first hi knots, lo)`, the text of the
-    knots from position lo on, which may read the ones before it.
+def _in_slices(job: _Job, knots: Iterable[TorusKnot]) -> Iterator[str]:
+    """The chunks of the text of `job` on each slice of `knots`, in order,
+    from `_in_processes`: a job reads only its slice's knots.
 
-    With one process the knots stream unlisted into one job, `job(knots,
-    0)`.  Otherwise they are listed once and cut by `_cut` into equal
-    slices; a later slice's job may first walk the knots before it."""
+    With one process the knots stream unlisted into one job.  Otherwise
+    they are listed once and cut by `_cut` into equal slices."""
     most = _processes()
     if most == 1:
-        return _in_processes([functools.partial(job, knots, 0)])
+        return _in_processes(job, [knots])
     knots = list(knots)
     cuts = itertools.pairwise(_cut(len(knots), most))
-    return _in_processes([functools.partial(job, itertools.islice(knots, b), a) for a, b in cuts])
+    return _in_processes(job, [knots[a:b] for a, b in cuts])
 
 
 def _cut(size: int, most: int) -> list[int]:
@@ -595,28 +581,27 @@ def _cut(size: int, most: int) -> list[int]:
     return [size * i // n for i in range(n + 1)]
 
 
-def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[str]]:
-    """The text of each of `jobs`, in order, as the chunks it yields; each
-    text must be read whole before the next is asked for.
+def _in_processes(job: _Job, slices: list[Iterable[TorusKnot]]) -> Iterator[str]:
+    """The chunks of the text of `job` on each of `slices`, in order.
 
-    At the first read a child is forked for each job but the first, in
+    At the first read a child is forked for each slice but the first, in
     order, each writing its text to a temporary file (`_fork_job`); this
-    process runs the first job and every job it could not fork a child
-    for.  It yields the first job's chunks as they come, then copies out
-    each child's file in order, in chunks of at most _COPY_CHUNK, once it
-    has reaped that child.  A child that exits with a nonzero status
-    raises RuntimeError.  On every early exit, an exception, a closed pipe
-    or this generator closed, the `finally` kills and reaps each child not
-    yet reaped, so none outlives the command."""
+    process runs the job on the first slice and on every slice it could
+    not fork a child for.  It yields the first slice's chunks as they
+    come, then copies out each child's file in order, in chunks of at most
+    _COPY_CHUNK, once it has reaped that child.  A child that exits with a
+    nonzero status raises RuntimeError.  On every early exit, an
+    exception, a closed pipe or this generator closed, the `finally` kills
+    and reaps each child not yet reaped, so none outlives the command."""
     children: list[tuple[int, TextIO]] = []  # (pid, its file), not yet reaped
     try:
-        for job in jobs[1:]:
-            child = _fork_job(job)
+        for part in slices[1:]:
+            child = _fork_job(job, part)
             if child is None:
                 break
             children.append(child)
-        rest = jobs[len(children) + 1 :]
-        yield jobs[0]()
+        rest = slices[len(children) + 1 :]
+        yield from job(slices[0])
         while children:
             pid, text = children[0]
             status = os.waitpid(pid, 0)[1]
@@ -626,9 +611,9 @@ def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[
                     code = os.waitstatus_to_exitcode(status)
                     raise RuntimeError(f"the process of a slice exited with code {code}")
                 text.seek(0)
-                yield iter(functools.partial(text.read, _COPY_CHUNK), "")
-        for job in rest:
-            yield job()
+                yield from iter(functools.partial(text.read, _COPY_CHUNK), "")
+        for part in rest:
+            yield from job(part)
     finally:
         for pid, text in children:
             os.kill(pid, signal.SIGKILL)
@@ -636,8 +621,8 @@ def _in_processes(jobs: list[Callable[[], Iterable[str]]]) -> Iterator[Iterable[
             text.close()
 
 
-def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
-    """Fork a child that writes the text of `job()` to a new anonymous
+def _fork_job(job: _Job, part: Iterable[TorusKnot]) -> Optional[tuple[int, TextIO]]:
+    """Fork a child that writes the text of `job(part)` to a new anonymous
     temporary file, and return its pid and that file, or None, with
     nothing left open, if no file could be made or no child forked.
 
@@ -656,7 +641,7 @@ def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
     if pid == 0:
         status = 1
         try:
-            text.writelines(job())
+            text.writelines(job(part))
             text.flush()
             status = 0
         except Exception:
@@ -668,24 +653,23 @@ def _fork_job(job: Callable[[], Iterable[str]]) -> Optional[tuple[int, TextIO]]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     """The verify report of the box, checked a slice at a time by
-    `_in_slices` in equal slices; a later slice first walks the knots
-    before it.  Each slice's outcomes come back as JSON and are merged
-    into those of one pass."""
+    `_in_slices` in equal slices.  Each slice writes its outcomes as one
+    JSON line, and the lines are merged into the outcomes of one pass."""
     # a bound below 3 is left to the checks, which refuse it as such
     _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
     job = functools.partial(_slice_json, args.max)
-    with contextlib.closing(_in_slices(job, normalized_knots(args.max))) as texts:
-        outcomes = _merge([list(map(_outcome_of, json.loads("".join(text)))) for text in texts])
+    lines = "".join(_in_slices(job, normalized_knots(args.max))).splitlines()
+    outcomes = _merge([list(map(_outcome_of, json.loads(line))) for line in lines])
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":
         return code, [_json_text([_outcome_dict(outcome) for outcome in outcomes])]
     return code, [_verify_human(outcomes)]
 
 
-def _slice_json(bound: int, knots: Iterable[TorusKnot], lo: int) -> list[str]:
-    """The JSON text of the outcomes of `knots`, the first knots of the
-    `verify --max bound` box, from position lo on."""
-    return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, knots, lo)])]
+def _slice_json(bound: int, knots: Iterable[TorusKnot]) -> list[str]:
+    """The outcomes of `knots`, a slice of the `verify --max bound` box, as
+    one line of JSON."""
+    return [json.dumps([_outcome_dict(outcome) for outcome in _run_slice(bound, knots)]) + "\n"]
 
 
 _LONG_NUMBER = re.compile(r"\d{61,}")

@@ -19,25 +19,25 @@ time.
 
 The walk table, `_Walks`, is an induction over the box.  The walk from a
 knot to its first unknot is its first residue `pinch` followed by the walk
-from the knot that pinch lands on, which is an unknot or a knot the pass
-has already walked.  So each walk is counted in O(1) from the residues
-alone, apart from `knot._walk_sums`, which the library counts walks and
-gamma3 with: terminal-unknot, gap-formula and crosscap-odd-consistency
-compare the two routes, and pinch-equivalence checks the residue pinch
-against one `cf.step`, so every move of every walk in the box is checked.
+from the knot that pinch lands on, an unknot or a box knot with a smaller
+p.  The table reads that knot's walk, and walks it first, by the same
+rule, when it has no entry for it yet.  So each walk is counted in O(1)
+from the residues alone, once the walks below it are stored, apart from
+`knot._walk_sums`, which the library counts walks and gamma3 with:
+terminal-unknot, gap-formula and crosscap-odd-consistency compare the two
+routes, and pinch-equivalence checks the residue pinch against one
+`cf.step`, so every move of every walk in the box is checked.
 
-A pass can also check one slice of the box, the knots from a position
-on in `normalized_knots` order (`_run_slice`).  It first walks the knots
-before that position, and only walks them, so the induction holds inside
-the slice; the outcomes of contiguous slices merge (`_merge`) into those
-of one pass.  `crosscap verify` cuts its box into equal slices, a later
-slice first walking the knots before it, and checks them in parallel
-processes.
+A pass can also check one slice of the box, any contiguous run of its
+knots in `normalized_knots` order (`_run_slice`), and needs only those
+knots: the table walks the knots below the slice that the slice's walks
+pass through when they are first read.  The outcomes of contiguous slices
+merge (`_merge`) into those of one pass.  `crosscap verify` cuts its box
+into equal slices and checks them in parallel processes.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,12 +99,21 @@ class _Walks:
     of its residue walk to the first unknot T(l,1).
 
     `add(first)` stores the entry of `first.source` from its first pinch:
-    one move, then the walk from `first.result`, which `get` reads as
-    (0, l) for an unknot T(l,1) and from the table otherwise.  The lookup
-    hits because the pass walks the box in `normalized_knots` order, p
-    ascending, and the normalized first pinch T(|p-2t|, |q-2h|) of a box
-    knot T(p,q) is an unknot, or a box knot with a smaller first parameter
-    and a q no larger:
+    one move, then the walk from `first.result`, which is (0, l) for an
+    unknot T(l,1) and the table's entry otherwise.  When that knot has no
+    entry yet, `add` walks it first, with no recursion: it pinches on down
+    to a knot that has an entry or to an unknot, and stores the walk of
+    each knot on the way.  `get` walks a knot it has no entry for in the
+    same way.  A walk follows a pinch only to an unknot or to a knot with a
+    smaller first parameter, as every correct pinch goes by the order
+    lemma below, so it ends whatever `pinch` returns.  A pass over the
+    whole box, p ascending, so finds stored every walk it reads of a
+    parity it checks, and a slice walks only the knots below it that its
+    walks pass through.
+
+    The order lemma: the normalized first pinch T(|p-2t|, |q-2h|) of a
+    box knot T(p,q) is an unknot, or a box knot with a smaller first
+    parameter and a q no larger:
 
     * for even p, t = -q^(-1) mod p lies in [1, p-1], so the even
       parameter |p-2t| <= p-2 comes first, and |q-2h| <= q since
@@ -113,28 +122,21 @@ class _Walks:
       [1, q-1], so |p-2t| <= p-2 and |q-2h| <= q-2, and the larger of the
       two comes first;
     * p-2t and q-2h have the parities of p and q, so a pinch keeps p's
-      parity, and the table needs entries only for the parities read.
+      parity.
 
     The two `odd_split` pieces of an odd-p knot, T(p', q') and
     T(p-p', q-q') with p'/q' the second-to-last convergent of p/q, have
     both parameters below p.  Since p'q - pq' = +-1 with p and q odd,
     p' + q' is odd, and so is (p-p') + (q-q'): each piece has one even
     parameter, its first, so it is an even-p knot of the box or an unknot
-    T(l,1) with l even, walked before the knot.  So the pass walks the
-    even knots also when only odd-p checks run, since those read their
-    pieces' walks.
+    T(l,1) with l even, which `get` reads or walks.
 
-    A pass over a slice of the box, its knots from position lo on, first
-    walks those of the lo knots before it of a parity read, in the same order
-    and with no check, so the table holds every walk the slice reads and
-    the induction holds inside the slice as in the whole box.
-
-    A lookup misses only when a broken `pinch` or `odd_split` leaves the
-    order above, or when a slice is checked without the knots before it
-    walked; `get` then returns None, which the checks that read it report
-    as a failed claim, and `add` stores nothing.  `get` refuses every knot
-    the layout cannot hold, so a wrong knot never reads the entry of
-    another one.
+    A walk misses only when a broken `pinch` leaves the order above, or a
+    broken `odd_split` yields a piece outside the box: `get` and `add` then
+    return None, which the checks that read it report as a failed claim,
+    and store no entry on the way, so a later read walks those knots
+    again.  `get` refuses every knot the layout
+    cannot hold, so a wrong knot never reads the entry of another one.
 
     Layout: two flat `array("i")`s, of moves and of l, indexed by
     p * (bound // 2 + 1) + q // 2 for odd q, where 0 moves marks a slot
@@ -156,7 +158,8 @@ class _Walks:
     def get(self, knot: TorusKnot) -> Optional[tuple[int, int]]:
         """(moves, l) of the walk from `knot` to its first unknot T(l,1):
         (0, l) for an unknot T(l,1) with l inside the bound, the table's
-        entry for a knot walked earlier, and None for any other knot."""
+        entry for a box knot, walked now if it has none, and None for any
+        other knot or a walk that leaves the order (see `add`)."""
         p, q = knot.p, knot.q
         if q == 1:
             return (0, p) if 0 <= p <= self._max else None
@@ -164,20 +167,37 @@ class _Walks:
             i = p * self._width + (q >> 1)
             if self._moves[i]:
                 return self._moves[i], self._ells[i]
+            return self.add(pinch(knot))
         return None
 
     def add(self, first: PinchRecord) -> Optional[tuple[int, int]]:
         """Store and return (moves, l) of the walk from `first.source`, a
-        knot of the box: one move longer than the walk from `first.result`.
-        None, and no entry, when `get` has no walk from `first.result`."""
-        walk = self.get(first.result)
-        if walk is None:
-            return None
-        knot = first.source
-        i = knot.p * self._width + (knot.q >> 1)
-        walk = walk[0] + 1, walk[1]
-        self._moves[i], self._ells[i] = walk
-        return walk
+        knot of the box, one move longer than the walk from `first.result`,
+        and the walk of each knot without an entry that it passes through.
+        None, and no entry, when a pinch on the way lands on a knot that is
+        neither an unknot inside the bound nor a knot of the layout with a
+        smaller first parameter."""
+        width, moves, ells = self._width, self._moves, self._ells
+        slots = []  # of the knots walked, each one move before the next
+        while True:
+            knot, result = first.source, first.result
+            slots.append(knot.p * width + (knot.q >> 1))
+            p, q = result.p, result.q
+            if q == 1 and 0 <= p <= self._max:
+                walk = 0, p
+                break
+            if not (q & 1 and 3 <= q <= self._max and 0 <= p < knot.p):
+                return None
+            i = p * width + (q >> 1)
+            if moves[i]:
+                walk = moves[i], ells[i]
+                break
+            first = pinch(result)
+        n, ell = walk
+        for i in reversed(slots):
+            n += 1
+            moves[i], ells[i] = n, ell
+        return n, ell
 
 
 class _Knot:
@@ -188,9 +208,9 @@ class _Knot:
     * `first`, the residue `pinch`, read by pinch-equivalence, sign-lemma,
       magnitude-order and sign-parity;
     * `walk`, (moves, l) of the residue walk to the first unknot T(l,1),
-      which `walks.add` reads off `first` and the table, or None when the
-      table has no walk from `first.result`; read by terminal-unknot and
-      gap-formula;
+      which `walks.add` reads off `first` and the table, walking what the
+      table lacks, or None when the walk leaves the box order; read by
+      terminal-unknot and gap-formula;
     * `walks`, the pass's walk table, from which crosscap-odd-consistency
       reads the walks of the split pieces;
     * `expansion`, the one expansion of p/q, read by pinch-equivalence and
@@ -257,49 +277,37 @@ def _check(name: str, range_text: str = _KNOTS, parity: Optional[int] = None):
 
 
 def _scan(
-    max_param: int, rows: list[_Row], knots: Optional[Iterable[TorusKnot]] = None, lo: int = 0
+    max_param: int, rows: list[_Row], knots: Optional[Iterable[TorusKnot]] = None
 ) -> list[CheckOutcome]:
-    """Evaluate the given checks on `knots`, the box's knots in
-    `normalized_knots` order (None: the whole box) from position lo on, in
-    a single pass.
+    """Evaluate the given checks on `knots`, knots of the box in
+    `normalized_knots` order (None: the whole box), in a single pass.
 
     A bound that is not an int (bools included), or is below 3 and so
     holds no nontrivial knot, is refused, for every entry point alike.
     The checks are grouped by the parity of p they run on before the pass,
     and the knots of each parity are tallied; a knot whose parity has no
     check gets no record.  Each check's case count is its parity's tally,
-    or both tallies, after the pass.  The knots with a record are walked as
-    the record is built, and the even knots also without one, for the split
-    pieces of odd-p checks (see `_Walks`).  The first lo knots are only
-    walked, for the parities the checks read, so that the table holds every
-    walk the slice's knots read; they are neither tallied nor checked.
-    Each (expected, actual) pair a predicate returns is one failure of its
+    or both tallies, after the pass.  A record's knot is walked as the
+    record is built, and the table walks every other knot that a walk or
+    a split piece reads when it is first read (see `_Walks`).  Each
+    (expected, actual) pair a predicate returns is one failure of its
     check, and the first MAX_COUNTEREXAMPLES become its counterexamples."""
     if type(max_param) is not int:
         raise InvalidParameter(f"verify bound must be an int: {max_param!r}")
     if max_param < 3:
         raise InvalidParameter(f"verify bound must be at least 3: {max_param}")
-    knots = iter(normalized_knots(max_param) if knots is None else knots)
     outcomes = [CheckOutcome(name, text.format(max_param)) for name, text, _, _ in rows]
     by_parity: tuple[list, list] = ([], [])  # (predicate, outcome) for even p, odd p
     for (_, _, parity, predicate), outcome in zip(rows, outcomes):
         for p in (0, 1):
             if parity is None or parity == p:
                 by_parity[p].append((predicate, outcome))
-    # whether the checks read walks of even p and of odd p: even ones when
-    # any check runs, since odd-p checks read those of their split pieces
-    walked = (bool(rows), bool(by_parity[1]))
     walks = _Walks(max_param)
-    for knot in itertools.islice(knots, lo):
-        if walked[knot.p % 2]:
-            walks.add(pinch(knot))
     tallies = [0, 0]
-    for knot in knots:
+    for knot in normalized_knots(max_param) if knots is None else knots:
         parity = knot.p % 2
         checks = by_parity[parity]
         if not checks:
-            if walked[parity]:
-                walks.add(pinch(knot))
             continue
         tallies[parity] += 1
         record = _Knot(knot, walks)
@@ -316,7 +324,7 @@ def _scan(
 
 def _no_walk(knot: TorusKnot) -> _Claims:
     """The failed claims of a check that reads the walk from `knot` when
-    the walk table has none (see `_Walks`): one failure, naming the knot."""
+    the walk table finds none (see `_Walks`): one failure, naming the knot."""
     return ((f"a walk from {knot}", "none"),)
 
 
@@ -430,13 +438,13 @@ def run_all(max_param: int) -> list[CheckOutcome]:
     return _scan(max_param, _CHECKS)
 
 
-def _run_slice(max_param: int, knots: Iterable[TorusKnot], lo: int) -> list[CheckOutcome]:
-    """`run_all(max_param)` on `knots`, the box's first knots in
-    `normalized_knots` order, from position lo on: each outcome's cases,
-    failures and counterexamples are the slice's.  The lo knots before the
-    slice are walked first (see `_scan`), so `_merge` of the outcomes of
+def _run_slice(max_param: int, knots: Iterable[TorusKnot]) -> list[CheckOutcome]:
+    """`run_all(max_param)` on `knots`, a contiguous run of the box's knots
+    in `normalized_knots` order: each outcome's cases, failures and
+    counterexamples are the slice's.  The walks the slice reads below it
+    are walked on demand (see `_Walks`), so `_merge` of the outcomes of
     contiguous slices that cover the box is `run_all`."""
-    return _scan(max_param, _CHECKS, knots, lo)
+    return _scan(max_param, _CHECKS, knots)
 
 
 def _merge(slices: list[list[CheckOutcome]]) -> list[CheckOutcome]:

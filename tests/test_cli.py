@@ -847,7 +847,26 @@ def gamma3_fails_at_multiples_of_7(monkeypatch):
     monkeypatch.setattr(verify, "_gamma3", lambda p, coeffs: gamma3(p, coeffs) + (p % 7 == 0))
 
 
-@pytest.mark.parametrize("mutate", [every_pinch_fails, gamma3_fails_at_multiples_of_7])
+def pinch_cycle(monkeypatch):
+    # T(5,3) and T(7,3) pinch onto each other: the walks through them fail,
+    # in the slice that checks them and in every later one that reads them,
+    # and a walk that followed the cycle raises instead of looping
+    real = verify.pinch
+    swap = {TorusKnot(5, 3): TorusKnot(7, 3), TorusKnot(7, 3): TorusKnot(5, 3)}
+    run = [0]  # pinches in a row on the two knots
+
+    def cycled(knot):
+        run[0] = run[0] + 1 if knot in swap else 0
+        assert run[0] <= 10, "a walk follows the pinch cycle"
+        record = real(knot)
+        return record._replace(result=swap[knot]) if knot in swap else record
+
+    monkeypatch.setattr(verify, "pinch", cycled)
+
+
+@pytest.mark.parametrize(
+    "mutate", [every_pinch_fails, gamma3_fails_at_multiples_of_7, pinch_cycle]
+)
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_a_failing_verify_prints_the_same_bytes_in_any_split(monkeypatch, capsys, mutate, fmt):
     argv = ("verify", "--max", "60", "--format", fmt)
@@ -861,6 +880,24 @@ def test_a_failing_verify_prints_the_same_bytes_in_any_split(monkeypatch, capsys
         assert run_cli(capsys, *argv) == expected
         assert len(forks) == cpus - 1
         assert_no_child_left()
+
+
+# the README's `verify --max 300` report
+VERIFY_300_SHA256 = "7e3c2a7a45e58ac5022dd431d2a8401d69830d23cbc6c3e152f8b46e551f1111"
+
+
+@pytest.mark.parametrize("cpus", [3, 4, 8])
+def test_a_deep_split_verify_prints_the_readme_report(monkeypatch, capsys, cpus):
+    # the 300 box holds 27,098 knots, so the default minimum slice leaves
+    # one slice per CPU, and a late slice walks long chains below it
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    code, out, err = run_cli(capsys, "verify", "--max", "300")
+    assert (code, err, len(forks)) == (0, "", cpus - 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_300_SHA256
+    assert_no_child_left()
 
 
 def test_a_failed_child_fails_the_verify(monkeypatch, capsys):
@@ -972,7 +1009,7 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
         counterexamples=[Counterexample("T(9,9)", "left", "right")],
         failures_total=1,
     )
-    monkeypatch.setattr(cli, "_run_slice", lambda bound, knots, lo: [broken])
+    monkeypatch.setattr(cli, "_run_slice", lambda bound, knots: [broken])
     code, out, _ = run_cli(capsys, "verify", "--max", "10")
     assert code == 1
     assert "FAIL (1 failures)" in out
@@ -1423,7 +1460,7 @@ def record_boxes(monkeypatch):
 
     monkeypatch.setattr(cli, "normalized_knots", enumerate_box)
     monkeypatch.setattr(
-        cli, "_run_slice", lambda bound, knots, lo: [CheckOutcome("demo", "synthetic")]
+        cli, "_run_slice", lambda bound, knots: [CheckOutcome("demo", "synthetic")]
     )
     return boxes
 

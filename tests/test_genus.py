@@ -614,25 +614,33 @@ def test_pinches_to_zero_matches_the_steps_on_the_box():
 
 
 @st.composite
-def expansions(draw, max_coeff=8, max_len=160):
-    """A canonical expansion [c0, ..., cm] as its coefficient list.  The
-    coefficient sum stays below max_coeff * (max_len + 2), which bounds the
-    stepwise walk, while runs of small coefficients take p past 10^30."""
+def even_expansions(draw, max_coeff=8, max_len=160):
+    """A canonical expansion [c0, ..., cm] as its coefficient list, of a
+    rational with an even numerator.  When the drawn numerator p_m is odd,
+    one coefficient c >= 2 is appended with the parity of p_(m-1), so that
+    p_(m+1) = c * p_m + p_(m-1) is even.  The coefficient sum is at most
+    max_coeff * (max_len + 3), which bounds the stepwise walk, while runs of
+    small coefficients take p past 10^30."""
     head = draw(st.integers(min_value=0, max_value=max_coeff))
     size = draw(st.integers(min_value=0, max_value=max_len))  # long ones as often as short
     coeff = st.integers(min_value=1, max_value=max_coeff)
     body = draw(st.lists(coeff, min_size=size, max_size=size))
     if body or head < 2:
         body.append(draw(st.integers(min_value=2, max_value=max_coeff)))
+    before, numerator = 1, head  # p_(-1) and p_0
+    for c in body:
+        before, numerator = numerator, c * numerator + before
+    if numerator % 2:
+        odd = before % 2
+        body.append(2 * draw(st.integers(min_value=1, max_value=(max_coeff - odd) // 2)) + odd)
     return [head] + body
 
 
 @settings(max_examples=100, deadline=None)
-@given(expansions())
-@example([0] + [1] * 150 + [2])  # p, q > 10^30
+@given(even_expansions())
+@example([0] + [1] * 150 + [2, 2])  # p, q > 10^30
 def test_pinches_to_zero_matches_the_steps_large(coeffs):
     value = cf.evaluate(coeffs)
-    assume(value.numerator % 2 == 0)
     assert_runs_count_the_steps(TorusKnot(value.numerator, value.denominator))
 
 

@@ -176,7 +176,7 @@ def slices_of(bound, *cuts):
     `normalized_knots` order, cut at the positions `cuts`."""
     knots = list(normalized_knots(bound))
     bounds = [0, *cuts, len(knots)]
-    return [verify._run_slice(bound, knots[:hi], lo) for lo, hi in itertools.pairwise(bounds)]
+    return [verify._run_slice(bound, knots[lo:hi]) for lo, hi in itertools.pairwise(bounds)]
 
 
 def assert_every_split_merges_to_run_all(bound):
@@ -205,18 +205,55 @@ def test_merged_slices_keep_the_first_counterexamples(monkeypatch):
     assert_every_split_merges_to_run_all(40)
 
 
-def test_a_slice_needs_the_walks_of_the_knots_before_it():
-    # without its prefix walked, a slice's walks find no entry for the
-    # knots it pinches onto below it, and the checks reading them fail
+def plant_pinch_cycle(monkeypatch):
+    """Make `verify.pinch` send T(5,3) to T(7,3) and T(7,3) back to T(5,3).
+    A walk that followed pinches up the box order would never end; it
+    raises instead, after more pinches in a row on the two knots than a
+    walk that stops at the cycle makes."""
+    real = verify.pinch
+    swap = {TorusKnot(5, 3): TorusKnot(7, 3), TorusKnot(7, 3): TorusKnot(5, 3)}
+    run = [0]  # pinches in a row on the two knots
+
+    def cycled(knot):
+        run[0] = run[0] + 1 if knot in swap else 0
+        assert run[0] <= 10, "a walk follows the pinch cycle"
+        record = real(knot)
+        return record._replace(result=swap[knot]) if knot in swap else record
+
+    monkeypatch.setattr(verify, "pinch", cycled)
+
+
+def test_a_pinch_cycle_is_a_failed_walk_in_every_split(monkeypatch):
+    # the table follows no pinch up the box order, so the walks through
+    # the cycle miss, in one pass and in every split alike
+    plant_pinch_cycle(monkeypatch)
+    outcomes = {outcome.check_name: outcome for outcome in run_all(40)}
+    failures = {name: outcome.failures_total for name, outcome in outcomes.items()}
+    assert failures == dict.fromkeys(ALL_CHECK_NAMES, 0) | {
+        "pinch-equivalence": 2,
+        "terminal-unknot": 44,
+    }
+    assert outcomes["terminal-unknot"].counterexamples[:2] == [
+        Counterexample("T(5,3)", "a walk from T(7,3)", "none"),
+        Counterexample("T(7,3)", "a walk from T(5,3)", "none"),
+    ]
+    assert_every_split_merges_to_run_all(40)
+
+
+def test_a_slice_walks_only_the_knots_below_it_that_it_reads(monkeypatch):
+    # a slice checked on its own knots alone passes: the table walks the
+    # knots below it that its walks pass through when they are first read,
+    # each once, and fewer of them than lie before the slice
     knots = list(normalized_knots(40))
     lo = next(i for i, knot in enumerate(knots) if knot.p >= 20)
-    assert all(outcome.passed for outcome in verify._run_slice(40, knots, lo))
-    outcomes = {outcome.check_name: outcome for outcome in verify._run_slice(40, knots[lo:], 0)}
-    failed = sorted(name for name, outcome in outcomes.items() if not outcome.passed)
-    assert failed == ["crosscap-odd-consistency", "gap-formula", "terminal-unknot"]
-    for name in failed:
-        for case in outcomes[name].counterexamples:
-            assert case.expected.startswith("a walk from T(") and case.actual == "none"
+    pinched = []
+    real = verify.pinch
+    monkeypatch.setattr(verify, "pinch", lambda knot: pinched.append(knot) or real(knot))
+    assert all(outcome.passed for outcome in verify._run_slice(40, knots[lo:]))
+    assert len(set(pinched)) == len(pinched)
+    below = [knot for knot in pinched if knot.p < 20]
+    assert 0 < len(below) < lo
+    assert set(pinched) - set(below) == set(knots[lo:])
 
 
 @pytest.mark.parametrize("min_slice", [1, 300, 2048])
