@@ -34,19 +34,20 @@ and no multiplication per move, and write it as the walk goes on.  A
 reader that closes the pipe early ends the command quietly, with its own
 exit code.
 
-`table` and `verify` split their boxes in one way, `_in_slices`.  Where
-the process may use more than one CPU, the box's knots are listed once
-and cut by position (`_cut`) into contiguous slices of equal length up to
-one knot, one per CPU and at most one per `_MIN_SLICE` knots or part of
-that.  `_in_processes`, the one fork path, runs the first slice in this
-process and each other one in a forked child, which writes its text as
-it goes to an anonymous temporary file, so no process holds a slice's
-text; this process copies each file out, in order, once its child is
-done, and runs every slice it could not fork.  A box is one slice when it
-holds at most `_MIN_SLICE` knots, and when the process may use one CPU,
-has no `os.fork` or runs another thread, which three stream its knots
-unlisted.  A child that fails fails the command, and no child outlives
-`main`.
+`table` and `verify` split their boxes in one way, `_in_slices`.  The
+box's parameter pairs are cut by position in its enumeration order
+(`_cut`), counted per row in closed form, into contiguous slices of equal
+numbers of pairs up to one, one per CPU and at most one per `_MIN_SLICE`
+pairs or part of that.  Each slice is a generator of its own knots
+(`knot._box`), kept by `table`'s filter, so no process lists the box.
+`_in_processes`, the one fork path, runs the first slice in this process
+and each other one in a forked child, which enumerates its slice and
+writes its text as it goes to an anonymous temporary file, so no process
+holds a slice's text; this process copies each file out, in order, once
+its child is done, and runs every slice it could not fork.  A box is one
+slice, streamed, when it holds at most `_MIN_SLICE` pairs, and when the
+process may use one CPU, has no `os.fork` or runs another thread.  A
+child that fails fails the command, and no child outlives `main`.
 
 A slice is just its knots.  A `table` slice renders them, and every
 format is text that concatenates across slices: CSV rows, JSON items
@@ -63,6 +64,7 @@ digits as `<N digits>`.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
@@ -83,9 +85,9 @@ from .knot import (
     PinchTrace,
     StopRule,
     TorusKnot,
+    _box,
     _Segment,
     normalize,
-    normalized_knots,
 )
 from .verify import CheckOutcome, Counterexample, _merge, _run_slice
 
@@ -129,8 +131,9 @@ def _flat_values(report: GenusReport) -> tuple:
     knot, k, a, ell, beta1_F, gamma3, (lower, upper, exact, provenance), gap, genus, _ = report
     if exact is None:
         exact = ""
+    num, den = gap.as_integer_ratio()
     return (knot.p, knot.q, k, a, ell, beta1_F, gamma3, lower, upper, exact, provenance,
-            gap.numerator, gap.denominator, genus)
+            num, den, genus)
 
 
 # A CSV line: the `%s` of each of the _FIELDS values, joined by commas.  No
@@ -394,9 +397,12 @@ def _verify_human(outcomes: list[CheckOutcome]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# table --filter: name -> which knots of the box the table keeps; None keeps
-# every knot with no call per knot.
-_FILTERS: dict[str, Optional[Callable[[TorusKnot], bool]]] = {
+# Which knots of a box a table keeps; None keeps every knot with no call per
+# knot.
+_Keep = Optional[Callable[[TorusKnot], bool]]
+
+# table --filter: name -> its `_Keep`.
+_FILTERS: dict[str, _Keep] = {
     "all": None,
     "even": lambda knot: knot.p % 2 == 0,
     "odd": lambda knot: knot.p % 2 == 1,
@@ -470,28 +476,26 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     """The table of the box's kept knots, lazy: nothing is enumerated or
     forked until its first chunk is read.
 
-    `_in_slices` renders the knots in slices of about equal length.  This
-    process streams the first; a forked child renders each other one into
-    a temporary file, which this process copies out in order."""
+    `_in_slices` renders the box in slices of about equal numbers of
+    pairs, each keeping its own knots.  This process streams the first; a
+    forked child renders each other one into a temporary file, which this
+    process copies out in order."""
     if args.pmax < 2 or args.qmax < 2:
         raise InvalidParameter("--pmax and --qmax must be at least 2")
     _refuse_large_box(f"table --pmax {args.pmax} --qmax {args.qmax}", args.pmax * args.qmax)
-    knots = normalized_knots(args.pmax, args.qmax)
-    keep = _FILTERS[args.filter]
-    if keep is not None:
-        knots = filter(keep, knots)
-    return 0, _table(args.format, knots)
+    return 0, _table(args.format, args.pmax, args.qmax, _FILTERS[args.filter])
 
 
-def _table(fmt: str, knots: Iterable[TorusKnot]) -> Iterator[str]:
-    """The chunks of the table of `knots` in format `fmt`.
+def _table(fmt: str, pmax: int, qmax: int, keep: _Keep) -> Iterator[str]:
+    """The chunks of the table in format `fmt` of the knots of the box
+    (pmax, qmax) that `keep` keeps (None: every one).
 
     Its slices are CSV rows or JSON items, texts that concatenate: a JSON
     table is an opening bracket, its items with the first one's comma
     dropped, and a closing bracket on a line of its own.  A human table
     is read back from the CSV text."""
     if fmt == "json":
-        items = _in_slices(_json_items, knots)
+        items = _in_slices(_json_items, pmax, qmax, keep)
         first = next(items, None)
         if first is None:
             yield "[]\n"
@@ -500,10 +504,11 @@ def _table(fmt: str, knots: Iterable[TorusKnot]) -> Iterator[str]:
         yield from items
         yield "\n]\n"
     elif fmt == "human":
-        yield from _table_human(itertools.chain([_CSV_HEADER], _in_slices(_csv_rows, knots)))
+        rows = _in_slices(_csv_rows, pmax, qmax, keep)
+        yield from _table_human(itertools.chain([_CSV_HEADER], rows))
     else:
         yield _CSV_HEADER
-        yield from _in_slices(_csv_rows, knots)
+        yield from _in_slices(_csv_rows, pmax, qmax, keep)
 
 
 def _csv_rows(knots: Iterable[TorusKnot]) -> Iterator[str]:
@@ -517,21 +522,15 @@ def _json_items(knots: Iterable[TorusKnot]) -> Iterator[str]:
         yield ",\n  " + "".join(_report_json(report, "  ", ""))
 
 
-# A box takes at most one slice per _MIN_SLICE knots or part of that, so
-# that a child has more than _MIN_SLICE/2 knots and a box of at most
-# _MIN_SLICE knots forks none.  It was measured for `table`: on 2 CPUs a
-# child cost about 5 ms (its fork, exit and copy-on-write faults) and a knot
-# about 8 us, so two slices pay from about 1,300 knots; measured, they were
-# slower below 1,000 knots and within the noise up to 2,600 (CHANGES.md).
-# `verify` shares it.  Under a weighted cut, which gave the first slice
-# more knots than the second to pay for the second's walk of them, its two
-# slices paid from about 1,500 knots.  With equal slices, each walking on
-# demand only the knots below it that it reads, on a 2-CPU host that ran
-# two busy processes at 0.68 times the speed of one, two slices were 3-9
-# ms (16-41%) slower than one at every box of 1,042 to 2,679 knots
-# (CHANGES.md): the crossover depends on how much a second CPU gives.
-# One constant serves both commands.
-_MIN_SLICE = 2048
+# A box takes at most one slice per _MIN_SLICE parameter pairs (p, q) or
+# part of that, so that a child has more than _MIN_SLICE/2 pairs and a box
+# of at most _MIN_SLICE pairs forks none: a child costs a few milliseconds
+# (its fork, exit and copy-on-write faults), which a small box does not
+# earn back on a second CPU.  About 0.81 of a box's pairs are coprime, so
+# 2,560 pairs keep the split point near the 2,048 knots at which `table`
+# was measured (CHANGES.md): `verify --max 80` (2,301 pairs) is one slice,
+# and every benchmark box, of 8,000 pairs or more, is cut.
+_MIN_SLICE = 2560
 
 
 # The longest text, in characters, copied out of a child's file at once.
@@ -559,26 +558,49 @@ def _processes() -> int:
 _Job = Callable[[Iterable[TorusKnot]], Iterable[str]]
 
 
-def _in_slices(job: _Job, knots: Iterable[TorusKnot]) -> Iterator[str]:
-    """The chunks of the text of `job` on each slice of `knots`, in order,
-    from `_in_processes`: a job reads only its slice's knots.
+def _in_slices(job: _Job, pmax: int, qmax: int, keep: _Keep) -> Iterator[str]:
+    """The chunks of the text of `job` on each slice of the box (pmax,
+    qmax), in order, from `_in_processes`: the slices are cut by `_cut`,
+    and each is a generator of its own knots, those `keep` keeps (None:
+    every one), so the process that runs a job enumerates that slice and
+    no other, and no process lists the box."""
+    starts = _cut(pmax, qmax, _processes())
+    stops = [*starts[1:], (pmax + 1, 3)]
+    slices = [_box(qmax, start, stop) for start, stop in zip(starts, stops)]
+    if keep is not None:
+        slices = [filter(keep, part) for part in slices]
+    return _in_processes(job, slices)
 
-    With one process the knots stream unlisted into one job.  Otherwise
-    they are listed once and cut by `_cut` into equal slices."""
-    most = _processes()
-    if most == 1:
-        return _in_processes(job, [knots])
-    knots = list(knots)
-    cuts = itertools.pairwise(_cut(len(knots), most))
-    return _in_processes(job, [knots[a:b] for a, b in cuts])
+
+def _pairs(p: int, qmax: int) -> int:
+    """The number of pairs the box of columns up to qmax visits in its rows
+    below p.  Each even row visits the c = (qmax - 1) // 2 odd q from 3 to
+    qmax, and the odd row 2j + 3 the min(c, j) of them below it."""
+    c = max(0, (qmax - 1) // 2)
+    rows = max(0, p - 2)  # rows 2 to p - 1
+    evens, odds = (rows + 1) // 2, rows // 2
+    short = min(odds, c)  # odd rows j = 0, ..., short - 1 visit j pairs
+    return evens * c + short * (short - 1) // 2 + (odds - short) * c
 
 
-def _cut(size: int, most: int) -> list[int]:
-    """The bounds 0 = b_0 < ... < b_n = size of n = min(most, ceil(size /
-    _MIN_SLICE)) contiguous slices of `size` knots (one empty slice of
-    none): equal slices, of lengths that differ by at most one knot."""
-    n = max(1, min(most, -(-size // _MIN_SLICE)))
-    return [size * i // n for i in range(n + 1)]
+def _cut(pmax: int, qmax: int, most: int) -> list[tuple[int, int]]:
+    """The pairs (p, q) at which the slices of the box (pmax, qmax) start,
+    the first at (2, 3): n = min(most, ceil(pairs / _MIN_SLICE)) contiguous
+    slices (one slice of a box of no pairs) in `_box` order, of numbers of
+    pairs that differ by at most one.  A slice may start inside a row.  The
+    pairs of a row are counted in closed form (`_pairs`), so the cut takes
+    no gcd, builds no knot and finds each start's row by bisection."""
+    below = functools.partial(_pairs, qmax=qmax)
+    total = below(pmax + 1)
+    n = max(1, min(most, -(-total // _MIN_SLICE)))
+    rows = range(2, pmax + 1)
+    starts = [(2, 3)]
+    for i in range(1, n):
+        position = total * i // n
+        # the last row whose first pair is at or before the position
+        p = rows[bisect.bisect_right(rows, position, key=below) - 1]
+        starts.append((p, 3 + 2 * (position - below(p))))
+    return starts
 
 
 def _in_processes(job: _Job, slices: list[Iterable[TorusKnot]]) -> Iterator[str]:
@@ -658,7 +680,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # a bound below 3 is left to the checks, which refuse it as such
     _refuse_large_box(f"verify --max {args.max}", max(args.max, 0) ** 2)
     job = functools.partial(_slice_json, args.max)
-    lines = "".join(_in_slices(job, normalized_knots(args.max))).splitlines()
+    lines = "".join(_in_slices(job, args.max, args.max, None)).splitlines()
     outcomes = _merge([list(map(_outcome_of, json.loads(line))) for line in lines])
     code = 0 if all(outcome.passed for outcome in outcomes) else 1
     if args.format == "json":

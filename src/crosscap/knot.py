@@ -546,15 +546,22 @@ def normalized_knots(pmax: int, qmax: Optional[int] = None) -> Iterator[TorusKno
     for name, bound in (("pmax", pmax), ("qmax", qmax)):
         if type(bound) is not int:
             raise InvalidParameter(f"{name} must be an int: {bound!r}")
-    return _box(pmax, qmax)
+    return _box(qmax, (2, 3), (pmax + 1, 3))
 
 
-def _box(pmax: int, qmax: int) -> Iterator[TorusKnot]:
+def _box(qmax: int, start: tuple[int, int], stop: tuple[int, int]) -> Iterator[TorusKnot]:
     """The knots `normalized_knots(pmax, qmax)` yields, once it has checked
-    both bounds."""
-    for p in range(2, pmax + 1):
-        for q in range(3, qmax + 1, 2):
-            if p % 2 and q >= p:
-                break
+    both bounds, at the pairs (p, q) it visits from `start` on and before
+    `stop`, in its order; (2, 3) and (pmax + 1, 3) bound the whole box.
+
+    Row p visits the odd q from 3 to qmax, and only those below p when p is
+    odd, so its bounds are set once per row and every pair it visits is
+    tested by its gcd alone."""
+    (p0, q0), (p1, q1) = start, stop
+    for p in range(p0, p1 + 1):
+        top = q1 if p == p1 else qmax + 1
+        if p % 2 and top > p:
+            top = p
+        for q in range(q0 if p == p0 else 3, top, 2):
             if math.gcd(p, q) == 1:
                 yield _normalized(p, q)

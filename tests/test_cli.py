@@ -7,6 +7,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -616,10 +617,10 @@ def test_table_human_is_aligned(capsys):
 
 
 def split_tables(monkeypatch, cpus):
-    """Make a table or a verify box take one slice per knot, up to `cpus`
-    slices, and copy a child's text out 7 characters at a time, so that
-    chunks cut lines anywhere; return the list that records each `os.fork`
-    call this process makes."""
+    """Make a table or a verify box take one slice per parameter pair, up
+    to `cpus` slices, and copy a child's text out 7 characters at a time,
+    so that chunks cut lines anywhere; return the list that records each
+    `os.fork` call this process makes."""
     forks = []
     fork = os.fork
 
@@ -640,12 +641,13 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize(
-    "min_slice, children", [(14, 0), (100, 0), (13, 1), (7, 1), (6, 2), (1, 2)]
+    "min_slice, children", [(15, 0), (100, 0), (14, 1), (8, 1), (7, 2), (1, 2)]
 )
 def test_a_table_takes_a_slice_per_cpu_and_per_minimum_slice(
     monkeypatch, capsys, min_slice, children
 ):
-    # the 8 box holds 14 knots: ceil(14 / min_slice) slices, at most 3 CPUs
+    # the 8 box holds 14 knots in 15 pairs: ceil(15 / min_slice) slices, at
+    # most 3 CPUs
     argv = ("table", "--pmax", "8", "--qmax", "7")
     expected = run_cli(capsys, *argv)
     forks = split_tables(monkeypatch, 3)
@@ -821,17 +823,47 @@ def test_a_verify_split_across_processes_is_byte_identical(monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
-    "min_slice, children", [(22, 0), (100, 0), (21, 1), (11, 1), (8, 2), (1, 2)]
+    "min_slice, children", [(26, 0), (100, 0), (25, 1), (13, 1), (12, 2), (1, 2)]
 )
 def test_a_verify_takes_a_slice_per_cpu_and_per_minimum_slice(
     monkeypatch, capsys, min_slice, children
 ):
-    # the 10 box holds 22 knots: ceil(22 / min_slice) slices, at most 3 CPUs
+    # the 10 box holds 22 knots in 26 pairs: ceil(26 / min_slice) slices, at
+    # most 3 CPUs
     expected = run_cli(capsys, "verify", "--max", "10")
     forks = split_tables(monkeypatch, 3)
     monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
     assert run_cli(capsys, "verify", "--max", "10") == expected
     assert len(forks) == children
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv", [("table", "--pmax", "40", "--qmax", "39"), ("verify", "--max", "40")], ids=" ".join
+)
+def test_the_parent_builds_only_the_knots_of_its_own_slice(monkeypatch, capsys, argv):
+    # in two slices the parent enumerates the first half of the box's 551
+    # pairs and the child the rest: no process lists the box, so no knot of
+    # the second half is built here, by the enumeration or by a walk or a
+    # split piece, whose knots have a smaller p than the knot they come from
+    expected = run_cli(capsys, *argv)
+    pairs = [(p, q) for p in range(2, 41) for q in range(3, 40, 2) if not (p % 2 and q >= p)]
+    first, second = set(pairs[: len(pairs) // 2]), set(pairs[len(pairs) // 2 :])
+    parent = os.getpid()
+    built = set()
+    build = knot_module._normalized
+
+    def recorded(p, q):
+        if os.getpid() == parent:
+            built.add((p, q))
+        return build(p, q)
+
+    forks = split_tables(monkeypatch, 2)
+    monkeypatch.setattr(knot_module, "_normalized", recorded)
+    assert run_cli(capsys, *argv) == expected
+    assert len(forks) == 1
+    assert built & second == set()
+    assert {(p, q) for p, q in first if math.gcd(p, q) == 1} <= built
     assert_no_child_left()
 
 
@@ -1450,15 +1482,17 @@ OVERSIZE_BOXES = [
 
 
 def record_boxes(monkeypatch):
-    """The list of bounds the box commands enumerate knots with in this
-    process; they build none, and a verify slice checks none."""
+    """The list of the (qmax, start, stop) bounds the box commands, in one
+    process, enumerate knots with; they build none, and a verify slice
+    checks none."""
     boxes = []
 
     def enumerate_box(*bounds):
         boxes.append(bounds)
         return iter(())
 
-    monkeypatch.setattr(cli, "normalized_knots", enumerate_box)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "_box", enumerate_box)
     monkeypatch.setattr(
         cli, "_run_slice", lambda bound, knots: [CheckOutcome("demo", "synthetic")]
     )
@@ -1493,7 +1527,8 @@ def test_box_limit_accepts_every_benchmark_box(monkeypatch, capsys, argv):
     boxes = record_boxes(monkeypatch)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert boxes == [tuple(int(bound) for bound in argv[2:5:2])]
+    bounds = [int(bound) for bound in argv[2:5:2]]  # verify's M is the M box
+    assert boxes == [(bounds[-1], (2, 3), (bounds[0] + 1, 3))]
 
 
 # Python converts an int of at most `sys.get_int_max_str_digits()` digits to

@@ -1,5 +1,6 @@
 """Verification harness: counting semantics, outcome shape, failure capture."""
 
+import functools
 import itertools
 import re
 
@@ -256,22 +257,62 @@ def test_a_slice_walks_only_the_knots_below_it_that_it_reads(monkeypatch):
     assert set(pinched) - set(below) == set(knots[lo:])
 
 
-@pytest.mark.parametrize("min_slice", [1, 300, 2048])
+CUT_BOXES = [(8, 7), (40, 39), (150, 149), (2, 500000), (1000, 3), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def slices_make_the_box():
+    """Whether the `_box` slices that start at `starts` concatenate to
+    `list(normalized_knots(pmax, qmax))`: each box is listed and each cut
+    checked once for this module's tests, since many CPU counts and
+    minimum slices make one cut."""
+    box_knots = functools.cache(lambda pmax, qmax: list(normalized_knots(pmax, qmax)))
+
+    @functools.cache
+    def check(pmax, qmax, starts):
+        stops = [*starts[1:], (pmax + 1, 3)]
+        parts = [knot_module._box(qmax, a, b) for a, b in zip(starts, stops)]
+        return list(itertools.chain(*parts)) == box_knots(pmax, qmax)
+
+    return check
+
+
+def slice_sizes(pmax, qmax, starts):
+    """The number of pairs (p, q) the box visits in each of the slices
+    that start at `starts`, counted by walking the box's pairs in order."""
+    sizes = [0] * len(starts)
+    i = 0
+    for p in range(2, pmax + 1):
+        for q in range(3, qmax + 1, 2):
+            if p % 2 and q >= p:
+                break
+            if i + 1 < len(starts) and (p, q) == starts[i + 1]:
+                i += 1
+            sizes[i] += 1
+    return sizes
+
+
+@pytest.mark.parametrize("min_slice", [1, 300, cli._MIN_SLICE])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 32, 64])
-def test_one_cut_serves_table_and_verify(monkeypatch, cpus, min_slice):
-    # `cli._cut` cuts a table's knots and a verify box's alike: equal
-    # slices, none of them small, however many CPUs there are
+def test_one_cut_serves_table_and_verify(monkeypatch, slices_make_the_box, cpus, min_slice):
+    # `cli._cut` cuts a table's box and a verify box's alike, by position in
+    # the enumeration order: equal slices of pairs, none of them small,
+    # however many CPUs there are, whose knots are the box's
     monkeypatch.setattr(cli, "_MIN_SLICE", min_slice)
-    for size in (0, 1, 2, 3, 7, 14, 100, 300, 301, 450, 2048, 2049, 6708, 303192):
-        bounds = cli._cut(size, cpus)
-        n = max(1, min(cpus, -(-size // min_slice)))
-        assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[-1] == size
-        lengths = [hi - lo for lo, hi in itertools.pairwise(bounds)]
-        assert max(lengths) - min(lengths) <= 1, bounds
-        if n > 1:
-            # M + 1 knots in two slices leave the first M/2 for an even M
-            assert 2 * lengths[0] >= min_slice, bounds
-            assert all(2 * length > min_slice for length in lengths[1:]), bounds
+    for pmax, qmax in CUT_BOXES:
+        starts = cli._cut(pmax, qmax, cpus)
+        assert starts[0] == (2, 3), starts
+        assert slices_make_the_box(pmax, qmax, tuple(starts)), starts
+        lengths = slice_sizes(pmax, qmax, starts)
+        pairs = sum(lengths)
+        assert len(starts) == max(1, min(cpus, -(-pairs // min_slice))), starts
+        assert max(lengths) - min(lengths) <= 1, starts
+        if pairs <= min_slice:
+            assert starts == [(2, 3)]
+        else:
+            # M + 1 pairs in two slices leave the first M/2 for an even M
+            assert 2 * lengths[0] >= min_slice, starts
+            assert all(2 * length > min_slice for length in lengths[1:]), starts
 
 
 def test_run_all_expands_each_rational_once(monkeypatch):
